@@ -52,7 +52,6 @@ from .schemes import (
     LossBudget,
     ModulationTone,
     SchemeInstance,
-    at_dark_fringe,
     best_port_snr,
     build_scheme,
     enhancement_report,

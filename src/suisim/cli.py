@@ -23,19 +23,17 @@ from .config import (
     ConfigError,
     PRESET_NAMES,
     RunConfig,
-    SWEEP_PARAMETERS,
     load_config,
     preset_config,
     set_parameter,
 )
 from .schemes import (
+    MeasurementModel,
     SchemeInstance,
-    best_port_snr,
-    enhancement_report,
+    enhancement_from_models,
     find_dark_fringe,
     matched_baseline,
-    port_noise_variance,
-    port_snr,
+    measurement_model,
 )
 from .spectra import (
     CombineParams,
@@ -110,60 +108,45 @@ def _closed_form_for(scheme: SchemeInstance) -> dict | None:
     return dataclasses.asdict(closed_form_snr(params))
 
 
-def _scheme_snr_section(scheme: SchemeInstance) -> dict:
+def _scheme_snr_section(model: MeasurementModel) -> dict:
     ports = {
-        p.port_name: {
-            "lo_phase_rad": p.lo_phase,
-            "efficiency": p.efficiency,
-            "noise_variance_snu": port_noise_variance(scheme, p.port_name),
-        }
-        for p in scheme.ports
+        name: {"lo_phase_rad": lo_phase, "efficiency": efficiency, "noise_variance_snu": model.variance(name)}
+        for name, lo_phase, efficiency in zip(model.port_names, model.lo_phases, model.efficiencies)
     }
     snr = {
-        p.port_name: {
-            f"{tone.frequency_hz:.10g}": port_snr(scheme, p.port_name, tone.frequency_hz)
-            for tone in scheme.tones
-        }
-        for p in scheme.ports
+        name: {f"{frequency:.10g}": model.snr(name, frequency) for frequency in model.tone_amplitudes}
+        for name in model.port_names
     }
     return {"ports": ports, "snr": snr}
 
 
 def cmd_snr(cfg: RunConfig) -> dict:
     scheme, fringe_info = _resolve_scheme(cfg)
+    model = measurement_model(scheme)
     report = {
         "scheme_kind": scheme.kind,
         "seed": cfg.sim.seed,
         "dark_fringe": fringe_info,
         "closed_form": _closed_form_for(scheme),
     }
-    report.update(_scheme_snr_section(scheme))
+    report.update(_scheme_snr_section(model))
 
-    x_tone = _tone_at_angle(scheme, 0.0)
-    y_tone = _tone_at_angle(scheme, math.pi / 2)
-    if x_tone is not None:
-        report[f"snr_{scheme.kind}_x"] = best_port_snr(scheme, x_tone.frequency_hz)[1]
-    if y_tone is not None:
-        report[f"snr_{scheme.kind}_y"] = best_port_snr(scheme, y_tone.frequency_hz)[1]
+    axes = {"x": _tone_at_angle(scheme, 0.0), "y": _tone_at_angle(scheme, math.pi / 2)}
+    axes = {axis: tone.frequency_hz for axis, tone in axes.items() if tone is not None}
+    for axis, frequency in axes.items():
+        report[f"snr_{scheme.kind}_{axis}"] = model.best_port(frequency)[1]
 
     if cfg.compare_with is not None:
         baseline = matched_baseline(scheme, cfg.compare_with)
-        comparison = enhancement_report(scheme, baseline)
-        baseline_section = _scheme_snr_section(baseline)
+        baseline_model = measurement_model(baseline)
+        comparison = enhancement_from_models(scheme, model, baseline_model)
+        baseline_section = _scheme_snr_section(baseline_model)
         baseline_section["scheme_kind"] = baseline.kind
         baseline_section["closed_form"] = _closed_form_for(baseline)
         report["baseline"] = baseline_section
         report["enhancement"] = dataclasses.asdict(comparison)
-        ratios = {}
-        if x_tone is not None:
-            ratios["x"] = next(
-                row.ratio for row in comparison.per_tone if row.frequency_hz == x_tone.frequency_hz
-            )
-        if y_tone is not None:
-            ratios["y"] = next(
-                row.ratio for row in comparison.per_tone if row.frequency_hz == y_tone.frequency_hz
-            )
-        report[f"ratio_vs_{cfg.compare_with}"] = ratios
+        ratios = {row.frequency_hz: row.ratio for row in comparison.per_tone}
+        report[f"ratio_vs_{cfg.compare_with}"] = {axis: ratios[f] for axis, f in axes.items()}
 
     report["resolved_config"] = cfg.resolved
     return report
@@ -221,13 +204,12 @@ def cmd_simulate(cfg: RunConfig) -> dict:
         "runs": {},
         "files": [],
     }
-    records_by_run = {}
+    kept = None
     for index, (label, run_scheme) in enumerate(runs):
         seed = cfg.sim.seed + index
         records = simulate_currents(
             run_scheme, cfg.sim.duration_s, cfg.sim.sample_rate_hz, seed
         )
-        records_by_run[label] = records
         run_report = {"seed": seed, "ports": {}}
         for port, record in records.items():
             spec = welch_psd(record, cfg.sim.rbw_hz)
@@ -236,19 +218,23 @@ def cmd_simulate(cfg: RunConfig) -> dict:
             report["files"].append(path)
             run_report["ports"][port] = _peak_section(run_scheme, spec)
         report["runs"][label] = run_report
+        # Only the main scheme's records are read again, by the combination;
+        # every other run's arrays are freed before the next run draws its own.
+        if index == 0 and cfg.sim.combine is not None:
+            kept = records
+        del records, record
 
     if cfg.sim.combine is not None:
         if not scheme.tap_enabled:
             raise ConfigError("sim.combine needs ports.tap_enabled = true")
-        records = records_by_run[scheme.kind]
-        i1, i3 = records["signal"], records["tap"]
+        i1, i3 = kept["signal"], kept["tap"]
         k = calibrate_k(i1, i3, cfg.sim.combine.calibration_tone_hz)
         combined_report = {"balance_gain_k": k, "thetas": {}}
         for theta in cfg.sim.combine.thetas:
             combined = combine_currents(i1, i3, CombineParams(theta, k))
             spec = welch_psd(combined, cfg.sim.rbw_hz)
             path = os.path.join(out_dir, f"spectrum_{scheme.kind}_combined_theta_{theta:.4f}.csv")
-            _write_text(path, _spectrum_rows(spec, records["signal"].seed))
+            _write_text(path, _spectrum_rows(spec, i1.seed))
             report["files"].append(path)
             combined_report["thetas"][f"{theta:.4f}"] = _peak_section(scheme, spec)
         report["combined"] = combined_report
@@ -271,12 +257,13 @@ def cmd_sweep(cfg: RunConfig, parameter: str, grid: list[float]) -> dict:
         raw = set_parameter(cfg.raw, parameter, value)
         point = load_config(raw)
         scheme, _ = _resolve_scheme(point)
+        model = measurement_model(scheme)
         row = [value]
         columns = [parameter]
-        for channel in scheme.ports:
-            for tone in scheme.tones:
-                columns.append(f"snr_{channel.port_name}_{tone.frequency_hz:.10g}hz")
-                row.append(port_snr(scheme, channel.port_name, tone.frequency_hz))
+        for port in model.port_names:
+            for frequency in model.tone_amplitudes:
+                columns.append(f"snr_{port}_{frequency:.10g}hz")
+                row.append(model.snr(port, frequency))
         header = columns
         rows.append(row)
 

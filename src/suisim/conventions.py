@@ -26,10 +26,6 @@ import math
 
 import numpy as np
 
-# Vacuum quadrature variance; defines the shot-noise unit.
-VACUUM_VARIANCE = 1.0
-
-
 def normalize_angle(theta: float) -> float:
     """Map an angle in radians into [0, 2*pi)."""
     return float(theta) % (2.0 * math.pi)

@@ -16,6 +16,8 @@ import numpy as np
 from .conventions import omega, rotation_block, xy_indices
 
 _SYMMETRY_TOL = 1e-12
+# Relative to the largest covariance entry: the rounding floor of cov + i omega.
+_UNCERTAINTY_TOL = 1e-12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,8 +45,10 @@ class GaussianState:
     """Mean quadrature vector and covariance matrix over ``n_modes`` modes.
 
     ``mean`` has length ``2 n_modes`` ordered (X1, Y1, X2, Y2, ...);
-    ``cov`` is the real symmetric positive-definite covariance matrix in
-    the same ordering, with the vacuum normalised to the identity.
+    ``cov`` is the real symmetric covariance matrix in the same ordering,
+    with the vacuum normalised to the identity.  It must be physical
+    (``cov + i omega >= 0``, the uncertainty relation), up to rounding on
+    the scale of its largest entry.
     """
 
     n_modes: int
@@ -67,16 +71,19 @@ class GaussianState:
         if asym > _SYMMETRY_TOL:
             raise ValueError(f"covariance matrix is not symmetric (defect {asym:.3e})")
         cov = 0.5 * (cov + cov.T)
-        try:
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise ValueError("covariance matrix is not positive definite") from None
+        lowest = np.linalg.eigvalsh(cov + 1j * omega(self.n_modes))[0]
+        if lowest < -_UNCERTAINTY_TOL * max(1.0, np.max(np.abs(cov))):
+            raise ValueError(
+                "covariance matrix violates the uncertainty relation: cov + i omega is "
+                f"not positive definite up to rounding (smallest eigenvalue {lowest:.3e})"
+            )
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
-    def _check_mode(self, mode: int) -> None:
-        if not 0 <= mode < self.n_modes:
-            raise ValueError(f"mode {mode} out of range for {self.n_modes} modes")
+
+def _check_mode(n_modes: int, mode: int) -> None:
+    if not 0 <= mode < n_modes:
+        raise ValueError(f"mode {mode} out of range for {n_modes} modes")
 
 
 def vacuum_state(n_modes: int) -> GaussianState:
@@ -86,14 +93,18 @@ def vacuum_state(n_modes: int) -> GaussianState:
     return GaussianState(n_modes, np.zeros(2 * n_modes), np.eye(2 * n_modes))
 
 
+def displacement(n_modes: int, mode: int, dx: float, dy: float) -> np.ndarray:
+    """Mean shift of (dx, dy) on one of ``n_modes`` modes."""
+    _check_mode(n_modes, mode)
+    shift = np.zeros(2 * n_modes)
+    shift[list(xy_indices(mode))] = dx, dy
+    return shift
+
+
 def displace(state: GaussianState, mode: int, dx: float, dy: float) -> GaussianState:
     """Shift the mean of one mode by (dx, dy); the covariance is untouched."""
-    state._check_mode(mode)
-    ix, iy = xy_indices(mode)
-    mean = state.mean.copy()
-    mean[ix] += dx
-    mean[iy] += dy
-    return GaussianState(state.n_modes, mean, state.cov)
+    shift = displacement(state.n_modes, mode, dx, dy)
+    return apply_channel(state, np.eye(2 * state.n_modes), shift=shift)
 
 
 def two_mode_squeezer_matrix(gain: float, pump_phase: float = 0.0) -> np.ndarray:
@@ -103,7 +114,7 @@ def two_mode_squeezer_matrix(gain: float, pump_phase: float = 0.0) -> np.ndarray
     ``Xa' = G Xa + g Xb`` and ``Ya' = G Ya - g Yb``, which is what makes
     X sums and Y differences of the two modes correlated.
     """
-    g = math.sqrt(gain**2 - 1.0)
+    g = OpaParams(gain, pump_phase).conjugate_gain
     c, s = math.cos(pump_phase), math.sin(pump_phase)
     a = gain * np.eye(2)
     b = g * np.array([[c, s], [s, -c]])
@@ -116,6 +127,8 @@ def beam_splitter_matrix(transmissivity: float, phase: float = 0.0) -> np.ndarra
     Mode convention: ``a' = t a + r e^{i phase} b``,
     ``b' = -r e^{-i phase} a + t b`` with ``t = sqrt(T)``, ``r = sqrt(1-T)``.
     """
+    if not 0.0 <= transmissivity <= 1.0:
+        raise ValueError(f"transmissivity must lie in [0, 1], got {transmissivity}")
     t = math.sqrt(transmissivity)
     r = math.sqrt(1.0 - transmissivity)
     eye = np.eye(2)
@@ -132,30 +145,40 @@ def phase_shift_matrix(theta: float) -> np.ndarray:
     return rotation_block(theta)
 
 
-def _embed_pair(s4: np.ndarray, mode_a: int, mode_b: int, n_modes: int) -> np.ndarray:
+def _embed(block: np.ndarray, n_modes: int, *modes: int) -> np.ndarray:
+    """Identity on ``n_modes`` modes except ``block`` acting on ``modes``."""
+    for mode in modes:
+        _check_mode(n_modes, mode)
+    if len(set(modes)) != len(modes):
+        raise ValueError(f"a two-mode element needs two distinct modes, got {modes}")
     full = np.eye(2 * n_modes)
-    idx = np.array([2 * mode_a, 2 * mode_a + 1, 2 * mode_b, 2 * mode_b + 1])
-    full[np.ix_(idx, idx)] = s4
+    idx = [i for mode in modes for i in xy_indices(mode)]
+    full[np.ix_(idx, idx)] = block
     return full
 
 
-def _apply_symplectic(state: GaussianState, s: np.ndarray) -> GaussianState:
-    mean = s @ state.mean
-    cov = s @ state.cov @ s.T
-    cov = 0.5 * (cov + cov.T)
-    return GaussianState(state.n_modes, mean, cov)
+def loss_channel(n_modes: int, mode: int, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Transfer matrix and added vacuum noise of :func:`apply_loss`."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"transmission eta must lie in [0, 1], got {eta}")
+    transfer = _embed(math.sqrt(eta) * np.eye(2), n_modes, mode)
+    on_mode = np.eye(2 * n_modes) - _embed(np.zeros((2, 2)), n_modes, mode)
+    return transfer, (1.0 - eta) * on_mode
+
+
+def apply_channel(state: GaussianState, transfer: np.ndarray, noise=0.0, shift=0.0) -> GaussianState:
+    """Affine Gaussian channel: ``mean -> transfer mean + shift`` and
+    ``cov -> transfer cov transfer^T + noise``."""
+    cov = transfer @ state.cov @ transfer.T + noise
+    return GaussianState(state.n_modes, transfer @ state.mean + shift, 0.5 * (cov + cov.T))
 
 
 def apply_two_mode_squeezer(
     state: GaussianState, mode_a: int, mode_b: int, opa: OpaParams
 ) -> GaussianState:
     """Two-mode squeeze (parametric amplification) of a pair of distinct modes."""
-    state._check_mode(mode_a)
-    state._check_mode(mode_b)
-    if mode_a == mode_b:
-        raise ValueError("two-mode squeezer needs two distinct modes")
     s4 = two_mode_squeezer_matrix(opa.gain, opa.pump_phase)
-    return _apply_symplectic(state, _embed_pair(s4, mode_a, mode_b, state.n_modes))
+    return apply_channel(state, _embed(s4, state.n_modes, mode_a, mode_b))
 
 
 def apply_beam_splitter(
@@ -166,23 +189,13 @@ def apply_beam_splitter(
     phase: float = 0.0,
 ) -> GaussianState:
     """Mix two distinct modes on a beam splitter of the given transmissivity."""
-    state._check_mode(mode_a)
-    state._check_mode(mode_b)
-    if mode_a == mode_b:
-        raise ValueError("beam splitter needs two distinct modes")
-    if not 0.0 <= transmissivity <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {transmissivity}")
     s4 = beam_splitter_matrix(transmissivity, phase)
-    return _apply_symplectic(state, _embed_pair(s4, mode_a, mode_b, state.n_modes))
+    return apply_channel(state, _embed(s4, state.n_modes, mode_a, mode_b))
 
 
 def apply_phase_shift(state: GaussianState, mode: int, theta: float) -> GaussianState:
     """Rotate one mode's quadrature pair by ``theta``."""
-    state._check_mode(mode)
-    s = np.eye(2 * state.n_modes)
-    ix, iy = xy_indices(mode)
-    s[np.ix_([ix, iy], [ix, iy])] = phase_shift_matrix(theta)
-    return _apply_symplectic(state, s)
+    return apply_channel(state, _embed(phase_shift_matrix(theta), state.n_modes, mode))
 
 
 def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
@@ -192,19 +205,7 @@ def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
     ``eta V + (1 - eta)`` and covariances with other modes scale by
     sqrt(eta).
     """
-    state._check_mode(mode)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmission eta must lie in [0, 1], got {eta}")
-    root = math.sqrt(eta)
-    ix, iy = xy_indices(mode)
-    mean = state.mean.copy()
-    mean[[ix, iy]] *= root
-    cov = state.cov.copy()
-    cov[[ix, iy], :] *= root
-    cov[:, [ix, iy]] *= root
-    cov[ix, ix] += 1.0 - eta
-    cov[iy, iy] += 1.0 - eta
-    return GaussianState(state.n_modes, mean, cov)
+    return apply_channel(state, *loss_channel(state.n_modes, mode, eta))
 
 
 def homodyne_stats(
@@ -216,7 +217,7 @@ def homodyne_stats(
     The variance is in shot-noise units: the vacuum reads 1 for any LO
     phase and any detector efficiency.
     """
-    state._check_mode(mode)
+    _check_mode(state.n_modes, mode)
     if not 0.0 <= eta_det <= 1.0:
         raise ValueError(f"detection efficiency must lie in [0, 1], got {eta_det}")
     lossy = apply_loss(state, mode, eta_det) if eta_det != 1.0 else state
@@ -246,7 +247,7 @@ def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
 
 def mean_photon_number(state: GaussianState, mode: int) -> float:
     """Mean photon number of one mode (coherent part plus excess noise)."""
-    state._check_mode(mode)
+    _check_mode(state.n_modes, mode)
     ix, iy = xy_indices(mode)
     mx, my = state.mean[ix], state.mean[iy]
     vx, vy = state.cov[ix, ix], state.cov[iy, iy]

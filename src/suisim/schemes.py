@@ -13,6 +13,13 @@ Any scheme may split its signal output 50/50 onto a third ("tap") port.
 The modulation tones enter the single-shot picture as static displacements
 of magnitude ``2 sqrt(I_ps) depth`` at the tone angle; their time
 dependence lives in :mod:`suisim.spectra`.
+
+Every analysis reads one compiled channel: :func:`compile_pipeline` folds
+the element list into an affine Gaussian map ``(S, N, D)`` with output
+covariance ``S S^T + N`` and one output shift per displacement (carrier
+first, then each tone).  :func:`measurement_model` projects that channel
+onto the homodyne ports; port variances, tone amplitudes and SNRs are read
+off the model, and physicality is checked once, on the output state.
 """
 
 from __future__ import annotations
@@ -27,13 +34,14 @@ from .conventions import normalize_angle, xy_indices
 from .gaussian import (
     GaussianState,
     OpaParams,
-    apply_beam_splitter,
-    apply_loss,
-    apply_phase_shift,
-    apply_two_mode_squeezer,
-    displace,
-    homodyne_stats,
+    _embed,
+    apply_channel,
+    beam_splitter_matrix,
+    displacement,
+    loss_channel,
     mean_photon_number,
+    phase_shift_matrix,
+    two_mode_squeezer_matrix,
     vacuum_state,
 )
 
@@ -89,28 +97,44 @@ class Loss:
 Element = Displace | TwoModeSqueeze | Splitter | PhaseShift | Loss
 
 
-def apply_element(state: GaussianState, element: Element) -> GaussianState:
-    """Run one pipeline element through the covariance engine."""
-    if isinstance(element, Displace):
-        return displace(state, element.mode, element.dx, element.dy)
+def _element_channel(n_modes: int, element: Element) -> tuple[np.ndarray, np.ndarray | float]:
+    """Transfer matrix and added noise of one element other than a displacement."""
     if isinstance(element, TwoModeSqueeze):
-        opa = OpaParams(element.gain, element.pump_phase)
-        return apply_two_mode_squeezer(state, element.mode_a, element.mode_b, opa)
+        s4 = two_mode_squeezer_matrix(element.gain, element.pump_phase)
+        return _embed(s4, n_modes, element.mode_a, element.mode_b), 0.0
     if isinstance(element, Splitter):
-        return apply_beam_splitter(
-            state, element.mode_a, element.mode_b, element.transmissivity, element.phase
-        )
+        s4 = beam_splitter_matrix(element.transmissivity, element.phase)
+        return _embed(s4, n_modes, element.mode_a, element.mode_b), 0.0
     if isinstance(element, PhaseShift):
-        return apply_phase_shift(state, element.mode, element.theta)
+        return _embed(phase_shift_matrix(element.theta), n_modes, element.mode), 0.0
     if isinstance(element, Loss):
-        return apply_loss(state, element.mode, element.eta)
+        return loss_channel(n_modes, element.mode, element.eta)
     raise ValueError(f"unsupported pipeline element: {element!r}")
 
 
-def apply_pipeline(state: GaussianState, elements: list[Element]) -> GaussianState:
+def compile_pipeline(n_modes: int, elements: list[Element]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fold a pipeline into one affine Gaussian channel ``(S, N, D)``.
+
+    An input of mean ``m`` and covariance ``V`` leaves with mean
+    ``S m + D.sum(axis=1)`` and covariance ``S V S^T + N``.  Column k of ``D``
+    is the output shift of the k-th :class:`Displace` on its own.
+    """
+    dim = 2 * n_modes
+    transfer, noise, shifts = np.eye(dim), np.zeros((dim, dim)), np.zeros((dim, 0))
     for element in elements:
-        state = apply_element(state, element)
-    return state
+        if isinstance(element, Displace):
+            shift = displacement(n_modes, element.mode, element.dx, element.dy)
+            shifts = np.column_stack([shifts, shift])
+        else:
+            m, added = _element_channel(n_modes, element)
+            transfer, noise, shifts = m @ transfer, m @ noise @ m.T + added, m @ shifts
+    return transfer, noise, shifts
+
+
+def apply_pipeline(state: GaussianState, elements: list[Element]) -> GaussianState:
+    """Run a pipeline on ``state`` through its compiled channel."""
+    transfer, noise, shifts = compile_pipeline(state.n_modes, elements)
+    return apply_channel(state, transfer, noise, shifts.sum(axis=1))
 
 
 # --------------------------------------------------------------------------
@@ -239,15 +263,6 @@ class SchemeInstance:
                 return channel
         raise ValueError(
             f"unknown port {port_name!r}; available: {[p.port_name for p in self.ports]}"
-        )
-
-    def tone(self, frequency_hz: float) -> ModulationTone:
-        for tone in self.tones:
-            if tone.frequency_hz == frequency_hz:
-                return tone
-        raise ValueError(
-            f"no tone at {frequency_hz} Hz; available: "
-            f"{[t.frequency_hz for t in self.tones]}"
         )
 
 
@@ -384,41 +399,96 @@ def output_state(
     scheme: SchemeInstance, active_tones: frozenset[float] | None = None
 ) -> tuple[GaussianState, dict[str, int]]:
     """Deterministic state at the measurement plane plus port-to-mode map."""
-    state = vacuum_state(scheme.n_modes)
-    state = apply_pipeline(state, pipeline_elements(scheme, active_tones))
+    state = apply_pipeline(vacuum_state(scheme.n_modes), pipeline_elements(scheme, active_tones))
     return state, port_modes(scheme)
 
 
+@dataclasses.dataclass(frozen=True)
+class MeasurementModel:
+    """Everything the analysis and the photocurrent generator need about the ports.
+
+    ``noise_cov`` is the joint covariance of the port readouts with
+    detector efficiencies folded in; ``tone_amplitudes`` maps each tone
+    frequency to the signed sinusoid amplitude it contributes per port.
+    """
+
+    port_names: tuple[str, ...]
+    lo_phases: tuple[float, ...]
+    efficiencies: tuple[float, ...]
+    noise_cov: np.ndarray
+    tone_amplitudes: dict[float, tuple[float, ...]]
+
+    def _port_index(self, port_name: str) -> int:
+        if port_name not in self.port_names:
+            raise ValueError(f"unknown port {port_name!r}; available: {list(self.port_names)}")
+        return self.port_names.index(port_name)
+
+    def variance(self, port_name: str) -> float:
+        """Homodyne noise variance (SNU) at a port, detector efficiency included."""
+        index = self._port_index(port_name)
+        return float(self.noise_cov[index, index])
+
+    def amplitude(self, port_name: str, frequency_hz: float) -> float:
+        """Signed mean shift a tone produces at a port's readout, sqrt(efficiency) included."""
+        if frequency_hz not in self.tone_amplitudes:
+            raise ValueError(f"no tone at {frequency_hz} Hz; available: {list(self.tone_amplitudes)}")
+        return self.tone_amplitudes[frequency_hz][self._port_index(port_name)]
+
+    def snr(self, port_name: str, frequency_hz: float) -> float:
+        """Single-shot SNR of one tone at one port: squared mean shift over noise."""
+        return self.amplitude(port_name, frequency_hz) ** 2 / self.variance(port_name)
+
+    def best_port(self, frequency_hz: float) -> tuple[str, float]:
+        """Port with the largest SNR for one tone, and that SNR."""
+        return max(((p, self.snr(p, frequency_hz)) for p in self.port_names), key=lambda ps: ps[1])
+
+
+def measurement_model(scheme: SchemeInstance) -> MeasurementModel:
+    """Read the ports off the scheme's compiled channel ``(S, N, D)``.
+
+    With LO projections ``P`` and ``E = diag(sqrt(eta))`` for the detectors,
+    ``noise_cov = E P V P^T E + diag(1 - eta)`` for the output covariance
+    ``V = S S^T + N``; the tone amplitudes are ``E P D`` past the carrier column.
+    """
+    transfer, noise, shifts = compile_pipeline(scheme.n_modes, pipeline_elements(scheme))
+    # Building the output state checks its physicality, once per model.
+    state = apply_channel(vacuum_state(scheme.n_modes), transfer, noise, shifts.sum(axis=1))
+    modes = port_modes(scheme)
+    eta = np.array([c.efficiency for c in scheme.ports])
+    readout = np.zeros((len(scheme.ports), 2 * scheme.n_modes))
+    for row, channel in zip(readout, scheme.ports):
+        ix, iy = xy_indices(modes[channel.port_name])
+        row[ix], row[iy] = math.cos(channel.lo_phase), math.sin(channel.lo_phase)
+    readout *= np.sqrt(eta)[:, None]
+    tones = shifts[:, 1:]
+    amplitudes = readout @ tones
+    # A port orthogonal to a tone reads only the rounding of cos(pi/2), some
+    # 1e-16 of the tone; zero it so that no sinusoid is synthesised for it.
+    amplitudes[np.abs(amplitudes) <= 1e-12 * np.linalg.norm(tones, axis=0)] = 0.0
+    return MeasurementModel(
+        port_names=tuple(c.port_name for c in scheme.ports),
+        lo_phases=tuple(c.lo_phase for c in scheme.ports),
+        efficiencies=tuple(c.efficiency for c in scheme.ports),
+        noise_cov=readout @ state.cov @ readout.T + np.diag(1.0 - eta),
+        tone_amplitudes={
+            tone.frequency_hz: tuple(amplitudes[:, k].tolist()) for k, tone in enumerate(scheme.tones)
+        },
+    )
+
+
 def port_noise_variance(scheme: SchemeInstance, port_name: str) -> float:
-    """Homodyne noise variance (SNU) at a port, detector efficiency included."""
-    channel = scheme.port(port_name)
-    state, modes = output_state(scheme, active_tones=frozenset())
-    _, var = homodyne_stats(state, modes[port_name], channel.lo_phase, channel.efficiency)
-    return var
+    """:meth:`MeasurementModel.variance` of the scheme's model."""
+    return measurement_model(scheme).variance(port_name)
 
 
 def tone_port_amplitude(scheme: SchemeInstance, port_name: str, frequency_hz: float) -> float:
-    """Signed mean shift a tone produces at a port's readout quadrature.
-
-    Includes the sqrt(efficiency) of the detector; squaring it gives the
-    signal power entering the SNR.
-    """
-    scheme.tone(frequency_hz)
-    channel = scheme.port(port_name)
-    state0, modes = output_state(scheme, active_tones=frozenset())
-    state1, _ = output_state(scheme, active_tones=frozenset({frequency_hz}))
-    mode = modes[port_name]
-    ix, iy = xy_indices(mode)
-    dx = state1.mean[ix] - state0.mean[ix]
-    dy = state1.mean[iy] - state0.mean[iy]
-    proj = dx * math.cos(channel.lo_phase) + dy * math.sin(channel.lo_phase)
-    return math.sqrt(channel.efficiency) * proj
+    """:meth:`MeasurementModel.amplitude` of the scheme's model."""
+    return measurement_model(scheme).amplitude(port_name, frequency_hz)
 
 
 def port_snr(scheme: SchemeInstance, port_name: str, frequency_hz: float) -> float:
-    """Single-shot SNR of one tone at one port: squared mean shift over noise."""
-    amplitude = tone_port_amplitude(scheme, port_name, frequency_hz)
-    return amplitude**2 / port_noise_variance(scheme, port_name)
+    """:meth:`MeasurementModel.snr` of the scheme's model."""
+    return measurement_model(scheme).snr(port_name, frequency_hz)
 
 
 # --------------------------------------------------------------------------
@@ -481,12 +551,6 @@ def find_dark_fringe(
     return DarkFringeResult(phi_star, False, objective(phi_star))
 
 
-def at_dark_fringe(scheme: SchemeInstance) -> SchemeInstance:
-    """Copy of an SU(1,1) scheme locked to its dark fringe."""
-    result = find_dark_fringe(scheme)
-    return dataclasses.replace(scheme, interferometer_phase=result.phi_star)
-
-
 # --------------------------------------------------------------------------
 # derived analyses
 # --------------------------------------------------------------------------
@@ -528,9 +592,8 @@ def snr_vs_detection_efficiency(
 
 
 def best_port_snr(scheme: SchemeInstance, frequency_hz: float) -> tuple[str, float]:
-    """Port with the largest SNR for one tone, and that SNR."""
-    best = max(scheme.ports, key=lambda p: port_snr(scheme, p.port_name, frequency_hz))
-    return best.port_name, port_snr(scheme, best.port_name, frequency_hz)
+    """:meth:`MeasurementModel.best_port` of the scheme's model."""
+    return measurement_model(scheme).best_port(frequency_hz)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -572,10 +635,17 @@ def enhancement_report(sui: SchemeInstance, baseline: SchemeInstance) -> Enhance
     if plan(sui) != plan(baseline):
         raise ValueError("schemes use different tone plans; equalise them for a fair comparison")
 
+    return enhancement_from_models(sui, measurement_model(sui), measurement_model(baseline))
+
+
+def enhancement_from_models(
+    sui: SchemeInstance, sui_model: MeasurementModel, baseline_model: MeasurementModel
+) -> EnhancementReport:
+    """:func:`enhancement_report` read off models already built for both schemes."""
     rows = []
     for tone in sui.tones:
-        sui_port, sui_snr = best_port_snr(sui, tone.frequency_hz)
-        base_port, base_snr = best_port_snr(baseline, tone.frequency_hz)
+        sui_port, sui_snr = sui_model.best_port(tone.frequency_hz)
+        base_port, base_snr = baseline_model.best_port(tone.frequency_hz)
         ratio = sui_snr / base_snr if base_snr > 0 else math.inf if sui_snr > 0 else 1.0
         rows.append(
             ToneEnhancement(
@@ -609,58 +679,4 @@ def matched_baseline(sui: SchemeInstance, kind: str) -> SchemeInstance:
         gain_g2=sui.opa2_or_amp.gain if kind == "amp" else None,
         tap_enabled=sui.tap_enabled,
         ports=sui.ports,
-    )
-
-
-# --------------------------------------------------------------------------
-# measurement model for the time-domain simulation
-# --------------------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class MeasurementModel:
-    """Everything the photocurrent generator needs about a scheme's ports.
-
-    ``noise_cov`` is the joint covariance of the port readouts with
-    detector efficiencies folded in; ``tone_amplitudes`` maps each tone
-    frequency to the signed sinusoid amplitude it contributes per port.
-    """
-
-    port_names: tuple[str, ...]
-    lo_phases: tuple[float, ...]
-    efficiencies: tuple[float, ...]
-    noise_cov: np.ndarray
-    tone_amplitudes: dict[float, tuple[float, ...]]
-
-
-def measurement_model(scheme: SchemeInstance) -> MeasurementModel:
-    state, modes = output_state(scheme, active_tones=frozenset())
-    channels = scheme.ports
-    vectors = []
-    for channel in channels:
-        v = np.zeros(2 * state.n_modes)
-        ix, iy = xy_indices(modes[channel.port_name])
-        v[ix] = math.cos(channel.lo_phase)
-        v[iy] = math.sin(channel.lo_phase)
-        vectors.append(v)
-    n_ports = len(channels)
-    cov = np.zeros((n_ports, n_ports))
-    for i in range(n_ports):
-        for j in range(n_ports):
-            raw = float(vectors[i] @ state.cov @ vectors[j])
-            scale = math.sqrt(channels[i].efficiency * channels[j].efficiency)
-            cov[i, j] = scale * raw
-        cov[i, i] += 1.0 - channels[i].efficiency
-    amplitudes = {
-        tone.frequency_hz: tuple(
-            tone_port_amplitude(scheme, c.port_name, tone.frequency_hz) for c in channels
-        )
-        for tone in scheme.tones
-    }
-    return MeasurementModel(
-        port_names=tuple(c.port_name for c in channels),
-        lo_phases=tuple(c.lo_phase for c in channels),
-        efficiencies=tuple(c.efficiency for c in channels),
-        noise_cov=cov,
-        tone_amplitudes=amplitudes,
     )

@@ -136,11 +136,11 @@ def simulate_currents(
     t = np.arange(n_samples) / sample_rate
     out: dict[str, TimeSeries] = {}
     for idx, name in enumerate(model.port_names):
-        waveform = noise[:, idx]
+        waveform = noise[:, idx].copy()
         for tone in tones:
             amp = model.tone_amplitudes[tone.frequency_hz][idx]
             if amp != 0.0:
-                waveform = waveform + amp * np.sin(2.0 * math.pi * tone.frequency_hz * t)
+                waveform += amp * np.sin(2.0 * math.pi * tone.frequency_hz * t)
         out[name] = TimeSeries(
             sample_rate=sample_rate,
             samples=waveform,

@@ -25,7 +25,6 @@ from .bogoliubov import (
 from .config import CALIBRATED_ETA_INTERNAL
 from .conventions import omega
 from .gaussian import (
-    GaussianState,
     apply_loss,
     apply_phase_shift,
     homodyne_stats,
@@ -376,10 +375,10 @@ def _calibration_ratios(eta_internal: float, power_reading: bool = False):
         "sui", probe_photon_number=1e4, tones=tones, losses=losses,
         gain_g1=g1, gain_g2=g2, interferometer_phase=math.pi,
     )
-    amp = matched_baseline(sui, "amp")
-    ratio_x = port_snr(sui, "signal", 0.8e6) / port_snr(amp, "signal", 0.8e6)
-    ratio_y = port_snr(sui, "idler", 1.2e6) / port_snr(amp, "idler", 1.2e6)
-    floor = port_noise_variance(sui, "signal") / port_noise_variance(amp, "signal")
+    sui, amp = measurement_model(sui), measurement_model(matched_baseline(sui, "amp"))
+    ratio_x = sui.snr("signal", 0.8e6) / amp.snr("signal", 0.8e6)
+    ratio_y = sui.snr("idler", 1.2e6) / amp.snr("idler", 1.2e6)
+    floor = sui.variance("signal") / amp.variance("signal")
     return ratio_x, ratio_y, floor
 
 

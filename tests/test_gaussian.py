@@ -216,6 +216,17 @@ class TestSymplecticSpectrum:
         assert nu == pytest.approx(expected, rel=1e-12)
         assert nu == pytest.approx(5.32, rel=1e-12)
 
+    def test_high_gain_squeezed_vacuum_accepted(self):
+        # G = 1e4: cov entries near 2e8 and a smallest eigenvalue near 1e-8,
+        # below what a Cholesky factorisation resolves at that scale.
+        state = tmsv(gain=1e4)
+        assert state.cov[0, 0] == pytest.approx(2e8 - 1, rel=1e-12)
+        assert state.cov[0, 2] == pytest.approx(2e4 * math.sqrt(1e8 - 1), rel=1e-12)
+
+    def test_positive_but_unphysical_covariance_rejected(self):
+        with pytest.raises(ValueError, match="uncertainty"):
+            GaussianState(1, np.zeros(2), 0.5 * np.eye(2))
+
     def test_invalid_state_rejected(self):
         with pytest.raises(ValueError, match="positive definite"):
             GaussianState(1, np.zeros(2), -np.eye(2))

@@ -4,6 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from suisim.bogoliubov import (
+    ClosedFormInput,
+    build_transfer,
+    closed_form_snr,
+    oracle_homodyne_mean,
+    oracle_homodyne_variance,
+)
+from suisim.config import load_config, preset_config, set_parameter
 from suisim.gaussian import OpaParams, displace, homodyne_stats, vacuum_state
 from suisim.schemes import (
     HomodyneChannel,
@@ -16,6 +24,7 @@ from suisim.schemes import (
     matched_baseline,
     measurement_model,
     output_state,
+    port_modes,
     port_noise_variance,
     port_snr,
     snr_vs_detection_efficiency,
@@ -387,9 +396,122 @@ class TestMeasurementModel:
                     tone_port_amplitude(scheme, name, tone.frequency_hz), abs=1e-12
                 )
 
+    def test_orthogonal_port_reads_exactly_zero(self):
+        # The X port of a pi/2 tone sees only the rounding of cos(pi/2).
+        for scheme in (reference_sui(), build_scheme("bs", probe_photon_number=1e4, tones=two_tones())):
+            model = measurement_model(scheme)
+            assert model.tone_amplitudes[PM][model.port_names.index("signal")] == 0.0
+            assert port_snr(scheme, "signal", PM) == 0.0
+
     def test_both_tap_outputs_carry_positive_signal_mean(self):
         scheme = reference_sui(tap_enabled=True)
         model = measurement_model(scheme)
         amps = dict(zip(model.port_names, model.tone_amplitudes[AM]))
         assert amps["signal"] > 0
         assert amps["tap"] > 0
+
+
+def oracle_port_readings(scheme):
+    """Per-port variances and per-(port, tone) amplitudes from the operator
+    transfer oracle; each amplitude is the difference of two oracle means."""
+    modes = port_modes(scheme)
+    base = build_transfer(scheme, active_tones=frozenset())
+    variances, amplitudes = {}, {}
+    for port in scheme.ports:
+        mode, lo, eta = modes[port.port_name], port.lo_phase, port.efficiency
+        variances[port.port_name] = oracle_homodyne_variance(base, mode, lo, eta)
+        carrier = oracle_homodyne_mean(base, mode, lo, eta)
+        for tone in scheme.tones:
+            single = build_transfer(scheme, active_tones=frozenset({tone.frequency_hz}))
+            shifted = oracle_homodyne_mean(single, mode, lo, eta)
+            amplitudes[port.port_name, tone.frequency_hz] = (shifted - carrier, abs(carrier))
+    return variances, amplitudes
+
+
+def random_scheme(rng, kind, tap_enabled):
+    # Tone angles stay at least 0.1 rad away from every multiple of pi/2.
+    angles = rng.uniform(0.1, 1.4, size=2) + rng.choice([0.0, math.pi / 2, math.pi], size=2)
+    tones = tuple(
+        ModulationTone(freq, float(rng.uniform(0.002, 0.02)), float(angle))
+        for freq, angle in zip((0.8e6, 1.2e6), angles)
+    )
+    losses = LossBudget(*(float(x) for x in rng.uniform(0.3, 1.0, size=4)))
+    gains = {
+        "bs": {},
+        "amp": {"gain_g2": float(rng.uniform(1.2, 20.0))},
+        "sui": {"gain_g1": float(rng.uniform(1.1, 3.0)), "gain_g2": float(rng.uniform(1.2, 20.0))},
+    }[kind]
+    return build_scheme(
+        kind,
+        probe_photon_number=float(10 ** rng.uniform(2, 5)),
+        tones=tones,
+        losses=losses,
+        interferometer_phase=float(rng.uniform(0, 2 * math.pi)) if kind == "sui" else math.pi,
+        tap_enabled=tap_enabled,
+        **gains,
+    )
+
+
+PRESET_SCHEMES = [(name, load_config(preset_config(name)).scheme) for name in ("fig2", "fig3", "fig4", "fig5")]
+RANDOM_SCHEMES = [
+    (f"random-{kind}-tap{int(tap)}", random_scheme(np.random.default_rng(900 + k), kind, tap))
+    for k, (kind, tap) in enumerate((kind, tap) for kind in ("bs", "amp", "sui") for tap in (False, True))
+]
+ORACLE_SCHEMES = PRESET_SCHEMES + RANDOM_SCHEMES
+
+
+@pytest.mark.parametrize("scheme", [s for _, s in ORACLE_SCHEMES], ids=[label for label, _ in ORACLE_SCHEMES])
+def test_measurement_model_matches_oracle(scheme):
+    model = measurement_model(scheme)
+    variances, amplitudes = oracle_port_readings(scheme)
+    for idx, name in enumerate(model.port_names):
+        assert model.noise_cov[idx, idx] == pytest.approx(variances[name], rel=1e-9)
+        for tone in scheme.tones:
+            expected, carrier = amplitudes[name, tone.frequency_hz]
+            assert model.tone_amplitudes[tone.frequency_hz][idx] == pytest.approx(
+                expected, abs=1e-9 * (1.0 + carrier)
+            )
+
+
+def high_gain_sui(g1, g2):
+    return build_scheme(
+        "sui",
+        probe_photon_number=1e4,
+        tones=two_tones(),
+        gain_g1=g1,
+        gain_g2=g2,
+        interferometer_phase=math.pi,
+    )
+
+
+HIGH_GAIN_SCHEMES = [
+    ("sui-3x1e3", high_gain_sui(3.0, 1e3)),
+    ("sui-5x500", high_gain_sui(5.0, 500.0)),
+    ("fig2-g2-1e4", load_config(set_parameter(preset_config("fig2"), "scheme.gain_g2", 1e4)).scheme),
+]
+
+
+@pytest.mark.parametrize("scheme", [s for _, s in HIGH_GAIN_SCHEMES], ids=[label for label, _ in HIGH_GAIN_SCHEMES])
+def test_high_gain_lock_and_snr_table_match_oracle(scheme):
+    # These gains once failed the lock with a spurious "not positive definite".
+    fringe = find_dark_fringe(scheme)
+    assert fringe.phi_star == pytest.approx(math.pi, abs=1e-3)
+    locked = dataclasses.replace(scheme, interferometer_phase=fringe.phi_star)
+    model = measurement_model(locked)
+    variances, amplitudes = oracle_port_readings(locked)
+    for tone in locked.tones:
+        expected = {name: amplitudes[name, tone.frequency_hz][0] ** 2 / variances[name] for name in variances}
+        scale = max(expected.values())
+        for name in model.port_names:
+            assert model.variance(name) == pytest.approx(variances[name], rel=1e-7)
+            assert model.snr(name, tone.frequency_hz) == pytest.approx(
+                expected[name], rel=1e-7, abs=1e-7 * scale
+            )
+
+
+def test_amp_at_high_gain_matches_closed_form():
+    amp = build_scheme("amp", probe_photon_number=1e4, tones=two_tones(), gain_g2=1e4)
+    closed = closed_form_snr(ClosedFormInput("amp", 1e4, 0.01, 0.01, gain=1e4))
+    assert port_snr(amp, "signal", AM) == pytest.approx(closed.snr_x, rel=1e-9)
+    assert port_snr(amp, "idler", PM) == pytest.approx(closed.snr_y, rel=1e-9)
+    assert port_noise_variance(amp, "signal") == pytest.approx(2 * 1e8 - 1, rel=1e-9)
