@@ -225,8 +225,6 @@ def cmd_simulate(cfg: RunConfig) -> dict:
         del records, record
 
     if cfg.sim.combine is not None:
-        if not scheme.tap_enabled:
-            raise ConfigError("sim.combine needs ports.tap_enabled = true")
         i1, i3 = kept["signal"], kept["tap"]
         k = calibrate_k(i1, i3, cfg.sim.combine.calibration_tone_hz)
         combined_report = {"balance_gain_k": k, "thetas": {}}
@@ -281,8 +279,6 @@ def cmd_sweep(cfg: RunConfig, parameter: str, grid: list[float]) -> dict:
 
 
 def cmd_verify(out_path: str | None = None, echo=print) -> int:
-    results = []
-
     def progress(result):
         status = "PASS" if result.passed else "FAIL"
         echo(f"{status}  {result.check_id}  {result.detail}")

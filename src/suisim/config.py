@@ -13,6 +13,7 @@ import copy
 import dataclasses
 import json
 import math
+import sys
 
 from .schemes import (
     HomodyneChannel,
@@ -80,6 +81,12 @@ class SimSettings:
     seed: int = 0
     combine: CombineSettings | None = None
 
+    def __post_init__(self):
+        # Checked here rather than in load_config so that the CLI's --seed
+        # override, applied with dataclasses.replace, is checked as well.
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError("config key 'sim.seed' must be a nonnegative integer")
+
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
@@ -108,14 +115,20 @@ def _check_keys(section: dict, allowed: set[str], path: str) -> None:
             raise ConfigError(f"unknown config key '{path}.{key}'" if path else f"unknown config key '{key}'")
 
 
+def _is_finite_number(value) -> bool:
+    """True for a JSON number (not a boolean) that is a finite float; the
+    comparison is false for NaN and for integers beyond the float range."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
 def _number(section: dict, key: str, path: str, default=None):
     if key not in section:
         if default is None:
             raise ConfigError(f"missing required config key '{path}.{key}'")
         return default
     value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config key '{path}.{key}' must be a number")
+    if not _is_finite_number(value):
+        raise ConfigError(f"config key '{path}.{key}' must be a finite number")
     return float(value)
 
 
@@ -197,7 +210,9 @@ def load_config(source: str | dict) -> RunConfig:
         )
 
         ports_raw = raw.get("ports", {})
-        tap_enabled = bool(ports_raw.get("tap_enabled", False))
+        tap_enabled = ports_raw.get("tap_enabled", False)
+        if not isinstance(tap_enabled, bool):
+            raise ConfigError("config key 'ports.tap_enabled' must be true or false")
         default_eff = {
             "signal": losses.eta_signal_det,
             "idler": losses.eta_idler_det,
@@ -229,7 +244,7 @@ def load_config(source: str | dict) -> RunConfig:
                 "config key 'scheme.interferometer_phase' must be a number or "
                 f"one of {list(AUTO_PHASE_VALUES)}"
             )
-        phase = math.pi if auto else float(phase_raw)
+        phase = math.pi if auto else _number(scheme_raw, "interferometer_phase", "scheme", math.pi)
 
         scheme = build_scheme(
             kind,
@@ -258,22 +273,19 @@ def load_config(source: str | dict) -> RunConfig:
     if sim_raw.get("combine") is not None:
         combine_raw = sim_raw["combine"]
         thetas = combine_raw.get("thetas", [])
-        if not isinstance(thetas, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in thetas
-        ):
-            raise ConfigError("config key 'sim.combine.thetas' must be a list of numbers")
+        if not isinstance(thetas, list) or not all(_is_finite_number(v) for v in thetas):
+            raise ConfigError("config key 'sim.combine.thetas' must be a list of finite numbers")
+        if not tap_enabled:
+            raise ConfigError("config key 'sim.combine' needs ports.tap_enabled = true")
         combine = CombineSettings(
             thetas=tuple(float(v) for v in thetas),
             calibration_tone_hz=_number(combine_raw, "calibration_tone_hz", "sim.combine"),
         )
-    seed = sim_raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("config key 'sim.seed' must be an integer")
     sim = SimSettings(
         sample_rate_hz=_number(sim_raw, "sample_rate_hz", "sim", SimSettings.sample_rate_hz),
         duration_s=_number(sim_raw, "duration_s", "sim", SimSettings.duration_s),
         rbw_hz=_number(sim_raw, "rbw_hz", "sim", SimSettings.rbw_hz),
-        seed=seed,
+        seed=sim_raw.get("seed", 0),
         combine=combine,
     )
     output_dir = raw.get("output", {}).get("directory")

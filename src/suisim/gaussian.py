@@ -233,16 +233,14 @@ def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
     """Symplectic spectrum of the covariance matrix, nonincreasing.
 
     The eigenvalues of ``omega @ cov`` come in conjugate pairs ``+/- i nu``;
-    physical states have every ``nu >= 1`` in this normalisation.  They are
-    computed through the Hermitian matrix ``i sqrt(cov) omega sqrt(cov)``,
-    whose well-conditioned eigenproblem keeps the spectrum accurate even
-    for strongly squeezed states.
+    physical states have every ``nu >= 1`` in this normalisation.  The
+    absolute error of each ``nu`` is about ``eps * max|cov|^2`` (``eps`` the
+    float64 rounding unit), about 1e-3 for a two-mode squeezed vacuum at
+    gain G = 1e3; at G = 1e4 the stored covariance no longer determines
+    the spectrum at all.
     """
-    w, u = np.linalg.eigh(state.cov)
-    root = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.T
-    herm = 1j * (root @ omega(state.n_modes) @ root)
-    nus = np.linalg.eigvalsh(herm)
-    return nus[::-1][: state.n_modes]
+    moduli = np.sort(np.abs(np.linalg.eigvals(omega(state.n_modes) @ state.cov)))
+    return moduli[::-1][::2]
 
 
 def mean_photon_number(state: GaussianState, mode: int) -> float:

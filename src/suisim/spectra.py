@@ -18,7 +18,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy import signal
 
 from .schemes import SchemeInstance, measurement_model
 
@@ -167,22 +166,22 @@ def welch_psd(ts: TimeSeries, rbw: float = DEFAULT_RBW) -> Spectrum:
             f"rbw {rbw} Hz needs {nperseg} samples per segment but the record has {n}; "
             "record at least sample_rate/rbw samples"
         )
-    freq, density = signal.welch(
-        ts.samples,
-        fs=ts.sample_rate,
-        window="hann",
-        nperseg=nperseg,
-        noverlap=nperseg // 2,
-        detrend="constant",
-        scaling="density",
-    )
     step = nperseg - nperseg // 2
-    n_averages = 1 + (n - nperseg) // step
+    segments = np.lib.stride_tricks.sliding_window_view(ts.samples, nperseg)[::step]
+    tapered = segments - segments.mean(axis=1, keepdims=True)
+    window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(nperseg) / nperseg)
+    tapered *= window
+    psd = np.mean(np.abs(np.fft.rfft(tapered, axis=1)) ** 2, axis=0) / np.sum(window**2)
+    # One-sided folding doubles every bin but DC and Nyquist; the shot-noise
+    # unit halves them all again.
+    psd[0] /= 2.0
+    if nperseg % 2 == 0:
+        psd[-1] /= 2.0
     return Spectrum(
-        freq=freq,
-        psd_snu=density * ts.sample_rate / 2.0,
+        freq=np.fft.rfftfreq(nperseg, 1.0 / ts.sample_rate),
+        psd_snu=psd,
         rbw=ts.sample_rate / nperseg,
-        n_averages=n_averages,
+        n_averages=len(segments),
     )
 
 

@@ -260,6 +260,44 @@ class TestSweepCommand:
         assert "losses.eta_signal_det" in err
 
 
+class TestConfigRejections:
+    """Bad values fail at load time with exit code 1 and their config path."""
+
+    @pytest.mark.parametrize(
+        "section, key, value, path",
+        [
+            ("ports", "tap_enabled", "false", "ports.tap_enabled"),
+            ("sim", "seed", -1, "sim.seed"),
+            ("sim", "sample_rate_hz", float("nan"), "sim.sample_rate_hz"),
+            ("sim", "duration_s", float("inf"), "sim.duration_s"),
+            ("scheme", "interferometer_phase", float("nan"), "scheme.interferometer_phase"),
+            ("scheme", "probe_photon_number", 10**400, "scheme.probe_photon_number"),
+        ],
+    )
+    def test_bad_value_names_its_path(self, tmp_path, capsys, section, key, value, path):
+        raw = preset_config("fig2")
+        raw[section][key] = value
+        config = write_config(tmp_path, raw)
+        code, _, err = run_cli(capsys, "simulate", "--config", config, "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert path in err
+
+    def test_negative_seed_override_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "snr", "--preset", "fig2", "--seed", "-1")
+        assert code == 1
+        assert "sim.seed" in err
+
+    def test_combine_without_tap_fails_before_simulating(self, tmp_path, capsys):
+        raw = preset_config("fig5")
+        raw["ports"]["tap_enabled"] = False
+        raw["ports"]["channels"] = raw["ports"]["channels"][:2]
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "simulate", "--config", write_config(tmp_path, raw), "--out", str(out_dir))
+        assert code == 1
+        assert "sim.combine" in err
+        assert not list(out_dir.glob("*.csv"))
+
+
 class TestVerifyCommand:
     def test_exit_zero_when_all_pass(self, capsys, monkeypatch):
         fake = [CheckResult("fake-check", True, "ok")]

@@ -223,6 +223,11 @@ class TestSymplecticSpectrum:
         assert state.cov[0, 0] == pytest.approx(2e8 - 1, rel=1e-12)
         assert state.cov[0, 2] == pytest.approx(2e4 * math.sqrt(1e8 - 1), rel=1e-12)
 
+    def test_high_gain_squeezed_vacuum_is_pure(self):
+        # The absolute error is about eps * max|cov|^2, near 1e-3 at G = 1e3.
+        nus = symplectic_eigenvalues(tmsv(gain=1e3, pump_phase=0.3))
+        assert_allclose(nus, [1.0, 1.0], atol=5e-4)
+
     def test_positive_but_unphysical_covariance_rejected(self):
         with pytest.raises(ValueError, match="uncertainty"):
             GaussianState(1, np.zeros(2), 0.5 * np.eye(2))

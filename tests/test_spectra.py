@@ -1,9 +1,14 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+
+import suisim
 
 from suisim.schemes import (
     HomodyneChannel,
@@ -142,6 +147,37 @@ class TestWelch:
         spec = welch_psd(white_series(), rbw=5e3)
         assert spec.rbw == pytest.approx(5e3)
         assert spec.bin_width == pytest.approx(5e3)
+
+    @pytest.mark.parametrize("rbw", [5e3, 1e6 / 999])
+    def test_matches_scipy_reference(self, rbw):
+        signal = pytest.importorskip("scipy.signal")
+        base = white_series(n=100_001)
+        ts = TimeSeries(base.sample_rate, base.samples + 0.3, "test", 0.0, 0)
+        nperseg = int(round(ts.sample_rate / rbw))
+        freq, density = signal.welch(
+            ts.samples,
+            fs=ts.sample_rate,
+            window="hann",
+            nperseg=nperseg,
+            noverlap=nperseg // 2,
+            detrend="constant",
+            scaling="density",
+        )
+        spec = welch_psd(ts, rbw)
+        assert np.array_equal(spec.freq, freq)
+        assert_allclose(spec.psd_snu, density * ts.sample_rate / 2.0, rtol=1e-12, atol=0.0)
+        assert spec.rbw == ts.sample_rate / nperseg
+        assert spec.n_averages == 1 + (ts.samples.size - nperseg) // (nperseg - nperseg // 2)
+
+
+def test_package_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(suisim.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import suisim, suisim.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 class TestShotNoiseCalibration:
