@@ -79,7 +79,7 @@ def _resolve_scheme(cfg: RunConfig) -> tuple[SchemeInstance, dict | None]:
     if cfg.auto_dark_fringe and scheme.kind == "sui":
         fringe = find_dark_fringe(scheme)
         scheme = dataclasses.replace(scheme, interferometer_phase=fringe.phi_star)
-        fringe_info = {"phi_star": fringe.phi_star, "flat": fringe.flat}
+        fringe_info = {"phi_star": fringe.phi_star, "flat": fringe.flat, "visibility": fringe.visibility}
     return scheme, fringe_info
 
 
@@ -170,8 +170,9 @@ def _tone_band(scheme: SchemeInstance, spec: Spectrum) -> tuple[float, float]:
     freqs = [t.frequency_hz for t in scheme.tones]
     if not freqs:
         return spec.freq[2], spec.freq[-2]
-    lo = max(spec.freq[1], min(freqs) - 0.3e6)
-    hi = min(spec.freq[-1], max(freqs) + 0.3e6)
+    margin = 30 * spec.bin_width
+    lo = max(spec.freq[1], min(freqs) - margin)
+    hi = min(spec.freq[-1], max(freqs) + margin)
     return lo, hi
 
 

@@ -227,15 +227,18 @@ def load_config(source: str | dict) -> RunConfig:
                 raise ConfigError(
                     f"config key 'ports.channels[{i}].name' must be one of {names}, got {name!r}"
                 )
-            overrides[name] = channel
-        ports = tuple(
-            HomodyneChannel(
-                port_name=name,
-                lo_phase=_number(overrides.get(name, {}), "lo_phase_rad", "ports", default_lo[name]),
-                efficiency=_number(overrides.get(name, {}), "efficiency", "ports", default_eff[name]),
-            )
-            for name in names
-        )
+            if name in overrides:
+                raise ConfigError(f"config key 'ports.channels[{i}].name' repeats the channel {name!r}")
+            overrides[name] = (channel, f"ports.channels[{i}]")
+        ports = []
+        for name in names:
+            channel, path = overrides.get(name, ({}, "ports"))
+            lo_phase = _number(channel, "lo_phase_rad", path, default_lo[name])
+            efficiency = _number(channel, "efficiency", path, default_eff[name])
+            try:
+                ports.append(HomodyneChannel(name, lo_phase, efficiency))
+            except ValueError as exc:
+                raise ConfigError(f"config key '{path}.efficiency': {exc}") from exc
 
         phase_raw = scheme_raw.get("interferometer_phase", math.pi)
         auto = isinstance(phase_raw, str)

@@ -501,22 +501,26 @@ class DarkFringeResult:
     phi_star: float
     flat: bool
     objective: float
+    #: Fringe amplitude over its mean, (max - min) / (max + min); 0 when flat.
+    visibility: float
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Phases scanned per lock.  Three would fix the first harmonic exactly; 256
+# keeps the evaluation count that bench/test_bench.py asserts per lock.
+_FRINGE_POINTS = 256
 
 
-def find_dark_fringe(
-    scheme: SchemeInstance, coarse_points: int = 256, resolution: float = 1e-4
-) -> DarkFringeResult:
+def find_dark_fringe(scheme: SchemeInstance) -> DarkFringeResult:
     """Interferometer phase minimising the total output power of an SU(1,1) scheme.
 
-    The search runs on the unmodulated carrier (tone depths zeroed): the
+    The lock runs on the unmodulated carrier (tone depths zeroed): the
     sinusoidal tones average to zero over any realistic lock bandwidth, so
-    they must not bias the operating point.  A coarse scan brackets the
-    minimum and golden-section refinement narrows it to ``resolution``
-    radians.  If the objective is flat in phi (either amplifier at unit
-    gain), the canonical phase pi is returned with ``flat=True``.
+    they must not bias the operating point.  The total output photon number
+    is exactly ``a0 + a1 cos(phi) + b1 sin(phi)`` (OPA2's conjugate block is
+    a reflection and the tap is passive), so the first harmonic of a uniform
+    scan gives the minimum in closed form.  If the fringe is flat (either
+    amplifier at unit gain), the canonical phase pi is returned with
+    ``flat=True``.
     """
     if scheme.kind != "sui":
         raise ValueError("the dark fringe is only defined for the SU(1,1) scheme")
@@ -526,29 +530,14 @@ def find_dark_fringe(
         state, _ = output_state(variant, active_tones=frozenset())
         return sum(mean_photon_number(state, m) for m in range(state.n_modes))
 
-    grid = np.linspace(0.0, 2.0 * math.pi, coarse_points, endpoint=False)
-    values = np.array([objective(p) for p in grid])
-    spread = values.max() - values.min()
-    if spread <= 1e-9 * max(1.0, values.max()):
-        return DarkFringeResult(math.pi, True, float(values.mean()))
-
-    k = int(np.argmin(values))
-    step = 2.0 * math.pi / coarse_points
-    a, b = grid[k] - step, grid[k] + step
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = objective(x1), objective(x2)
-    while b - a > resolution:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = objective(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = objective(x2)
-    phi_star = normalize_angle(0.5 * (a + b))
-    return DarkFringeResult(phi_star, False, objective(phi_star))
+    grid = np.linspace(0.0, 2.0 * math.pi, _FRINGE_POINTS, endpoint=False)
+    harmonics = np.fft.rfft([objective(p) for p in grid])
+    mean = float(harmonics[0].real) / _FRINGE_POINTS
+    amplitude = 2.0 * float(abs(harmonics[1])) / _FRINGE_POINTS
+    if 2.0 * amplitude <= 1e-9 * max(1.0, mean + amplitude):
+        return DarkFringeResult(math.pi, True, mean, 0.0)
+    phi_star = normalize_angle(math.pi - float(np.angle(harmonics[1])))
+    return DarkFringeResult(phi_star, False, objective(phi_star), amplitude / mean)
 
 
 # --------------------------------------------------------------------------

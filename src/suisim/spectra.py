@@ -213,7 +213,7 @@ def _bin_mask(spec: Spectrum, centre: float, halfwidth_bins: float) -> np.ndarra
 
 
 def _annulus_floor(spec: Spectrum, f0: float, exclude: tuple[float, ...]) -> float:
-    annulus = np.abs(spec.freq - f0) <= 50e3
+    annulus = _bin_mask(spec, f0, _EXCLUDE_HALFWIDTH_BINS)
     annulus &= ~_bin_mask(spec, f0, _PEAK_HALFWIDTH_BINS)
     for f in exclude:
         if f != f0:
@@ -242,7 +242,7 @@ def _check_peak_request(spec: Spectrum, f0: float, exclude: tuple[float, ...]) -
 def extract_peak_snr(spec: Spectrum, f0: float, exclude: tuple[float, ...] = ()) -> float:
     """Trace-style SNR: peak PSD near ``f0`` over the median local floor.
 
-    The floor is the median over a +-50 kHz annulus with the peak window
+    The floor is the median over a +-5 bin annulus with the peak window
     and any ``exclude`` tones masked.  On pure noise the estimate sits a
     few percent above 1 because the numerator is a maximum over bins.
     """

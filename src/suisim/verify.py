@@ -415,6 +415,7 @@ def check_experimental_calibration() -> CheckResult:
     _, dev_power = fit_eta_internal(power_reading=True)
     passed = (
         dev <= 1.0
+        and dev_power > 1.0
         and abs(ratio_x - 1.256) <= 0.05
         and abs(ratio_y - 1.270) <= 0.05
         and abs(floor - 0.80) <= 0.03

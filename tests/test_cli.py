@@ -91,6 +91,7 @@ class TestSnrCommand:
         report = json.loads(out)
         assert report["scheme_kind"] == "sui"
         assert report["dark_fringe"]["phi_star"] == pytest.approx(math.pi, abs=1e-3)
+        assert 0 < report["dark_fringe"]["visibility"] < 1
         assert report["snr_sui_x"] > 0
         assert report["snr_sui_y"] > 0
         assert report["ratio_vs_amp"]["x"] == pytest.approx(1.26, abs=0.05)
@@ -189,6 +190,18 @@ class TestSimulateCommand:
         for f in report["files"]:
             assert os.path.exists(f)
 
+    def test_coarse_rbw_leaves_clean_floor_bins(self, tmp_path, capsys):
+        # The floor annulus and tone band scale with the bin width; a fixed
+        # +-50 kHz annulus left no clean bins at 30 kHz resolution.
+        raw = preset_config("fig2")
+        raw["sim"].update(rbw_hz=30e3, duration_s=0.05)
+        path = write_config(tmp_path, raw)
+        code, out, err = run_cli(capsys, "simulate", "--config", path, "--out", str(tmp_path / "o"))
+        assert code == 0, err
+        ports = json.loads(out)["runs"]["sui"]["ports"]
+        assert ports["signal"]["tones"]["800000"]["peak_snr"] > 10
+        assert ports["idler"]["tones"]["1200000"]["peak_snr"] > 10
+
     def test_peak_report_matches_trace_ratio(self, tmp_path, capsys):
         raw = preset_config("fig2")
         raw["sim"]["duration_s"] = 0.05
@@ -281,6 +294,23 @@ class TestConfigRejections:
         code, _, err = run_cli(capsys, "simulate", "--config", config, "--out", str(tmp_path / "out"))
         assert code == 1
         assert path in err
+
+    @pytest.mark.parametrize(
+        "key, value", [("lo_phase_rad", float("nan")), ("efficiency", float("nan")), ("efficiency", 1.4)]
+    )
+    def test_bad_channel_value_names_its_channel(self, tmp_path, capsys, key, value):
+        raw = preset_config("fig3")
+        raw["ports"]["channels"][1][key] = value
+        code, _, err = run_cli(capsys, "snr", "--config", write_config(tmp_path, raw))
+        assert code == 1
+        assert f"'ports.channels[1].{key}'" in err
+
+    def test_repeated_channel_is_rejected(self, tmp_path, capsys):
+        raw = preset_config("fig3")
+        raw["ports"]["channels"].append({"name": "signal", "lo_phase_rad": 1.0})
+        code, _, err = run_cli(capsys, "snr", "--config", write_config(tmp_path, raw))
+        assert code == 1
+        assert "'ports.channels[2].name'" in err
 
     def test_negative_seed_override_rejected(self, capsys):
         code, _, err = run_cli(capsys, "snr", "--preset", "fig2", "--seed", "-1")

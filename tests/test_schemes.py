@@ -12,7 +12,7 @@ from suisim.bogoliubov import (
     oracle_homodyne_variance,
 )
 from suisim.config import load_config, preset_config, set_parameter
-from suisim.gaussian import OpaParams, displace, homodyne_stats, vacuum_state
+from suisim.gaussian import OpaParams, displace, homodyne_stats, mean_photon_number, vacuum_state
 from suisim.schemes import (
     HomodyneChannel,
     LossBudget,
@@ -181,7 +181,7 @@ class TestDarkFringe:
     def test_reference_point_locks_to_pi(self):
         fringe = find_dark_fringe(reference_sui())
         assert not fringe.flat
-        assert fringe.phi_star == pytest.approx(math.pi, abs=1e-3)
+        assert fringe.phi_star == pytest.approx(math.pi, abs=1e-12)
 
     def test_lock_ignores_modulation_depths(self):
         deep = dataclasses.replace(
@@ -189,15 +189,24 @@ class TestDarkFringe:
             tones=(ModulationTone(AM, 0.05, 0.0), ModulationTone(PM, 0.05, math.pi / 2)),
         )
         fringe = find_dark_fringe(deep)
-        assert fringe.phi_star == pytest.approx(math.pi, abs=1e-3)
+        assert fringe.phi_star == pytest.approx(math.pi, abs=1e-12)
 
     def test_internal_loss_does_not_shift_the_fringe(self):
         fringe = find_dark_fringe(reference_sui(eta_internal=0.8))
-        assert fringe.phi_star == pytest.approx(math.pi, abs=1e-3)
+        assert fringe.phi_star == pytest.approx(math.pi, abs=1e-12)
 
     def test_unit_recombiner_gain_is_flat(self):
         fringe = find_dark_fringe(reference_sui(g2=1.0))
         assert fringe.flat
+        assert fringe.phi_star == math.pi and fringe.visibility == 0.0
+
+    def test_unit_first_gain_is_flat(self):
+        scheme = build_scheme(
+            "sui", probe_photon_number=1e4, tones=two_tones(), losses=reference_losses(), gain_g1=1.0, gain_g2=9.0
+        )
+        fringe = find_dark_fringe(scheme)
+        assert fringe.flat
+        assert fringe.phi_star == math.pi and fringe.visibility == 0.0
 
     def test_only_defined_for_sui(self):
         bs = build_scheme("bs", probe_photon_number=1.0)
@@ -495,7 +504,7 @@ HIGH_GAIN_SCHEMES = [
 def test_high_gain_lock_and_snr_table_match_oracle(scheme):
     # These gains once failed the lock with a spurious "not positive definite".
     fringe = find_dark_fringe(scheme)
-    assert fringe.phi_star == pytest.approx(math.pi, abs=1e-3)
+    assert fringe.phi_star == pytest.approx(math.pi, abs=1e-12)
     locked = dataclasses.replace(scheme, interferometer_phase=fringe.phi_star)
     model = measurement_model(locked)
     variances, amplitudes = oracle_port_readings(locked)
@@ -515,3 +524,37 @@ def test_amp_at_high_gain_matches_closed_form():
     assert port_snr(amp, "signal", AM) == pytest.approx(closed.snr_x, rel=1e-9)
     assert port_snr(amp, "idler", PM) == pytest.approx(closed.snr_y, rel=1e-9)
     assert port_noise_variance(amp, "signal") == pytest.approx(2 * 1e8 - 1, rel=1e-9)
+
+
+def output_photons(scheme, phi):
+    variant = dataclasses.replace(scheme, interferometer_phase=phi)
+    state, _ = output_state(variant, active_tones=frozenset())
+    return sum(mean_photon_number(state, m) for m in range(state.n_modes))
+
+
+def random_lock_scheme(seed, tap_enabled, g2_decades):
+    """A random SU(1,1) scheme whose gain_g2 lies between 10**g2_decades[0] and 10**g2_decades[1]."""
+    rng = np.random.default_rng(seed)
+    eta_internal, *detectors = (float(x) for x in rng.uniform(0.3, 1.0, size=4))
+    return build_scheme(
+        "sui",
+        probe_photon_number=float(10 ** rng.uniform(2, 5)),
+        tones=two_tones(),
+        losses=LossBudget(eta_internal, *detectors),
+        gain_g1=float(10 ** rng.uniform(0.02, 0.7)),
+        gain_g2=float(10 ** rng.uniform(*g2_decades)),
+        interferometer_phase=float(rng.uniform(0, 2 * math.pi)),
+        tap_enabled=tap_enabled,
+    )
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_lock_is_the_minimum_of_a_dense_scan(k):
+    # One scheme per half decade of gain_g2 from 1 to 1e3, tap on and off in turn.
+    scheme = random_lock_scheme(950 + k, k % 2 == 1, (max(0.5 * k, 0.02), 0.5 * (k + 1)))
+    fringe = find_dark_fringe(scheme)
+    assert not fringe.flat
+    assert fringe.phi_star == pytest.approx(math.pi, abs=1e-12)
+    scan = np.array([output_photons(scheme, phi) for phi in np.linspace(0, 2 * math.pi, 4096, endpoint=False)])
+    assert output_photons(scheme, fringe.phi_star) <= scan.min() * (1 + 1e-12)
+    assert fringe.visibility == pytest.approx((scan.max() - scan.min()) / (scan.max() + scan.min()), rel=1e-9)
