@@ -51,6 +51,7 @@ from .schemes import (
     HomodyneChannel,
     LossBudget,
     ModulationTone,
+    ParameterError,
     SchemeInstance,
     best_port_snr,
     build_scheme,
@@ -64,14 +65,18 @@ from .schemes import (
 )
 from .spectra import (
     CombineParams,
+    CombineSettings,
+    RunSpectra,
     Spectrum,
     TimeSeries,
     band_floor,
     calibrate_k,
+    check_sampling,
     combine_currents,
     extract_peak_snr,
     shot_noise_calibration,
     simulate_currents,
+    simulate_spectra,
     tone_power,
     welch_psd,
 )

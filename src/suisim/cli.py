@@ -36,15 +36,11 @@ from .schemes import (
     measurement_model,
 )
 from .spectra import (
-    CombineParams,
     Spectrum,
     band_floor,
-    calibrate_k,
-    combine_currents,
     extract_peak_snr,
-    simulate_currents,
+    simulate_spectra,
     tone_power,
-    welch_psd,
 )
 
 EXIT_OK = 0
@@ -205,38 +201,31 @@ def cmd_simulate(cfg: RunConfig) -> dict:
         "runs": {},
         "files": [],
     }
-    kept = None
     for index, (label, run_scheme) in enumerate(runs):
         seed = cfg.sim.seed + index
-        records = simulate_currents(
-            run_scheme, cfg.sim.duration_s, cfg.sim.sample_rate_hz, seed
+        # Only the main scheme's signal and tap ports are combined.
+        combine = cfg.sim.combine if index == 0 else None
+        run = simulate_spectra(
+            run_scheme, cfg.sim.duration_s, cfg.sim.sample_rate_hz, seed, cfg.sim.rbw_hz, combine
         )
         run_report = {"seed": seed, "ports": {}}
-        for port, record in records.items():
-            spec = welch_psd(record, cfg.sim.rbw_hz)
+        for port, spec in run.spectra.items():
             path = os.path.join(out_dir, f"spectrum_{label}_{port}.csv")
             _write_text(path, _spectrum_rows(spec, seed))
             report["files"].append(path)
-            run_report["ports"][port] = _peak_section(run_scheme, spec)
+            section = _peak_section(run_scheme, spec)
+            section["analytic_variance_snu"] = run.model.variance(port)
+            section["floor_over_analytic"] = section["floor_snu"] / section["analytic_variance_snu"]
+            run_report["ports"][port] = section
         report["runs"][label] = run_report
-        # Only the main scheme's records are read again, by the combination;
-        # every other run's arrays are freed before the next run draws its own.
-        if index == 0 and cfg.sim.combine is not None:
-            kept = records
-        del records, record
-
-    if cfg.sim.combine is not None:
-        i1, i3 = kept["signal"], kept["tap"]
-        k = calibrate_k(i1, i3, cfg.sim.combine.calibration_tone_hz)
-        combined_report = {"balance_gain_k": k, "thetas": {}}
-        for theta in cfg.sim.combine.thetas:
-            combined = combine_currents(i1, i3, CombineParams(theta, k))
-            spec = welch_psd(combined, cfg.sim.rbw_hz)
-            path = os.path.join(out_dir, f"spectrum_{scheme.kind}_combined_theta_{theta:.4f}.csv")
-            _write_text(path, _spectrum_rows(spec, i1.seed))
-            report["files"].append(path)
-            combined_report["thetas"][f"{theta:.4f}"] = _peak_section(scheme, spec)
-        report["combined"] = combined_report
+        if combine is not None:
+            combined_report = {"balance_gain_k": run.balance_gain_k, "thetas": {}}
+            for theta, spec in zip(combine.thetas, run.combined):
+                path = os.path.join(out_dir, f"spectrum_{label}_combined_theta_{theta:.4f}.csv")
+                _write_text(path, _spectrum_rows(spec, seed))
+                report["files"].append(path)
+                combined_report["thetas"][f"{theta:.4f}"] = _peak_section(run_scheme, spec)
+            report["combined"] = combined_report
 
     report["resolved_config"] = cfg.resolved
     _write_text(

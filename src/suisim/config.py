@@ -9,6 +9,7 @@ operating points used throughout the test suite.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import json
@@ -19,9 +20,11 @@ from .schemes import (
     HomodyneChannel,
     LossBudget,
     ModulationTone,
+    ParameterError,
     SchemeInstance,
     build_scheme,
 )
+from .spectra import CombineSettings, check_sampling
 
 
 class ConfigError(ValueError):
@@ -65,12 +68,6 @@ SWEEP_PARAMETERS = (
     "losses.eta_idler_det",
     "losses.eta_tap_det",
 )
-
-
-@dataclasses.dataclass(frozen=True)
-class CombineSettings:
-    thetas: tuple[float, ...]
-    calibration_tone_hz: float
 
 
 @dataclasses.dataclass(frozen=True)
@@ -130,6 +127,17 @@ def _number(section: dict, key: str, path: str, default=None):
     if not _is_finite_number(value):
         raise ConfigError(f"config key '{path}.{key}' must be a finite number")
     return float(value)
+
+
+@contextlib.contextmanager
+def _values_under(path: str):
+    """Report a :class:`ParameterError` raised inside as a config error at
+    ``path.<parameter>``."""
+    try:
+        yield
+    except ParameterError as exc:
+        key = f"{path}.{exc.name}" if path else exc.name
+        raise ConfigError(f"config key '{key}': {exc}") from exc
 
 
 def validate_raw(raw: dict) -> None:
@@ -194,20 +202,23 @@ def load_config(source: str | dict) -> RunConfig:
     kind = scheme_raw.get("kind")
     losses_raw = raw.get("losses", {})
     try:
-        losses = LossBudget(
-            eta_internal=_number(losses_raw, "eta_internal", "losses", 1.0),
-            eta_signal_det=_number(losses_raw, "eta_signal_det", "losses", 1.0),
-            eta_idler_det=_number(losses_raw, "eta_idler_det", "losses", 1.0),
-            eta_tap_det=_number(losses_raw, "eta_tap_det", "losses", 1.0),
-        )
-        tones = tuple(
-            ModulationTone(
-                frequency_hz=_number(t, "frequency_hz", f"tones[{i}]"),
-                depth=_number(t, "depth", f"tones[{i}]"),
-                angle=_number(t, "angle_rad", f"tones[{i}]", 0.0),
+        with _values_under("losses"):
+            losses = LossBudget(
+                eta_internal=_number(losses_raw, "eta_internal", "losses", 1.0),
+                eta_signal_det=_number(losses_raw, "eta_signal_det", "losses", 1.0),
+                eta_idler_det=_number(losses_raw, "eta_idler_det", "losses", 1.0),
+                eta_tap_det=_number(losses_raw, "eta_tap_det", "losses", 1.0),
             )
-            for i, t in enumerate(raw.get("tones", []))
-        )
+        tones = []
+        for i, t in enumerate(raw.get("tones", [])):
+            with _values_under(f"tones[{i}]"):
+                tones.append(
+                    ModulationTone(
+                        frequency_hz=_number(t, "frequency_hz", f"tones[{i}]"),
+                        depth=_number(t, "depth", f"tones[{i}]"),
+                        angle=_number(t, "angle_rad", f"tones[{i}]", 0.0),
+                    )
+                )
 
         ports_raw = raw.get("ports", {})
         tap_enabled = ports_raw.get("tap_enabled", False)
@@ -235,10 +246,8 @@ def load_config(source: str | dict) -> RunConfig:
             channel, path = overrides.get(name, ({}, "ports"))
             lo_phase = _number(channel, "lo_phase_rad", path, default_lo[name])
             efficiency = _number(channel, "efficiency", path, default_eff[name])
-            try:
+            with _values_under(path):
                 ports.append(HomodyneChannel(name, lo_phase, efficiency))
-            except ValueError as exc:
-                raise ConfigError(f"config key '{path}.efficiency': {exc}") from exc
 
         phase_raw = scheme_raw.get("interferometer_phase", math.pi)
         auto = isinstance(phase_raw, str)
@@ -249,17 +258,18 @@ def load_config(source: str | dict) -> RunConfig:
             )
         phase = math.pi if auto else _number(scheme_raw, "interferometer_phase", "scheme", math.pi)
 
-        scheme = build_scheme(
-            kind,
-            probe_photon_number=_number(scheme_raw, "probe_photon_number", "scheme"),
-            tones=tones,
-            losses=losses,
-            gain_g1=_resolve_gain(scheme_raw, "gain_g1", "scheme"),
-            gain_g2=_resolve_gain(scheme_raw, "gain_g2", "scheme"),
-            interferometer_phase=phase,
-            tap_enabled=tap_enabled,
-            ports=ports,
-        )
+        with _values_under(""):
+            scheme = build_scheme(
+                kind,
+                probe_photon_number=_number(scheme_raw, "probe_photon_number", "scheme"),
+                tones=tones,
+                losses=losses,
+                gain_g1=_resolve_gain(scheme_raw, "gain_g1", "scheme"),
+                gain_g2=_resolve_gain(scheme_raw, "gain_g2", "scheme"),
+                interferometer_phase=phase,
+                tap_enabled=tap_enabled,
+                ports=ports,
+            )
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
@@ -271,6 +281,7 @@ def load_config(source: str | dict) -> RunConfig:
     if compare_with is not None and kind != "sui":
         raise ConfigError("config key 'scheme.compare_with' needs scheme.kind = 'sui'")
 
+    frequencies = [t.frequency_hz for t in scheme.tones]
     sim_raw = raw.get("sim", {})
     combine = None
     if sim_raw.get("combine") is not None:
@@ -284,6 +295,11 @@ def load_config(source: str | dict) -> RunConfig:
             thetas=tuple(float(v) for v in thetas),
             calibration_tone_hz=_number(combine_raw, "calibration_tone_hz", "sim.combine"),
         )
+        if combine.calibration_tone_hz not in frequencies:
+            raise ConfigError(
+                "config key 'sim.combine.calibration_tone_hz' must be one of the tone "
+                f"frequencies {frequencies}, got {combine.calibration_tone_hz}"
+            )
     sim = SimSettings(
         sample_rate_hz=_number(sim_raw, "sample_rate_hz", "sim", SimSettings.sample_rate_hz),
         duration_s=_number(sim_raw, "duration_s", "sim", SimSettings.duration_s),
@@ -291,6 +307,8 @@ def load_config(source: str | dict) -> RunConfig:
         seed=sim_raw.get("seed", 0),
         combine=combine,
     )
+    with _values_under("sim"):
+        check_sampling(sim.duration_s, sim.sample_rate_hz, sim.rbw_hz, frequencies)
     output_dir = raw.get("output", {}).get("directory")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("config key 'output.directory' must be a string")

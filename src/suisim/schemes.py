@@ -54,6 +54,15 @@ PORT_TAP = "tap"
 WEAK_MODULATION_BOUND = 0.05
 
 
+class ParameterError(ValueError):
+    """A bad value of one named parameter; ``name`` is the field it belongs to,
+    so that a config loader can report where the value came from."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
+
+
 # --------------------------------------------------------------------------
 # pipeline elements
 # --------------------------------------------------------------------------
@@ -156,9 +165,9 @@ class ModulationTone:
 
     def __post_init__(self):
         if self.frequency_hz <= 0:
-            raise ValueError("tone frequency must be positive")
+            raise ParameterError("frequency_hz", "tone frequency must be positive")
         if self.depth < 0:
-            raise ValueError("modulation depth must be nonnegative")
+            raise ParameterError("depth", "modulation depth must be nonnegative")
         if self.depth > WEAK_MODULATION_BOUND:
             warnings.warn(
                 f"modulation depth {self.depth} exceeds the weak-modulation "
@@ -182,7 +191,7 @@ class LossBudget:
         for name in ("eta_internal", "eta_signal_det", "eta_idler_det", "eta_tap_det"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+                raise ParameterError(name, f"{name} must lie in [0, 1], got {value}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -197,7 +206,7 @@ class HomodyneChannel:
         if self.port_name not in (PORT_SIGNAL, PORT_IDLER, PORT_TAP):
             raise ValueError(f"unknown port name {self.port_name!r}")
         if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError(f"port efficiency must lie in [0, 1], got {self.efficiency}")
+            raise ParameterError("efficiency", f"port efficiency must lie in [0, 1], got {self.efficiency}")
         object.__setattr__(self, "lo_phase", normalize_angle(self.lo_phase))
 
 
@@ -236,8 +245,12 @@ class SchemeInstance:
             if self.opa1 is not None or self.opa2_or_amp is not None:
                 raise ValueError("the beam-splitter scheme has no amplifier")
         freqs = [t.frequency_hz for t in self.tones]
-        if len(set(freqs)) != len(freqs):
-            raise ValueError("tone frequencies must be unique within a scheme")
+        for i, frequency in enumerate(freqs):
+            if frequency in freqs[:i]:
+                raise ParameterError(
+                    f"tones[{i}].frequency_hz",
+                    f"tone frequencies must be unique within a scheme; {frequency} Hz repeats",
+                )
         names = [p.port_name for p in self.ports]
         if len(set(names)) != len(names):
             raise ValueError("port names must be unique")

@@ -202,6 +202,18 @@ class TestSimulateCommand:
         assert ports["signal"]["tones"]["800000"]["peak_snr"] > 10
         assert ports["idler"]["tones"]["1200000"]["peak_snr"] > 10
 
+    def test_ports_report_floor_against_analytic_variance(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--preset", "fig2", "--out", str(tmp_path / "o"))
+        assert code == 0, err
+        runs = json.loads(out)["runs"]
+        assert set(runs) == {"sui", "amp"}
+        for run in runs.values():
+            for section in run["ports"].values():
+                assert section["analytic_variance_snu"] > 0
+                ratio = section["floor_snu"] / section["analytic_variance_snu"]
+                assert section["floor_over_analytic"] == ratio
+                assert section["floor_over_analytic"] == pytest.approx(1.0, abs=0.03)
+
     def test_peak_report_matches_trace_ratio(self, tmp_path, capsys):
         raw = preset_config("fig2")
         raw["sim"]["duration_s"] = 0.05
@@ -326,6 +338,62 @@ class TestConfigRejections:
         assert code == 1
         assert "sim.combine" in err
         assert not list(out_dir.glob("*.csv"))
+
+
+    @pytest.mark.parametrize(
+        "sim, path",
+        [
+            ({"duration_s": 20.0}, "sim.duration_s"),
+            ({"duration_s": 1e-7}, "sim.duration_s"),
+            ({"rbw_hz": 1e7}, "sim.rbw_hz"),
+            ({"duration_s": 1e-3, "rbw_hz": 100.0}, "sim.rbw_hz"),
+            ({"rbw_hz": 0.0}, "sim.rbw_hz"),
+            ({"sample_rate_hz": 1e6}, "sim.sample_rate_hz"),
+            ({"sample_rate_hz": -1e7}, "sim.sample_rate_hz"),
+        ],
+        ids=[
+            "too-long", "too-short", "rbw-too-coarse", "rbw-finer-than-record", "rbw-zero",
+            "tone-aliased", "negative-sample-rate",
+        ],
+    )
+    def test_bad_sampling_fails_at_load_time(self, tmp_path, capsys, sim, path):
+        raw = preset_config("fig2")
+        raw["sim"].update(sim)
+        out_dir = tmp_path / "out"
+        config = write_config(tmp_path, raw)
+        code, _, err = run_cli(capsys, "simulate", "--config", config, "--out", str(out_dir))
+        assert code == 1, err
+        assert f"'{path}'" in err
+        assert not out_dir.exists()
+
+    def test_calibration_tone_must_be_a_configured_tone(self, tmp_path, capsys):
+        raw = preset_config("fig5")
+        raw["sim"]["combine"]["calibration_tone_hz"] = 3.3e6
+        out_dir = tmp_path / "out"
+        config = write_config(tmp_path, raw)
+        code, _, err = run_cli(capsys, "simulate", "--config", config, "--out", str(out_dir))
+        assert code == 1, err
+        assert "'sim.combine.calibration_tone_hz'" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "section, index, key, value, path",
+        [
+            ("losses", None, "eta_signal_det", 1.4, "losses.eta_signal_det"),
+            ("losses", None, "eta_internal", -0.1, "losses.eta_internal"),
+            ("tones", 0, "depth", -0.01, "tones[0].depth"),
+            ("tones", 1, "frequency_hz", 0.0, "tones[1].frequency_hz"),
+            ("tones", 1, "frequency_hz", 0.8e6, "tones[1].frequency_hz"),
+        ],
+        ids=["loss-above-one", "loss-negative", "negative-depth", "zero-frequency", "repeated-frequency"],
+    )
+    def test_bad_scheme_value_names_its_path(self, tmp_path, capsys, section, index, key, value, path):
+        raw = preset_config("fig2")
+        target = raw[section] if index is None else raw[section][index]
+        target[key] = value
+        code, _, err = run_cli(capsys, "snr", "--config", write_config(tmp_path, raw))
+        assert code == 1, err
+        assert f"'{path}'" in err
 
 
 class TestVerifyCommand:

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 import suisim
 
+from suisim.config import load_config, preset_config
 from suisim.schemes import (
     HomodyneChannel,
     LossBudget,
@@ -20,6 +21,7 @@ from suisim.schemes import (
 )
 from suisim.spectra import (
     CombineParams,
+    CombineSettings,
     TimeSeries,
     band_floor,
     calibrate_k,
@@ -27,6 +29,7 @@ from suisim.spectra import (
     extract_peak_snr,
     shot_noise_calibration,
     simulate_currents,
+    simulate_spectra,
     tone_power,
     welch_psd,
 )
@@ -168,6 +171,111 @@ class TestWelch:
         assert_allclose(spec.psd_snu, density * ts.sample_rate / 2.0, rtol=1e-12, atol=0.0)
         assert spec.rbw == ts.sample_rate / nperseg
         assert spec.n_averages == 1 + (ts.samples.size - nperseg) // (nperseg - nperseg // 2)
+
+    def test_single_segment_matches_scipy_reference(self):
+        signal = pytest.importorskip("scipy.signal")
+        ts = white_series(n=1000)
+        freq, density = signal.welch(
+            ts.samples, fs=ts.sample_rate, window="hann", nperseg=1000, noverlap=500,
+            detrend="constant", scaling="density",
+        )
+        spec = welch_psd(ts, rbw=1e3)
+        assert spec.n_averages == 1
+        assert np.array_equal(spec.freq, freq)
+        assert_allclose(spec.psd_snu, density * ts.sample_rate / 2.0, rtol=1e-12, atol=0.0)
+
+
+def preset_run_config(name):
+    """A preset's run config; its scheme sits at the dark fringe, which the lock puts at exactly pi."""
+    cfg = load_config(preset_config(name))
+    assert cfg.scheme.interferometer_phase == math.pi
+    return cfg
+
+
+def single_draw_records(scheme, duration, sample_rate, seed):
+    """Reference synthesis: one (n, ports) draw and one sin per (port, tone)."""
+    model = measurement_model(scheme)
+    n = int(round(duration * sample_rate))
+    factor = np.linalg.cholesky(model.noise_cov)
+    noise = np.random.default_rng(seed).standard_normal((n, len(model.port_names))) @ factor.T
+    t = np.arange(n) / sample_rate
+    records = {}
+    for idx, name in enumerate(model.port_names):
+        waveform = noise[:, idx].copy()
+        for tone in scheme.tones:
+            amp = model.tone_amplitudes[tone.frequency_hz][idx]
+            if amp != 0.0:
+                waveform += amp * np.sin(2.0 * math.pi * tone.frequency_hz * t)
+        records[name] = waveform
+    return records
+
+
+class TestStreamedPass:
+    # 40001 samples: two and a half synthesis blocks plus one sample.
+    DURATION = 4.0001e-3
+
+    @pytest.mark.parametrize("preset", ["fig4", "fig5"])
+    def test_blocked_synthesis_equals_single_draw(self, preset):
+        scheme = preset_run_config(preset).scheme
+        records = simulate_currents(scheme, self.DURATION, seed=3)
+        reference = single_draw_records(scheme, self.DURATION, 10e6, seed=3)
+        assert records.keys() == reference.keys()
+        for port, samples in reference.items():
+            assert samples.size == 40001
+            assert np.array_equal(records[port].samples, samples)
+
+    @pytest.mark.parametrize("rbw", [10e3, 10e6 / 333])
+    def test_port_spectra_equal_welch_of_records(self, rbw):
+        scheme = preset_run_config("fig4").scheme
+        run = simulate_spectra(scheme, 0.0123457, seed=5, rbw=rbw)
+        records = simulate_currents(scheme, 0.0123457, seed=5)
+        for port, record in records.items():
+            expected = welch_psd(record, rbw)
+            assert np.array_equal(run.spectra[port].psd_snu, expected.psd_snu)
+            assert np.array_equal(run.spectra[port].freq, expected.freq)
+            assert run.spectra[port].n_averages == expected.n_averages
+
+    def test_combination_read_off_cross_spectrum(self):
+        cfg = preset_run_config("fig5")
+        combine = cfg.sim.combine
+        run = simulate_spectra(cfg.scheme, 0.05, seed=cfg.sim.seed, combine=combine)
+        records = simulate_currents(cfg.scheme, 0.05, seed=cfg.sim.seed)
+        i1, i3 = records["signal"], records["tap"]
+        k = calibrate_k(i1, i3, combine.calibration_tone_hz)
+        assert run.balance_gain_k == pytest.approx(k, rel=1e-12, abs=0.0)
+        assert len(run.combined) == len(combine.thetas) == 4
+        for theta, spec in zip(combine.thetas, run.combined):
+            expected = welch_psd(combine_currents(i1, i3, CombineParams(theta, k)))
+            assert_allclose(spec.psd_snu, expected.psd_snu, rtol=1e-11, atol=0.0)
+            assert spec.n_averages == expected.n_averages
+
+    def test_combination_needs_tap_port(self):
+        with pytest.raises(ValueError, match="tap"):
+            simulate_spectra(bs_scheme(), 0.01, combine=CombineSettings((0.0,), AM))
+
+    def test_cmd_simulate_peak_memory_is_flat_in_duration(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(suisim.__file__))
+        code = (
+            "import sys, tracemalloc\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from suisim.cli import cmd_simulate\n"
+            "from suisim.config import load_config, preset_config\n"
+            "raw = preset_config('fig2')\n"
+            "raw['sim']['duration_s'] = float(sys.argv[2])\n"
+            "raw['output'] = {'directory': sys.argv[3]}\n"
+            "cfg = load_config(raw)\n"
+            "tracemalloc.start()\n"
+            "cmd_simulate(cfg)\n"
+            "print(tracemalloc.get_traced_memory()[1])\n"
+        )
+        peaks = {}
+        for duration in ("0.2", "0.8"):
+            result = subprocess.run(
+                [sys.executable, "-c", code, src, duration, str(tmp_path / duration)],
+                capture_output=True, text=True, check=True,
+            )
+            peaks[duration] = int(result.stdout)
+        assert peaks["0.8"] <= 1.25 * peaks["0.2"], peaks
 
 
 def test_package_import_does_not_load_scipy():
