@@ -28,6 +28,8 @@ from .config import (
     set_parameter,
 )
 from .schemes import (
+    PORT_SIGNAL,
+    PORT_TAP,
     MeasurementModel,
     SchemeInstance,
     enhancement_from_models,
@@ -187,13 +189,26 @@ def _peak_section(scheme: SchemeInstance, spec: Spectrum) -> dict:
     return section
 
 
+def _check_calibration_tone(model: MeasurementModel, frequency_hz: float) -> None:
+    """Refuse a calibration tone the signal or tap port cannot see at all."""
+    for port in (PORT_SIGNAL, PORT_TAP):
+        if model.amplitude(port, frequency_hz) == 0.0:
+            raise ConfigError(
+                f"config key 'sim.combine.calibration_tone_hz': the tone at {frequency_hz} Hz "
+                f"does not reach the {port} port, so the channels cannot be balanced on it"
+            )
+
+
 def cmd_simulate(cfg: RunConfig) -> dict:
-    out_dir = cfg.output_dir or "out"
-    os.makedirs(out_dir, exist_ok=True)
     scheme, fringe_info = _resolve_scheme(cfg)
     runs: list[tuple[str, SchemeInstance]] = [(scheme.kind, scheme)]
     if cfg.compare_with is not None:
         runs.append((cfg.compare_with, matched_baseline(scheme, cfg.compare_with)))
+    models = [measurement_model(run_scheme) for _, run_scheme in runs]
+    if cfg.sim.combine is not None:
+        _check_calibration_tone(models[0], cfg.sim.combine.calibration_tone_hz)
+    out_dir = cfg.output_dir or "out"
+    os.makedirs(out_dir, exist_ok=True)
 
     report = {
         "seed": cfg.sim.seed,
@@ -201,12 +216,12 @@ def cmd_simulate(cfg: RunConfig) -> dict:
         "runs": {},
         "files": [],
     }
-    for index, (label, run_scheme) in enumerate(runs):
+    for index, ((label, run_scheme), model) in enumerate(zip(runs, models)):
         seed = cfg.sim.seed + index
         # Only the main scheme's signal and tap ports are combined.
         combine = cfg.sim.combine if index == 0 else None
         run = simulate_spectra(
-            run_scheme, cfg.sim.duration_s, cfg.sim.sample_rate_hz, seed, cfg.sim.rbw_hz, combine
+            model, cfg.sim.duration_s, cfg.sim.sample_rate_hz, seed, cfg.sim.rbw_hz, combine
         )
         run_report = {"seed": seed, "ports": {}}
         for port, spec in run.spectra.items():
@@ -214,7 +229,7 @@ def cmd_simulate(cfg: RunConfig) -> dict:
             _write_text(path, _spectrum_rows(spec, seed))
             report["files"].append(path)
             section = _peak_section(run_scheme, spec)
-            section["analytic_variance_snu"] = run.model.variance(port)
+            section["analytic_variance_snu"] = model.variance(port)
             section["floor_over_analytic"] = section["floor_snu"] / section["analytic_variance_snu"]
             run_report["ports"][port] = section
         report["runs"][label] = run_report

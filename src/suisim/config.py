@@ -17,21 +17,28 @@ import math
 import sys
 
 from .schemes import (
-    HomodyneChannel,
     LossBudget,
     ModulationTone,
     ParameterError,
     SchemeInstance,
+    _default_ports,
     build_scheme,
 )
-from .spectra import CombineSettings, check_sampling
+from .spectra import (
+    DEFAULT_DURATION,
+    DEFAULT_RBW,
+    DEFAULT_SAMPLE_RATE,
+    CombineSettings,
+    check_sampling,
+)
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-AUTO_PHASE_VALUES = ("auto-dark-fringe", "auto")
+#: The ``scheme.interferometer_phase`` value that locks to the dark fringe.
+AUTO_DARK_FRINGE = "auto-dark-fringe"
 
 #: Internal transmission (fibre coupling plus temporal mode mismatch)
 #: calibrated so the reference SU(1,1)/amplifier operating point
@@ -72,9 +79,9 @@ SWEEP_PARAMETERS = (
 
 @dataclasses.dataclass(frozen=True)
 class SimSettings:
-    sample_rate_hz: float = 10e6
-    duration_s: float = 0.2
-    rbw_hz: float = 10e3
+    sample_rate_hz: float = DEFAULT_SAMPLE_RATE
+    duration_s: float = DEFAULT_DURATION
+    rbw_hz: float = DEFAULT_RBW
     seed: int = 0
     combine: CombineSettings | None = None
 
@@ -204,10 +211,10 @@ def load_config(source: str | dict) -> RunConfig:
     try:
         with _values_under("losses"):
             losses = LossBudget(
-                eta_internal=_number(losses_raw, "eta_internal", "losses", 1.0),
-                eta_signal_det=_number(losses_raw, "eta_signal_det", "losses", 1.0),
-                eta_idler_det=_number(losses_raw, "eta_idler_det", "losses", 1.0),
-                eta_tap_det=_number(losses_raw, "eta_tap_det", "losses", 1.0),
+                **{
+                    field.name: _number(losses_raw, field.name, "losses", field.default)
+                    for field in dataclasses.fields(LossBudget)
+                }
             )
         tones = []
         for i, t in enumerate(raw.get("tones", [])):
@@ -224,13 +231,8 @@ def load_config(source: str | dict) -> RunConfig:
         tap_enabled = ports_raw.get("tap_enabled", False)
         if not isinstance(tap_enabled, bool):
             raise ConfigError("config key 'ports.tap_enabled' must be true or false")
-        default_eff = {
-            "signal": losses.eta_signal_det,
-            "idler": losses.eta_idler_det,
-            "tap": losses.eta_tap_det,
-        }
-        default_lo = {"signal": 0.0, "idler": math.pi / 2, "tap": math.pi / 4}
-        names = ["signal", "idler"] + (["tap"] if tap_enabled else [])
+        defaults = _default_ports(losses, tap_enabled)
+        names = [default.port_name for default in defaults]
         overrides = {}
         for i, channel in enumerate(ports_raw.get("channels", [])):
             name = channel.get("name")
@@ -242,19 +244,18 @@ def load_config(source: str | dict) -> RunConfig:
                 raise ConfigError(f"config key 'ports.channels[{i}].name' repeats the channel {name!r}")
             overrides[name] = (channel, f"ports.channels[{i}]")
         ports = []
-        for name in names:
-            channel, path = overrides.get(name, ({}, "ports"))
-            lo_phase = _number(channel, "lo_phase_rad", path, default_lo[name])
-            efficiency = _number(channel, "efficiency", path, default_eff[name])
+        for default in defaults:
+            channel, path = overrides.get(default.port_name, ({}, "ports"))
+            lo_phase = _number(channel, "lo_phase_rad", path, default.lo_phase)
+            efficiency = _number(channel, "efficiency", path, default.efficiency)
             with _values_under(path):
-                ports.append(HomodyneChannel(name, lo_phase, efficiency))
+                ports.append(dataclasses.replace(default, lo_phase=lo_phase, efficiency=efficiency))
 
         phase_raw = scheme_raw.get("interferometer_phase", math.pi)
         auto = isinstance(phase_raw, str)
-        if auto and phase_raw not in AUTO_PHASE_VALUES:
+        if auto and phase_raw != AUTO_DARK_FRINGE:
             raise ConfigError(
-                "config key 'scheme.interferometer_phase' must be a number or "
-                f"one of {list(AUTO_PHASE_VALUES)}"
+                f"config key 'scheme.interferometer_phase' must be a number or {AUTO_DARK_FRINGE!r}"
             )
         phase = math.pi if auto else _number(scheme_raw, "interferometer_phase", "scheme", math.pi)
 
@@ -391,7 +392,7 @@ def _reference_scheme(compare_with: str | None = "amp") -> dict:
         "gain_g1": 2.0,
         "gain_g2": 9.0,
         "gain_convention": "amplitude",
-        "interferometer_phase": "auto-dark-fringe",
+        "interferometer_phase": AUTO_DARK_FRINGE,
         "compare_with": compare_with,
     }
 

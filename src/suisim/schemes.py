@@ -279,7 +279,7 @@ class SchemeInstance:
         )
 
 
-def _default_ports(kind: str, losses: LossBudget, tap_enabled: bool) -> tuple[HomodyneChannel, ...]:
+def _default_ports(losses: LossBudget, tap_enabled: bool) -> tuple[HomodyneChannel, ...]:
     ports = [
         HomodyneChannel(PORT_SIGNAL, 0.0, losses.eta_signal_det),
         HomodyneChannel(PORT_IDLER, math.pi / 2, losses.eta_idler_det),
@@ -312,7 +312,7 @@ def build_scheme(
         raise ValueError(f"unknown scheme kind {kind!r}")
     losses = losses if losses is not None else LossBudget()
     if ports is None:
-        ports = _default_ports(kind, losses, tap_enabled)
+        ports = _default_ports(losses, tap_enabled)
     opa1 = opa2 = None
     if kind == "sui":
         if gain_g1 is None or gain_g2 is None:
@@ -582,13 +582,13 @@ def snr_vs_detection_efficiency(
         )
         return dataclasses.replace(scheme, ports=ports)
 
-    reference = port_snr(with_eta(1.0), port_name, frequency_hz)
+    reference = measurement_model(with_eta(1.0)).snr(port_name, frequency_hz)
     points = []
     for eta in eta_grid:
         eta = float(eta)
         if not 0.0 < eta <= 1.0:
             raise ValueError(f"detection efficiency grid values must lie in (0, 1], got {eta}")
-        snr = port_snr(with_eta(eta), port_name, frequency_hz)
+        snr = measurement_model(with_eta(eta)).snr(port_name, frequency_hz)
         points.append(EfficiencyPoint(eta, snr, snr / reference if reference > 0 else 0.0))
     return points
 

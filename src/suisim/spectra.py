@@ -9,9 +9,12 @@ of interest; no coloured-noise model is attempted.
 
 Spectra are Welch periodograms (Hann window, 50% overlap, one sided)
 normalised so unit-variance white noise sits at 1, i.e. the shot-noise
-unit.  Records are synthesised and spectra accumulated in blocks of a
-fixed number of Welch steps, so a run's memory does not grow with its
-duration.
+unit.  :func:`simulate_spectra` synthesises a run of a port model and
+accumulates its spectra in blocks of a fixed number of Welch steps, so a
+run's memory does not grow with its duration.  The record-level functions
+(:func:`simulate_currents`, :func:`welch_psd`, :func:`calibrate_k`,
+:func:`combine_currents`) compute the same run one whole record at a time;
+they are the reference the streamed pass is tested against.
 """
 
 from __future__ import annotations
@@ -44,6 +47,12 @@ _EXCLUDE_HALFWIDTH_BINS = 5.0
 # Peak integration window; captures >= 99% of a Hann-windowed tone at any
 # bin offset (exact on bin centres).
 _PEAK_HALFWIDTH_BINS = 1.5
+
+
+def _tones_collide(f: float, g: float, bin_width: float) -> bool:
+    """True when a tone at ``g`` reaches into the readout window of one at ``f``."""
+    return abs(f - g) <= (_PEAK_HALFWIDTH_BINS + _EXCLUDE_HALFWIDTH_BINS) * bin_width
+
 
 # Welch steps per streamed block.  At the default settings a block is 16k
 # samples, 0.4 MB for three ports, so synthesis and FFT work in cache; 16
@@ -86,6 +95,7 @@ def check_sampling(
     """Number of samples in a record of ``duration``, after checking that the
     record can be synthesised and, given ``rbw``, Welch-averaged.
 
+    Given ``rbw``, no two tones may lie within each other's readout window.
     Raises :class:`ParameterError` named after the offending setting of a
     run config's ``sim`` section: ``duration_s``, ``sample_rate_hz`` or
     ``rbw_hz``.
@@ -105,7 +115,18 @@ def check_sampling(
             "use more than twice the highest tone frequency",
         )
     if rbw is not None:
-        _segment_length(sample_rate, rbw, n_samples)
+        nperseg = _segment_length(sample_rate, rbw, n_samples)
+        # The bin width as np.fft.rfftfreq computes it, so that this check and
+        # the readout's agree to the last bit.
+        bin_width = 1.0 / (nperseg * (1.0 / sample_rate))
+        frequencies = sorted(tone_frequencies)
+        for f, g in zip(frequencies, frequencies[1:]):
+            if _tones_collide(f, g, bin_width):
+                raise ParameterError(
+                    "rbw_hz",
+                    f"rbw {rbw} Hz gives {bin_width:.6g} Hz bins, too coarse to resolve the "
+                    f"tones at {f} and {g} Hz; their readout windows overlap",
+                )
     return n_samples
 
 
@@ -334,7 +355,7 @@ class CombineSettings:
 
 @dataclasses.dataclass(frozen=True)
 class RunSpectra:
-    """Everything one streamed run measures: the port model and its spectra.
+    """Everything one streamed run measures: the spectrum of every port.
 
     ``combined`` holds the spectrum of ``i1 cos(theta) + k i3 sin(theta)``
     for each theta of the run's :class:`CombineSettings`, in order, with i1
@@ -342,33 +363,32 @@ class RunSpectra:
     balance gain.
     """
 
-    model: MeasurementModel
     spectra: dict[str, Spectrum]
     balance_gain_k: float | None = None
     combined: tuple[Spectrum, ...] = ()
 
 
 def simulate_spectra(
-    scheme: SchemeInstance,
+    model: MeasurementModel,
     duration: float = DEFAULT_DURATION,
     sample_rate: float = DEFAULT_SAMPLE_RATE,
     seed: int = 0,
     rbw: float = DEFAULT_RBW,
     combine: CombineSettings | None = None,
 ) -> RunSpectra:
-    """Every port spectrum of one simulated run, in one pass over blocks.
+    """Every port spectrum of one run of the port model, in one pass over blocks.
 
-    The spectra equal ``welch_psd(simulate_currents(...)[port], rbw)`` bit
-    for bit, but no record is held: memory does not grow with
+    The tones are the model's.  For ``model = measurement_model(scheme)``
+    the spectra equal ``welch_psd(simulate_currents(scheme, ...)[port], rbw)``
+    bit for bit, but no record is held: memory does not grow with
     ``duration``.  With ``combine`` the pass also balances the signal and
     tap ports at its calibration tone and reads each combined spectrum off
     the port cross-spectrum, ``c^2 S11 + k^2 s^2 S33 + 2 c k s Re S13``
     with ``c, s = cos(theta), sin(theta)``; this equals the Welch spectrum
     of :func:`combine_currents` up to rounding.
     """
-    n_samples = check_sampling(duration, sample_rate, rbw, [t.frequency_hz for t in scheme.tones])
+    n_samples = check_sampling(duration, sample_rate, rbw, list(model.tone_amplitudes))
     nperseg = _segment_length(sample_rate, rbw, n_samples)
-    model = measurement_model(scheme)
     pair = None
     if combine is not None:
         if PORT_TAP not in model.port_names:
@@ -382,7 +402,7 @@ def simulate_spectra(
             lock_in.feed(start, samples[pair])
     spectra = {name: sums.spectrum(power) for name, power in zip(model.port_names, sums.power)}
     if pair is None:
-        return RunSpectra(model, spectra)
+        return RunSpectra(spectra)
 
     k = lock_in.balance_gain((PORT_SIGNAL, PORT_TAP))
     s11, s33 = sums.power[pair[0]], sums.power[pair[1]]
@@ -390,7 +410,7 @@ def simulate_spectra(
     for theta in combine.thetas:
         c, ks = math.cos(theta), k * math.sin(theta)
         combined.append(sums.spectrum(c * c * s11 + ks * ks * s33 + 2.0 * c * ks * sums.cross_power))
-    return RunSpectra(model, spectra, k, tuple(combined))
+    return RunSpectra(spectra, k, tuple(combined))
 
 
 def welch_psd(ts: TimeSeries, rbw: float = DEFAULT_RBW) -> Spectrum:
@@ -419,13 +439,11 @@ def shot_noise_calibration(
 
     Multiplying spectra taken at the same settings by the returned factor
     pins their shot-noise floor to 1.  With the analytic normalisation of
-    :func:`welch_psd` the factor is already 1 up to statistical error, so
+    the Welch spectra the factor is already 1 up to statistical error, so
     applying it twice is idempotent to within that error.
     """
-    n_samples = check_sampling(duration, sample_rate, rbw)
-    rng = np.random.default_rng(seed)
-    record = TimeSeries(sample_rate, rng.standard_normal(n_samples), "vacuum", 0.0, seed)
-    spec = welch_psd(record, rbw)
+    vacuum = MeasurementModel(("vacuum",), (0.0,), (1.0,), np.eye(1), {})
+    spec = simulate_spectra(vacuum, duration, sample_rate, seed, rbw).spectra["vacuum"]
     interior = spec.psd_snu[2:-2]
     return float(1.0 / np.mean(interior))
 
@@ -452,9 +470,7 @@ def _check_peak_request(spec: Spectrum, f0: float, exclude: tuple[float, ...]) -
     if not spec.freq[0] <= f0 <= spec.freq[-1]:
         raise ValueError(f"peak frequency {f0} Hz lies outside the spectrum span")
     for f in exclude:
-        if f == f0:
-            continue
-        if abs(f - f0) <= (_PEAK_HALFWIDTH_BINS + _EXCLUDE_HALFWIDTH_BINS) * spec.bin_width:
+        if f != f0 and _tones_collide(f0, f, spec.bin_width):
             raise ValueError(
                 f"peak at {f0} Hz is ambiguous: the excluded tone at {f} Hz "
                 "overlaps its readout window"

@@ -1,6 +1,7 @@
 """Built-in verification suite: engine invariants and acceptance checks.
 
-Each check is a zero-argument callable returning a :class:`CheckResult`.
+Each check is a zero-argument callable returning a :class:`CheckResult`;
+its body returns ``(passed, detail)`` and :func:`_check` names the result.
 ``run_all`` executes every registered check with fixed seeds, so the whole
 suite is deterministic and doubles as the ``suisim verify`` command and as
 the acceptance test module.
@@ -9,6 +10,7 @@ the acceptance test module.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable
 
@@ -33,13 +35,16 @@ from .gaussian import (
     vacuum_state,
 )
 from .schemes import (
+    PORT_TAP,
     Displace,
     Element,
     HomodyneChannel,
     Loss,
     LossBudget,
+    MeasurementModel,
     ModulationTone,
     PhaseShift,
+    SchemeInstance,
     Splitter,
     TwoModeSqueeze,
     apply_pipeline,
@@ -48,19 +53,9 @@ from .schemes import (
     matched_baseline,
     measurement_model,
     output_state,
-    port_noise_variance,
-    port_snr,
     snr_vs_detection_efficiency,
 )
-from .spectra import (
-    CombineParams,
-    band_floor,
-    calibrate_k,
-    combine_currents,
-    simulate_currents,
-    tone_power,
-    welch_psd,
-)
+from .spectra import CombineSettings, band_floor, simulate_spectra, tone_power
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,9 +69,16 @@ _REGISTRY: list[tuple[str, Callable[[], CheckResult]]] = []
 
 
 def _check(check_id: str):
+    """Register a check whose body returns ``(passed, detail)``."""
+
     def decorator(func):
-        _REGISTRY.append((check_id, func))
-        return func
+        @functools.wraps(func)
+        def check() -> CheckResult:
+            passed, detail = func()
+            return CheckResult(check_id, bool(passed), detail)
+
+        _REGISTRY.append((check_id, check))
+        return check
 
     return decorator
 
@@ -100,10 +102,6 @@ def run_all(progress: Callable[[CheckResult], None] | None = None) -> list[Check
         if progress is not None:
             progress(result)
     return results
-
-
-def _result(check_id: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(check_id, bool(passed), detail)
 
 
 # --------------------------------------------------------------------------
@@ -159,27 +157,25 @@ def random_pipeline(
     return n_modes, elements
 
 
-def _reference_sui(tap_enabled: bool = False, eta_internal: float = CALIBRATED_ETA_INTERNAL):
-    tones = (
-        ModulationTone(0.8e6, 0.01, 0.0),
-        ModulationTone(1.2e6, 0.01, math.pi / 2),
-    )
-    losses = LossBudget(
-        eta_internal=eta_internal,
-        eta_signal_det=0.72,
-        eta_idler_det=0.62,
-        eta_tap_det=0.80,
-    )
-    return build_scheme(
-        "sui",
-        probe_photon_number=1e4,
-        tones=tones,
-        losses=losses,
-        gain_g1=2.0,
-        gain_g2=9.0,
-        interferometer_phase=math.pi,
-        tap_enabled=tap_enabled,
-    )
+# The reference operating point: the fig2 preset locked at the dark fringe,
+# phi = pi.  The three-port checks put a pi/4 tone between its two tones.
+_PROBE_PHOTONS = 1e4
+_GAINS = (2.0, 9.0)
+_TONES = (ModulationTone(0.8e6, 0.01, 0.0), ModulationTone(1.2e6, 0.01, math.pi / 2))
+_THREE_TONES = (_TONES[0], ModulationTone(1.0e6, 0.01, math.pi / 4), _TONES[1])
+
+
+def _reference_sui(eta_internal: float = CALIBRATED_ETA_INTERNAL, **changes) -> SchemeInstance:
+    """The reference SU(1,1) scheme, with ``changes`` to its :func:`build_scheme` arguments."""
+    arguments = {
+        "probe_photon_number": _PROBE_PHOTONS,
+        "tones": _TONES,
+        "losses": LossBudget(eta_internal, eta_signal_det=0.72, eta_idler_det=0.62, eta_tap_det=0.80),
+        "gain_g1": _GAINS[0],
+        "gain_g2": _GAINS[1],
+        "interferometer_phase": math.pi,
+    }
+    return build_scheme("sui", **(arguments | changes))
 
 
 # --------------------------------------------------------------------------
@@ -188,7 +184,7 @@ def _reference_sui(tap_enabled: bool = False, eta_internal: float = CALIBRATED_E
 
 
 @_check("invariant-symplectic-transforms")
-def check_symplectic_transforms() -> CheckResult:
+def check_symplectic_transforms() -> tuple[bool, str]:
     rng = np.random.default_rng(101)
     form = omega(2)
     worst = 0.0
@@ -201,13 +197,11 @@ def check_symplectic_transforms() -> CheckResult:
             worst = max(worst, float(np.max(np.abs(s @ form @ s.T - form))))
         s2 = gaussian.phase_shift_matrix(rng.uniform(0, 2 * math.pi))
         worst = max(worst, float(np.max(np.abs(s2 @ omega(1) @ s2.T - omega(1)))))
-    return _result(
-        "invariant-symplectic-transforms", worst < 1e-12, f"max |S O S^T - O| = {worst:.3e}"
-    )
+    return worst < 1e-12, f"max |S O S^T - O| = {worst:.3e}"
 
 
 @_check("invariant-uncertainty-and-purity")
-def check_uncertainty_and_purity() -> CheckResult:
+def check_uncertainty_and_purity() -> tuple[bool, str]:
     rng = np.random.default_rng(102)
     min_nu = math.inf
     worst_purity = 0.0
@@ -223,15 +217,11 @@ def check_uncertainty_and_purity() -> CheckResult:
         if not lossy:
             worst_purity = max(worst_purity, abs(float(np.prod(nus)) - 1.0))
     passed = min_nu >= 1.0 - 1e-9 and worst_purity <= 1e-9
-    return _result(
-        "invariant-uncertainty-and-purity",
-        passed,
-        f"min symplectic eigenvalue {min_nu:.12f}, max lossless purity defect {worst_purity:.3e}",
-    )
+    return passed, f"min symplectic eigenvalue {min_nu:.12f}, max lossless purity defect {worst_purity:.3e}"
 
 
 @_check("invariant-loss-composition")
-def check_loss_composition() -> CheckResult:
+def check_loss_composition() -> tuple[bool, str]:
     rng = np.random.default_rng(103)
     worst = 0.0
     for _ in range(100):
@@ -248,11 +238,11 @@ def check_loss_composition() -> CheckResult:
             float(np.max(np.abs(chained.mean - merged.mean))),
             float(np.max(np.abs(chained.cov - merged.cov))),
         )
-    return _result("invariant-loss-composition", worst < 1e-12, f"max deviation {worst:.3e}")
+    return worst < 1e-12, f"max deviation {worst:.3e}"
 
 
 @_check("invariant-homodyne-rotation")
-def check_homodyne_rotation() -> CheckResult:
+def check_homodyne_rotation() -> tuple[bool, str]:
     rng = np.random.default_rng(104)
     worst = 0.0
     for _ in range(100):
@@ -263,11 +253,11 @@ def check_homodyne_rotation() -> CheckResult:
         direct = homodyne_stats(state, mode, theta)
         rotated = homodyne_stats(apply_phase_shift(state, mode, -theta), mode, 0.0)
         worst = max(worst, abs(direct[0] - rotated[0]), abs(direct[1] - rotated[1]))
-    return _result("invariant-homodyne-rotation", worst < 1e-12, f"max deviation {worst:.3e}")
+    return worst < 1e-12, f"max deviation {worst:.3e}"
 
 
 @_check("invariant-photon-conservation")
-def check_photon_conservation() -> CheckResult:
+def check_photon_conservation() -> tuple[bool, str]:
     rng = np.random.default_rng(105)
     worst = 0.0
     for _ in range(100):
@@ -280,7 +270,7 @@ def check_photon_conservation() -> CheckResult:
         )
         after = mean_photon_number(mixed, int(a)) + mean_photon_number(mixed, int(b))
         worst = max(worst, abs(before - after) / max(1.0, abs(before)))
-    return _result("invariant-photon-conservation", worst < 1e-12, f"max relative leak {worst:.3e}")
+    return worst < 1e-12, f"max relative leak {worst:.3e}"
 
 
 # --------------------------------------------------------------------------
@@ -289,62 +279,53 @@ def check_photon_conservation() -> CheckResult:
 
 
 @_check("acceptance-01-formula-regression")
-def check_formula_regression() -> CheckResult:
-    tones = (ModulationTone(0.8e6, 0.01, 0.0), ModulationTone(1.2e6, 0.01, math.pi / 2))
+def check_formula_regression() -> tuple[bool, str]:
     worst = 0.0
     for i_ps in (1e2, 1e4):
         for depth in (0.005, 0.01, 0.02):
-            scaled = tuple(dataclasses.replace(t, depth=depth) for t in tones)
-            bs = build_scheme("bs", probe_photon_number=i_ps, tones=scaled)
+            scaled = tuple(dataclasses.replace(t, depth=depth) for t in _TONES)
+            bs = measurement_model(build_scheme("bs", probe_photon_number=i_ps, tones=scaled))
             ref = closed_form_snr(ClosedFormInput("bs", i_ps, depth, depth))
             worst = max(
                 worst,
-                abs(port_snr(bs, "signal", 0.8e6) / ref.snr_x - 1.0),
-                abs(port_snr(bs, "idler", 1.2e6) / ref.snr_y - 1.0),
+                abs(bs.snr("signal", 0.8e6) / ref.snr_x - 1.0),
+                abs(bs.snr("idler", 1.2e6) / ref.snr_y - 1.0),
             )
             for gain in (1.5, 3.0, 9.0):
-                amp = build_scheme("amp", probe_photon_number=i_ps, tones=scaled, gain_g2=gain)
+                amp = measurement_model(
+                    build_scheme("amp", probe_photon_number=i_ps, tones=scaled, gain_g2=gain)
+                )
                 ref = closed_form_snr(ClosedFormInput("amp", i_ps, depth, depth, gain=gain))
                 worst = max(
                     worst,
-                    abs(port_snr(amp, "signal", 0.8e6) / ref.snr_x - 1.0),
-                    abs(port_snr(amp, "idler", 1.2e6) / ref.snr_y - 1.0),
+                    abs(amp.snr("signal", 0.8e6) / ref.snr_x - 1.0),
+                    abs(amp.snr("idler", 1.2e6) / ref.snr_y - 1.0),
                 )
-    return _result(
-        "acceptance-01-formula-regression", worst < 1e-3, f"max relative deviation {worst:.3e}"
-    )
+    return worst < 1e-3, f"max relative deviation {worst:.3e}"
 
 
 @_check("acceptance-02-sui-asymptote")
-def check_sui_asymptote() -> CheckResult:
-    tones = (ModulationTone(0.8e6, 0.01, 0.0), ModulationTone(1.2e6, 0.01, math.pi / 2))
-    sui = build_scheme(
-        "sui", probe_photon_number=1e4, tones=tones, gain_g1=2.0, gain_g2=50.0,
-        interferometer_phase=math.pi,
-    )
-    ref = closed_form_snr(ClosedFormInput("sui", 1e4, 0.01, 0.01, gain_g1=2.0))
-    dev_x = abs(port_snr(sui, "signal", 0.8e6) / ref.snr_x - 1.0)
-    dev_y = abs(port_snr(sui, "idler", 1.2e6) / ref.snr_y - 1.0)
-    worst = max(dev_x, dev_y)
-    return _result(
-        "acceptance-02-sui-asymptote",
-        worst < 0.01,
+def check_sui_asymptote() -> tuple[bool, str]:
+    sui = measurement_model(_reference_sui(losses=LossBudget(), gain_g2=50.0))
+    ref = closed_form_snr(ClosedFormInput("sui", _PROBE_PHOTONS, 0.01, 0.01, gain_g1=_GAINS[0]))
+    dev_x = abs(sui.snr("signal", 0.8e6) / ref.snr_x - 1.0)
+    dev_y = abs(sui.snr("idler", 1.2e6) / ref.snr_y - 1.0)
+    return (
+        max(dev_x, dev_y) < 0.01,
         f"signal-X dev {dev_x:.2%}, idler-Y dev {dev_y:.2%} from 2(G1+g1)^2 I eps^2 = {ref.snr_x:.4f}",
     )
 
 
 @_check("acceptance-03-amp-equals-bs-limit")
-def check_amp_equals_bs_limit() -> CheckResult:
+def check_amp_equals_bs_limit() -> tuple[bool, str]:
     amp = closed_form_snr(ClosedFormInput("amp", 1e4, 0.01, 0.01, gain=10.0))
     bs = closed_form_snr(ClosedFormInput("bs", 1e4, 0.01, 0.01))
     dev = max(abs(amp.snr_x / bs.snr_x - 1.0), abs(amp.snr_y / bs.snr_y - 1.0))
-    return _result(
-        "acceptance-03-amp-equals-bs-limit", dev < 0.01, f"componentwise deviation {dev:.3%} at G = 10"
-    )
+    return dev < 0.01, f"componentwise deviation {dev:.3%} at G = 10"
 
 
 @_check("acceptance-04-dark-fringe")
-def check_dark_fringe() -> CheckResult:
+def check_dark_fringe() -> tuple[bool, str]:
     details = []
     passed = True
     for label, scheme in (
@@ -362,19 +343,13 @@ def check_dark_fringe() -> CheckResult:
         spread = float(variances.max() / variances.min() - 1.0)
         passed &= phi_err < 1e-3 and spread < 1e-6 and not fringe.flat
         details.append(f"{label}: |phi*-pi| = {phi_err:.2e}, LO-angle spread {spread:.2e}")
-    return _result("acceptance-04-dark-fringe", passed, "; ".join(details))
+    return passed, "; ".join(details)
 
 
 def _calibration_ratios(eta_internal: float, power_reading: bool = False):
-    g1, g2 = (math.sqrt(2.0), 3.0) if power_reading else (2.0, 9.0)
-    tones = (ModulationTone(0.8e6, 0.01, 0.0), ModulationTone(1.2e6, 0.01, math.pi / 2))
-    losses = LossBudget(
-        eta_internal=eta_internal, eta_signal_det=0.72, eta_idler_det=0.62, eta_tap_det=0.80
-    )
-    sui = build_scheme(
-        "sui", probe_photon_number=1e4, tones=tones, losses=losses,
-        gain_g1=g1, gain_g2=g2, interferometer_phase=math.pi,
-    )
+    # The power reading takes the reference gains as intensity gains G^2.
+    g1, g2 = (math.sqrt(g) for g in _GAINS) if power_reading else _GAINS
+    sui = _reference_sui(eta_internal, gain_g1=g1, gain_g2=g2)
     sui, amp = measurement_model(sui), measurement_model(matched_baseline(sui, "amp"))
     ratio_x = sui.snr("signal", 0.8e6) / amp.snr("signal", 0.8e6)
     ratio_y = sui.snr("idler", 1.2e6) / amp.snr("idler", 1.2e6)
@@ -409,7 +384,7 @@ def fit_eta_internal(power_reading: bool = False) -> tuple[float, float]:
 
 
 @_check("acceptance-05-experimental-calibration")
-def check_experimental_calibration() -> CheckResult:
+def check_experimental_calibration() -> tuple[bool, str]:
     eta_star, dev = fit_eta_internal()
     ratio_x, ratio_y, floor = _calibration_ratios(eta_star)
     _, dev_power = fit_eta_internal(power_reading=True)
@@ -426,25 +401,23 @@ def check_experimental_calibration() -> CheckResult:
         f"(target 0.80+-0.03); amplitude-gain reading fits (max dev {dev:.2f}), "
         f"power-gain reading does not (best dev {dev_power:.2f})"
     )
-    return _result("acceptance-05-experimental-calibration", passed, detail)
+    return passed, detail
 
 
 @_check("acceptance-06-loss-sensitivity")
-def check_loss_sensitivity() -> CheckResult:
-    tones = (ModulationTone(0.8e6, 0.01, 0.0), ModulationTone(1.2e6, 0.01, math.pi / 2))
-    bs = build_scheme("bs", probe_photon_number=1e4, tones=tones)
+def check_loss_sensitivity() -> tuple[bool, str]:
+    bs = build_scheme("bs", probe_photon_number=_PROBE_PHOTONS, tones=_TONES)
     grid = np.linspace(0.1, 1.0, 10)
     bs_points = snr_vs_detection_efficiency(bs, "signal", 0.8e6, grid)
     bs_dev = max(abs(p.ratio - p.eta) for p in bs_points)
 
-    amp = build_scheme("amp", probe_photon_number=1e4, tones=tones, gain_g2=9.0)
+    amp = build_scheme("amp", probe_photon_number=_PROBE_PHOTONS, tones=_TONES, gain_g2=9.0)
     [point] = snr_vs_detection_efficiency(amp, "signal", 0.8e6, [0.5])
     variance = 161.0
     law = 0.5 * variance / (0.5 * variance + 0.5)
     amp_dev = abs(point.ratio - law)
     passed = bs_dev < 1e-9 and point.ratio >= 0.99 and amp_dev < 1e-9
-    return _result(
-        "acceptance-06-loss-sensitivity",
+    return (
         passed,
         f"BS ratio-vs-eta max deviation {bs_dev:.2e}; amplifier retains {point.ratio:.4%} "
         f"at eta = 0.5 (law {law:.6f}, deviation {amp_dev:.2e})",
@@ -452,11 +425,10 @@ def check_loss_sensitivity() -> CheckResult:
 
 
 @_check("acceptance-07-tap-robustness")
-def check_tap_robustness() -> CheckResult:
+def check_tap_robustness() -> tuple[bool, str]:
     sui_plain = _reference_sui(tap_enabled=False)
-    sui_tap = _reference_sui(tap_enabled=True)
-    snr_plain = port_snr(sui_plain, "signal", 0.8e6)
-    snr_tap = port_snr(sui_tap, "signal", 0.8e6)
+    snr_plain = measurement_model(sui_plain).snr("signal", 0.8e6)
+    snr_tap = measurement_model(_reference_sui(tap_enabled=True)).snr("signal", 0.8e6)
     sui_change = 1.0 - snr_tap / snr_plain
 
     # A 50/50 tap followed by a detector of efficiency eta is exactly a
@@ -465,22 +437,22 @@ def check_tap_robustness() -> CheckResult:
     [half] = snr_vs_detection_efficiency(sui_plain, "signal", 0.8e6, [eta_s / 2.0])
     law_dev = abs(snr_tap - half.snr)
 
-    tones = sui_plain.tones
-    bs_plain = build_scheme("bs", probe_photon_number=1e4, tones=tones)
-    bs_tap = build_scheme("bs", probe_photon_number=1e4, tones=tones, tap_enabled=True)
-    bs_ratio = port_snr(bs_tap, "signal", 0.8e6) / port_snr(bs_plain, "signal", 0.8e6)
+    bs_snr = [
+        measurement_model(
+            build_scheme("bs", probe_photon_number=_PROBE_PHOTONS, tones=_TONES, tap_enabled=tap)
+        ).snr("signal", 0.8e6)
+        for tap in (False, True)
+    ]
+    bs_ratio = bs_snr[1] / bs_snr[0]
 
     passed = sui_change < 0.02 and law_dev < 1e-9 and abs(bs_ratio - 0.5) < 0.005
-    return _result(
-        "acceptance-07-tap-robustness",
+    return (
         passed,
         f"SU(1,1) signal SNR changes by {sui_change:.3%} (< 2%), matches the eta/2 law to "
         f"{law_dev:.2e}; the same tap scales the BS SNR by {bs_ratio:.6f}",
     )
-
-
 @_check("acceptance-08-oracle-equivalence")
-def check_oracle_equivalence() -> CheckResult:
+def check_oracle_equivalence() -> tuple[bool, str]:
     rng = np.random.default_rng(2024)
     worst_var = 0.0
     worst_mean = 0.0
@@ -495,8 +467,7 @@ def check_oracle_equivalence() -> CheckResult:
                 worst_var = max(worst_var, abs(var_e - oracle_homodyne_variance(transfer, mode, theta)))
                 worst_mean = max(worst_mean, abs(mean_e - oracle_homodyne_mean(transfer, mode, theta)))
     passed = worst_var < 1e-9 and worst_mean < 1e-9
-    return _result(
-        "acceptance-08-oracle-equivalence",
+    return (
         passed,
         f"1000 random schemes: max variance deviation {worst_var:.3e}, "
         f"max mean deviation {worst_mean:.3e}",
@@ -504,29 +475,29 @@ def check_oracle_equivalence() -> CheckResult:
 
 
 @_check("acceptance-09-monte-carlo-fidelity")
-def check_monte_carlo_fidelity() -> CheckResult:
+def check_monte_carlo_fidelity() -> tuple[bool, str]:
     issues = []
 
     # Welch floors against analytic variances, and the SUI/AMP floor ratio.
     sui = _reference_sui()
-    amp = matched_baseline(sui, "amp")
+    models = {"sui": measurement_model(sui), "amp": measurement_model(matched_baseline(sui, "amp"))}
     exclude = tuple(t.frequency_hz for t in sui.tones)
     floors = {}
-    for label, scheme, seed in (("sui", sui, 11), ("amp", amp, 12)):
-        records = simulate_currents(scheme, duration=0.2, seed=seed)
+    for (label, model), seed in zip(models.items(), (11, 12)):
+        spectra = simulate_spectra(model, seed=seed).spectra
         for port in ("signal", "idler"):
-            spec = welch_psd(records[port])
+            spec = spectra[port]
             if spec.n_averages < 200:
                 issues.append(f"{label}/{port}: only {spec.n_averages} averages")
             measured = band_floor(spec, 0.5e6, 1.5e6, exclude=exclude)
-            analytic = port_noise_variance(scheme, port)
+            analytic = model.variance(port)
             floors[(label, port)] = measured
             if abs(measured / analytic - 1.0) > 0.02:
                 issues.append(
                     f"{label}/{port} floor {measured:.3f} vs analytic {analytic:.3f}"
                 )
     ratio = floors[("sui", "signal")] / floors[("amp", "signal")]
-    analytic_ratio = port_noise_variance(sui, "signal") / port_noise_variance(amp, "signal")
+    analytic_ratio = models["sui"].variance("signal") / models["amp"].variance("signal")
     if abs(ratio / analytic_ratio - 1.0) > 0.03:
         issues.append(f"floor ratio {ratio:.4f} vs analytic {analytic_ratio:.4f}")
     if abs(ratio - 0.80) > 0.03:
@@ -536,13 +507,9 @@ def check_monte_carlo_fidelity() -> CheckResult:
     depths = (0.002, 0.005, 0.01, 0.02, 0.05)
     scaled = []
     for i, depth in enumerate(depths):
-        bs = build_scheme(
-            "bs",
-            probe_photon_number=1e4,
-            tones=(ModulationTone(0.8e6, depth, 0.0),),
-        )
-        records = simulate_currents(bs, duration=0.2, seed=30 + i)
-        spec = welch_psd(records["signal"])
+        tones = (dataclasses.replace(_TONES[0], depth=depth),)
+        bs = build_scheme("bs", probe_photon_number=_PROBE_PHOTONS, tones=tones)
+        spec = simulate_spectra(measurement_model(bs), seed=30 + i).spectra["signal"]
         scaled.append(tone_power(spec, 0.8e6) / depth**2)
     scaled = np.array(scaled)
     linearity = float(np.max(np.abs(scaled / np.median(scaled) - 1.0)))
@@ -550,28 +517,14 @@ def check_monte_carlo_fidelity() -> CheckResult:
         issues.append(f"depth-squared linearity deviation {linearity:.3%}")
 
     # Three-tone projection pattern: relative powers follow cos^2.
-    tones3 = (
-        ModulationTone(0.8e6, 0.01, 0.0),
-        ModulationTone(1.0e6, 0.01, math.pi / 4),
-        ModulationTone(1.2e6, 0.01, math.pi / 2),
-    )
-    sui4 = dataclasses.replace(
-        _reference_sui(tap_enabled=True),
-        tones=tones3,
-        ports=(
-            HomodyneChannel("signal", 0.0, 0.72),
-            HomodyneChannel("idler", math.pi / 2, 0.62),
-            HomodyneChannel("tap", math.pi / 4, 0.80),
-        ),
-    )
-    records = simulate_currents(sui4, duration=0.2, seed=40)
-    freqs = tuple(t.frequency_hz for t in tones3)
+    model = measurement_model(_reference_sui(tap_enabled=True, tones=_THREE_TONES))
+    spectra = simulate_spectra(model, seed=40).spectra
+    freqs = tuple(t.frequency_hz for t in _THREE_TONES)
     worst_projection = 0.0
-    for port, lo_phase in (("signal", 0.0), ("idler", math.pi / 2), ("tap", math.pi / 4)):
-        spec = welch_psd(records[port])
-        powers = np.array([tone_power(spec, f, exclude=freqs) for f in freqs])
+    for port, lo_phase in zip(model.port_names, model.lo_phases):
+        powers = np.array([tone_power(spectra[port], f, exclude=freqs) for f in freqs])
         measured = powers / powers.max()
-        expected = np.array([math.cos(t.angle - lo_phase) ** 2 for t in tones3])
+        expected = np.array([math.cos(t.angle - lo_phase) ** 2 for t in _THREE_TONES])
         expected = expected / expected.max()
         worst_projection = max(worst_projection, float(np.max(np.abs(measured - expected))))
     if worst_projection > 0.05:
@@ -583,38 +536,38 @@ def check_monte_carlo_fidelity() -> CheckResult:
     )
     if issues:
         detail += "; issues: " + "; ".join(issues)
-    return _result("acceptance-09-monte-carlo-fidelity", not issues, detail)
+    return not issues, detail
+
+
+def _with_channel_gain(model: MeasurementModel, port_name: str, gain: float) -> MeasurementModel:
+    """``model`` read through an amplitude gain ``gain`` on one port's channel."""
+    scale = np.where(np.array(model.port_names) == port_name, gain, 1.0)
+    return dataclasses.replace(
+        model,
+        noise_cov=model.noise_cov * np.outer(scale, scale),
+        tone_amplitudes={
+            frequency: tuple(a * g for a, g in zip(amplitudes, scale))
+            for frequency, amplitudes in model.tone_amplitudes.items()
+        },
+    )
 
 
 @_check("acceptance-10-post-detection-combination")
-def check_post_detection_combination() -> CheckResult:
+def check_post_detection_combination() -> tuple[bool, str]:
     # Symmetric tap channels, with channel 1 deliberately running at 0.84x
     # gain so the balance calibration has something to recover.
-    tones3 = (
-        ModulationTone(0.8e6, 0.01, 0.0),
-        ModulationTone(1.0e6, 0.01, math.pi / 4),
-        ModulationTone(1.2e6, 0.01, math.pi / 2),
-    )
-    scheme = dataclasses.replace(
-        _reference_sui(tap_enabled=True),
-        tones=tones3,
-        ports=(
-            HomodyneChannel("signal", 0.0, 0.72),
-            HomodyneChannel("idler", math.pi / 2, 0.62),
-            HomodyneChannel("tap", math.pi / 2, 0.72),
-        ),
-    )
-    records = simulate_currents(scheme, duration=0.2, seed=50)
-    i1 = dataclasses.replace(records["signal"], samples=0.84 * records["signal"].samples)
-    i3 = records["tap"]
-    k = calibrate_k(i1, i3, 1.0e6)
+    scheme = _reference_sui(tap_enabled=True, tones=_THREE_TONES)
+    tap = HomodyneChannel(PORT_TAP, math.pi / 2, 0.72)
+    scheme = dataclasses.replace(scheme, ports=scheme.ports[:2] + (tap,))
+    model = _with_channel_gain(measurement_model(scheme), "signal", 0.84)
+    thetas = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
+    run = simulate_spectra(model, seed=50, combine=CombineSettings(thetas, 1.0e6))
+    k = run.balance_gain_k
 
-    freqs = tuple(t.frequency_hz for t in tones3)
+    freqs = tuple(t.frequency_hz for t in _THREE_TONES)
     powers = {}
     floors = {}
-    for theta in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4):
-        combined = combine_currents(i1, i3, CombineParams(theta, k))
-        spec = welch_psd(combined)
+    for theta, spec in zip(thetas, run.combined):
         powers[theta] = tone_power(spec, 1.0e6, exclude=freqs)
         floors[theta] = band_floor(spec, 0.5e6, 1.5e6, exclude=freqs)
     suppression = powers[math.pi / 4] / max(powers[3 * math.pi / 4], 1e-30)
@@ -623,8 +576,7 @@ def check_post_detection_combination() -> CheckResult:
 
     passed = abs(k - 0.84) <= 0.02 and suppression >= 100.0 and floor_spread <= 0.03
     suppression_db = 10.0 * math.log10(suppression)
-    return _result(
-        "acceptance-10-post-detection-combination",
+    return (
         passed,
         f"recovered k = {k:.4f} (target 0.84+-0.02); pi/4 tone suppressed by "
         f"{suppression_db:.1f} dB at theta = 3pi/4 (>= 20 dB); combined noise floor "

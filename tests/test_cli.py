@@ -376,6 +376,37 @@ class TestConfigRejections:
         assert "'sim.combine.calibration_tone_hz'" in err
         assert not out_dir.exists()
 
+    def test_unresolvable_tones_fail_at_load_time(self, tmp_path, capsys):
+        # 40 kHz bins put fig4's 0.2 MHz tone spacing at 5 bins, inside the
+        # 6.5-bin readout window; this once failed after writing a CSV.
+        raw = preset_config("fig4")
+        raw["sim"]["rbw_hz"] = 40e3
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "simulate", "--config", write_config(tmp_path, raw), "--out", str(out_dir))
+        assert code == 1, err
+        assert "'sim.rbw_hz'" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("tone, port", [(0.8e6, "tap"), (1.2e6, "signal")])
+    def test_invisible_calibration_tone_fails_before_simulating(self, tmp_path, capsys, tone, port):
+        # fig5's tap reads the pi/2 quadrature and its signal port the 0 one,
+        # so each of these tones has model amplitude exactly 0 at one of them.
+        raw = preset_config("fig5")
+        raw["sim"]["combine"]["calibration_tone_hz"] = tone
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "simulate", "--config", write_config(tmp_path, raw), "--out", str(out_dir))
+        assert code == 1, err
+        assert "'sim.combine.calibration_tone_hz'" in err
+        assert f"{port} port" in err
+        assert not out_dir.exists()
+
+    def test_only_the_documented_lock_spelling_is_accepted(self, tmp_path, capsys):
+        raw = preset_config("fig2")
+        raw["scheme"]["interferometer_phase"] = "auto"
+        code, _, err = run_cli(capsys, "snr", "--config", write_config(tmp_path, raw))
+        assert code == 1, err
+        assert "'scheme.interferometer_phase'" in err
+
     @pytest.mark.parametrize(
         "section, index, key, value, path",
         [

@@ -15,6 +15,7 @@ from suisim.schemes import (
     HomodyneChannel,
     LossBudget,
     ModulationTone,
+    ParameterError,
     build_scheme,
     measurement_model,
     port_noise_variance,
@@ -22,9 +23,11 @@ from suisim.schemes import (
 from suisim.spectra import (
     CombineParams,
     CombineSettings,
+    Spectrum,
     TimeSeries,
     band_floor,
     calibrate_k,
+    check_sampling,
     combine_currents,
     extract_peak_snr,
     shot_noise_calibration,
@@ -227,7 +230,7 @@ class TestStreamedPass:
     @pytest.mark.parametrize("rbw", [10e3, 10e6 / 333])
     def test_port_spectra_equal_welch_of_records(self, rbw):
         scheme = preset_run_config("fig4").scheme
-        run = simulate_spectra(scheme, 0.0123457, seed=5, rbw=rbw)
+        run = simulate_spectra(measurement_model(scheme), 0.0123457, seed=5, rbw=rbw)
         records = simulate_currents(scheme, 0.0123457, seed=5)
         for port, record in records.items():
             expected = welch_psd(record, rbw)
@@ -235,12 +238,22 @@ class TestStreamedPass:
             assert np.array_equal(run.spectra[port].freq, expected.freq)
             assert run.spectra[port].n_averages == expected.n_averages
 
-    def test_combination_read_off_cross_spectrum(self):
+    @pytest.mark.parametrize("gain", [1.0, 0.84])
+    def test_combination_read_off_cross_spectrum(self, gain):
         cfg = preset_run_config("fig5")
         combine = cfg.sim.combine
-        run = simulate_spectra(cfg.scheme, 0.05, seed=cfg.sim.seed, combine=combine)
+        # The signal channel read through an amplitude gain, in the model and in the record.
+        model = measurement_model(cfg.scheme)
+        scale = np.array([gain if name == "signal" else 1.0 for name in model.port_names])
+        model = dataclasses.replace(
+            model,
+            noise_cov=model.noise_cov * np.outer(scale, scale),
+            tone_amplitudes={f: tuple(a * g for a, g in zip(amps, scale)) for f, amps in model.tone_amplitudes.items()},
+        )
+        run = simulate_spectra(model, 0.05, seed=cfg.sim.seed, combine=combine)
         records = simulate_currents(cfg.scheme, 0.05, seed=cfg.sim.seed)
-        i1, i3 = records["signal"], records["tap"]
+        i1 = dataclasses.replace(records["signal"], samples=gain * records["signal"].samples)
+        i3 = records["tap"]
         k = calibrate_k(i1, i3, combine.calibration_tone_hz)
         assert run.balance_gain_k == pytest.approx(k, rel=1e-12, abs=0.0)
         assert len(run.combined) == len(combine.thetas) == 4
@@ -251,7 +264,7 @@ class TestStreamedPass:
 
     def test_combination_needs_tap_port(self):
         with pytest.raises(ValueError, match="tap"):
-            simulate_spectra(bs_scheme(), 0.01, combine=CombineSettings((0.0,), AM))
+            simulate_spectra(measurement_model(bs_scheme()), 0.01, combine=CombineSettings((0.0,), AM))
 
     def test_cmd_simulate_peak_memory_is_flat_in_duration(self, tmp_path):
         src = os.path.dirname(os.path.dirname(suisim.__file__))
@@ -337,6 +350,24 @@ class TestPeakExtraction:
         spec = welch_psd(white_series(), rbw=5e3)
         with pytest.raises(ValueError, match="span"):
             extract_peak_snr(spec, 1e7)
+
+    @pytest.mark.parametrize("nperseg", [324, 325, 326])
+    def test_sampling_rejects_exactly_the_ambiguous_tone_pairs(self, nperseg):
+        # fig4's 0.2 MHz spacing is exactly 6.5 bins, the limit, at nperseg = 325.
+        fs, tones = 10e6, (0.8e6, 1.0e6)
+        spec = Spectrum(np.fft.rfftfreq(nperseg, 1.0 / fs), np.ones(nperseg // 2 + 1), fs / nperseg, 1)
+        try:
+            extract_peak_snr(spec, tones[0], exclude=tones)
+            ambiguous = False
+        except ValueError as exc:
+            assert "ambiguous" in str(exc)
+            ambiguous = True
+        if ambiguous:
+            with pytest.raises(ParameterError) as info:
+                check_sampling(0.01, fs, fs / nperseg, tones)
+            assert info.value.name == "rbw_hz"
+        else:
+            check_sampling(0.01, fs, fs / nperseg, tones)
 
     def test_colliding_exclusion_is_ambiguous(self):
         spec = welch_psd(white_series(), rbw=5e3)
