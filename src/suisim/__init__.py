@@ -71,6 +71,7 @@ from .spectra import (
     TimeSeries,
     band_floor,
     calibrate_k,
+    check_readout,
     check_sampling,
     combine_currents,
     extract_peak_snr,

@@ -29,7 +29,7 @@ from .spectra import (
     DEFAULT_RBW,
     DEFAULT_SAMPLE_RATE,
     CombineSettings,
-    check_sampling,
+    check_readout,
 )
 
 
@@ -309,7 +309,7 @@ def load_config(source: str | dict) -> RunConfig:
         combine=combine,
     )
     with _values_under("sim"):
-        check_sampling(sim.duration_s, sim.sample_rate_hz, sim.rbw_hz, frequencies)
+        check_readout(sim.duration_s, sim.sample_rate_hz, sim.rbw_hz, frequencies)
     output_dir = raw.get("output", {}).get("directory")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("config key 'output.directory' must be a string")

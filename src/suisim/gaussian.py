@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .conventions import omega, rotation_block, xy_indices
+from .conventions import i_omega, omega, rotation_block, xy_indices
 
 _SYMMETRY_TOL = 1e-12
 # Relative to the largest covariance entry: the rounding floor of cov + i omega.
@@ -56,23 +56,29 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self):
-        if self.n_modes < 1:
+        n_modes = self.n_modes
+        if n_modes < 1:
             raise ValueError("a Gaussian state needs at least one mode")
-        mean = np.asarray(self.mean, dtype=float).copy()
-        cov = np.asarray(self.cov, dtype=float).copy()
-        d = 2 * self.n_modes
+        mean = np.array(self.mean, dtype=float)
+        cov = np.array(self.cov, dtype=float, order="C")
+        d = 2 * n_modes
         if mean.shape != (d,):
             raise ValueError(f"mean must have shape ({d},), got {mean.shape}")
         if cov.shape != (d, d):
             raise ValueError(f"cov must have shape ({d}, {d}), got {cov.shape}")
-        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
+        # Elementwise: a sum of finite entries can overflow to inf.
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("state moments must be finite")
-        asym = np.max(np.abs(cov - cov.T))
+        cov_t = cov.T
+        asym = np.abs(cov - cov_t).max()
         if asym > _SYMMETRY_TOL:
             raise ValueError(f"covariance matrix is not symmetric (defect {asym:.3e})")
-        cov = 0.5 * (cov + cov.T)
-        lowest = np.linalg.eigvalsh(cov + 1j * omega(self.n_modes))[0]
-        if lowest < -_UNCERTAINTY_TOL * max(1.0, np.max(np.abs(cov))):
+        cov = 0.5 * (cov + cov_t)
+        scale = np.abs(cov).max()
+        if scale == math.inf:
+            raise ValueError("covariance entries overflow the float range when symmetrised")
+        lowest = np.linalg.eigvalsh(cov + i_omega(n_modes))[0]
+        if lowest < -_UNCERTAINTY_TOL * max(1.0, scale):
             raise ValueError(
                 "covariance matrix violates the uncertainty relation: cov + i omega is "
                 f"not positive definite up to rounding (smallest eigenvalue {lowest:.3e})"
@@ -115,10 +121,15 @@ def two_mode_squeezer_matrix(gain: float, pump_phase: float = 0.0) -> np.ndarray
     X sums and Y differences of the two modes correlated.
     """
     g = OpaParams(gain, pump_phase).conjugate_gain
-    c, s = math.cos(pump_phase), math.sin(pump_phase)
-    a = gain * np.eye(2)
-    b = g * np.array([[c, s], [s, -c]])
-    return np.block([[a, b], [b, a]])
+    gc, gs = g * math.cos(pump_phase), g * math.sin(pump_phase)
+    return np.array(
+        [
+            [gain, 0.0, gc, gs],
+            [0.0, gain, gs, -gc],
+            [gc, gs, gain, 0.0],
+            [gs, -gc, 0.0, gain],
+        ]
+    )
 
 
 def beam_splitter_matrix(transmissivity: float, phase: float = 0.0) -> np.ndarray:
@@ -131,11 +142,17 @@ def beam_splitter_matrix(transmissivity: float, phase: float = 0.0) -> np.ndarra
         raise ValueError(f"transmissivity must lie in [0, 1], got {transmissivity}")
     t = math.sqrt(transmissivity)
     r = math.sqrt(1.0 - transmissivity)
-    eye = np.eye(2)
-    return np.block(
+    # The lower-left block is -r times the rotation by -phase; cos and sin
+    # are taken at -phase, not folded by parity, which a libm need not keep
+    # to the last bit.
+    rc, rs = r * math.cos(phase), r * math.sin(phase)
+    lc, ls = -r * math.cos(-phase), -r * math.sin(-phase)
+    return np.array(
         [
-            [t * eye, r * rotation_block(phase)],
-            [-r * rotation_block(-phase), t * eye],
+            [t, 0.0, rc, -rs],
+            [0.0, t, rs, rc],
+            [lc, -ls, t, 0.0],
+            [ls, lc, 0.0, t],
         ]
     )
 
@@ -152,8 +169,9 @@ def _embed(block: np.ndarray, n_modes: int, *modes: int) -> np.ndarray:
     if len(set(modes)) != len(modes):
         raise ValueError(f"a two-mode element needs two distinct modes, got {modes}")
     full = np.eye(2 * n_modes)
-    idx = [i for mode in modes for i in xy_indices(mode)]
-    full[np.ix_(idx, idx)] = block
+    for i, a in enumerate(modes):
+        for j, b in enumerate(modes):
+            full[2 * a : 2 * a + 2, 2 * b : 2 * b + 2] = block[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
     return full
 
 
@@ -161,9 +179,13 @@ def loss_channel(n_modes: int, mode: int, eta: float) -> tuple[np.ndarray, np.nd
     """Transfer matrix and added vacuum noise of :func:`apply_loss`."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"transmission eta must lie in [0, 1], got {eta}")
-    transfer = _embed(math.sqrt(eta) * np.eye(2), n_modes, mode)
-    on_mode = np.eye(2 * n_modes) - _embed(np.zeros((2, 2)), n_modes, mode)
-    return transfer, (1.0 - eta) * on_mode
+    _check_mode(n_modes, mode)
+    ix, iy = xy_indices(mode)
+    transfer = np.eye(2 * n_modes)
+    transfer[ix, ix] = transfer[iy, iy] = math.sqrt(eta)
+    noise = np.zeros((2 * n_modes, 2 * n_modes))
+    noise[ix, ix] = noise[iy, iy] = 1.0 - eta
+    return transfer, noise
 
 
 def apply_channel(state: GaussianState, transfer: np.ndarray, noise=0.0, shift=0.0) -> GaussianState:
@@ -224,7 +246,7 @@ def homodyne_stats(
     c, s = math.cos(lo_phase), math.sin(lo_phase)
     ix, iy = xy_indices(mode)
     mean = c * lossy.mean[ix] + s * lossy.mean[iy]
-    block = lossy.cov[np.ix_([ix, iy], [ix, iy])]
+    block = lossy.cov[ix : iy + 1, ix : iy + 1]
     var = float(np.array([c, s]) @ block @ np.array([c, s]))
     return float(mean), var
 

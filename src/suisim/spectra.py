@@ -54,6 +54,22 @@ def _tones_collide(f: float, g: float, bin_width: float) -> bool:
     return abs(f - g) <= (_PEAK_HALFWIDTH_BINS + _EXCLUDE_HALFWIDTH_BINS) * bin_width
 
 
+def _bin_mask(freq: np.ndarray, bin_width: float, centre: float, halfwidth_bins: float) -> np.ndarray:
+    return np.abs(freq - centre) <= halfwidth_bins * bin_width + 1e-9
+
+
+def _floor_bins(freq: np.ndarray, bin_width: float, f0: float, exclude) -> np.ndarray:
+    """Bins the floor under the tone at ``f0`` is read from: its +-5-bin
+    annulus outside the peak window, less the neighbourhood of every other
+    tone in ``exclude``."""
+    annulus = _bin_mask(freq, bin_width, f0, _EXCLUDE_HALFWIDTH_BINS)
+    annulus &= ~_bin_mask(freq, bin_width, f0, _PEAK_HALFWIDTH_BINS)
+    for f in exclude:
+        if f != f0:
+            annulus &= ~_bin_mask(freq, bin_width, f, _EXCLUDE_HALFWIDTH_BINS)
+    return annulus
+
+
 # Welch steps per streamed block.  At the default settings a block is 16k
 # samples, 0.4 MB for three ports, so synthesis and FFT work in cache; 16
 # to 64 steps timed alike, 128 about 20% slower.
@@ -67,6 +83,12 @@ def _block_length(nperseg: int) -> int:
 # Block of the work that has no segment length of its own (whole records,
 # lock-in sums): the Welch block at the default settings.
 _RECORD_BLOCK = _block_length(round(DEFAULT_SAMPLE_RATE / DEFAULT_RBW))
+
+
+def _bin_width(sample_rate: float, nperseg: int) -> float:
+    """Welch bin width as np.fft.rfftfreq computes it, so that the checks
+    below and the readout agree to the last bit."""
+    return 1.0 / (nperseg * (1.0 / sample_rate))
 
 
 def _segment_length(sample_rate: float, rbw: float, n_samples: int) -> int:
@@ -116,9 +138,7 @@ def check_sampling(
         )
     if rbw is not None:
         nperseg = _segment_length(sample_rate, rbw, n_samples)
-        # The bin width as np.fft.rfftfreq computes it, so that this check and
-        # the readout's agree to the last bit.
-        bin_width = 1.0 / (nperseg * (1.0 / sample_rate))
+        bin_width = _bin_width(sample_rate, nperseg)
         frequencies = sorted(tone_frequencies)
         for f, g in zip(frequencies, frequencies[1:]):
             if _tones_collide(f, g, bin_width):
@@ -127,6 +147,44 @@ def check_sampling(
                     f"rbw {rbw} Hz gives {bin_width:.6g} Hz bins, too coarse to resolve the "
                     f"tones at {f} and {g} Hz; their readout windows overlap",
                 )
+    return n_samples
+
+
+def check_readout(
+    duration: float,
+    sample_rate: float,
+    rbw: float,
+    tone_frequencies: tuple[float, ...] | list[float],
+) -> int:
+    """:func:`check_sampling`, and further that every tone can be read off the
+    Welch spectrum by :func:`extract_peak_snr` and :func:`tone_power`.
+
+    No tone may lie above the last bin, which falls short of Nyquist when
+    the segment length is odd, and no tone may have its whole floor annulus
+    covered by the neighbourhoods of the others.  Raises
+    :class:`ParameterError` named ``rbw_hz`` for either.
+    """
+    n_samples = check_sampling(duration, sample_rate, rbw, tone_frequencies)
+    nperseg = _segment_length(sample_rate, rbw, n_samples)
+    bin_width = _bin_width(sample_rate, nperseg)
+    last_bin = nperseg // 2
+    reach = math.ceil(_EXCLUDE_HALFWIDTH_BINS) + 1
+    for f in tone_frequencies:
+        if f > last_bin * bin_width:
+            raise ParameterError(
+                "rbw_hz",
+                f"rbw {rbw} Hz gives {nperseg}-sample segments whose last bin, at "
+                f"{last_bin * bin_width:.6g} Hz, lies below the tone at {f} Hz",
+            )
+        # The spectrum's bins around f, as np.fft.rfftfreq computes them.
+        centre = round(f / bin_width)
+        bins = np.arange(max(0, centre - reach), min(last_bin, centre + reach) + 1)
+        if not np.any(_floor_bins(bins * bin_width, bin_width, f, tone_frequencies)):
+            raise ParameterError(
+                "rbw_hz",
+                f"rbw {rbw} Hz gives {bin_width:.6g} Hz bins, so the neighbourhoods of the "
+                f"other tones cover the whole floor annulus of the tone at {f} Hz",
+            )
     return n_samples
 
 
@@ -448,16 +506,8 @@ def shot_noise_calibration(
     return float(1.0 / np.mean(interior))
 
 
-def _bin_mask(spec: Spectrum, centre: float, halfwidth_bins: float) -> np.ndarray:
-    return np.abs(spec.freq - centre) <= halfwidth_bins * spec.bin_width + 1e-9
-
-
 def _annulus_floor(spec: Spectrum, f0: float, exclude: tuple[float, ...]) -> float:
-    annulus = _bin_mask(spec, f0, _EXCLUDE_HALFWIDTH_BINS)
-    annulus &= ~_bin_mask(spec, f0, _PEAK_HALFWIDTH_BINS)
-    for f in exclude:
-        if f != f0:
-            annulus &= ~_bin_mask(spec, f, _EXCLUDE_HALFWIDTH_BINS)
+    annulus = _floor_bins(spec.freq, spec.bin_width, f0, exclude)
     if not np.any(annulus):
         raise ValueError(
             "no clean bins left around the peak to estimate the floor; "
@@ -485,7 +535,7 @@ def extract_peak_snr(spec: Spectrum, f0: float, exclude: tuple[float, ...] = ())
     few percent above 1 because the numerator is a maximum over bins.
     """
     _check_peak_request(spec, f0, exclude)
-    window = _bin_mask(spec, f0, _PEAK_HALFWIDTH_BINS)
+    window = _bin_mask(spec.freq, spec.bin_width, f0, _PEAK_HALFWIDTH_BINS)
     peak = float(np.max(spec.psd_snu[window]))
     return peak / _annulus_floor(spec, f0, exclude)
 
@@ -498,7 +548,7 @@ def tone_power(spec: Spectrum, f0: float, exclude: tuple[float, ...] = ()) -> fl
     at the worst bin offset (Hann window).
     """
     _check_peak_request(spec, f0, exclude)
-    window = _bin_mask(spec, f0, _PEAK_HALFWIDTH_BINS)
+    window = _bin_mask(spec.freq, spec.bin_width, f0, _PEAK_HALFWIDTH_BINS)
     floor = _annulus_floor(spec, f0, exclude)
     excess = np.sum(spec.psd_snu[window] - floor) * spec.bin_width
     return float(excess / spec.span)
@@ -513,7 +563,7 @@ def band_floor(
     """Median PSD over a band with tone neighbourhoods masked out."""
     mask = (spec.freq >= f_lo) & (spec.freq <= f_hi)
     for f in exclude:
-        mask &= ~_bin_mask(spec, f, _EXCLUDE_HALFWIDTH_BINS)
+        mask &= ~_bin_mask(spec.freq, spec.bin_width, f, _EXCLUDE_HALFWIDTH_BINS)
     if not np.any(mask):
         raise ValueError("no bins left in the requested band")
     return float(np.median(spec.psd_snu[mask]))

@@ -451,6 +451,8 @@ def check_tap_robustness() -> tuple[bool, str]:
         f"SU(1,1) signal SNR changes by {sui_change:.3%} (< 2%), matches the eta/2 law to "
         f"{law_dev:.2e}; the same tap scales the BS SNR by {bs_ratio:.6f}",
     )
+
+
 @_check("acceptance-08-oracle-equivalence")
 def check_oracle_equivalence() -> tuple[bool, str]:
     rng = np.random.default_rng(2024)

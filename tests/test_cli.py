@@ -387,6 +387,60 @@ class TestConfigRejections:
         assert "'sim.rbw_hz'" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command", ["snr", "simulate"])
+    def test_masked_floor_annulus_fails_at_load_time(self, tmp_path, capsys, command):
+        # 330-sample segments put fig4's tones 6.6 bins apart: each pair is
+        # resolved, but the outer tones' neighbourhoods cover the whole floor
+        # annulus of the middle one; this once failed after writing a CSV.
+        raw = preset_config("fig4")
+        raw["sim"]["rbw_hz"] = 30303.0
+        with pytest.raises(ConfigError, match="'sim.rbw_hz'.*1000000.0 Hz"):
+            load_config(raw)
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, command, "--config", write_config(tmp_path, raw), "--out", str(out_dir))
+        assert code == 1, err
+        assert "'sim.rbw_hz'" in err and "floor annulus" in err
+        assert not out_dir.exists()
+
+    def test_smallest_accepted_tone_spacing_reads_out(self, tmp_path, capsys):
+        raw = preset_config("fig4")
+        sample_rate = raw["sim"].get("sample_rate_hz", 10e6)
+
+        def accepted(nperseg):
+            raw["sim"]["rbw_hz"] = sample_rate / nperseg
+            try:
+                load_config(raw)
+            except ConfigError:
+                return False
+            return True
+
+        nperseg = next(n for n in range(300, 400) if accepted(n))
+        assert not accepted(nperseg - 1)
+        # Between 6.5 bins (overlapping readout windows) and 7.5 bins.
+        assert 6.5 < 0.2e6 * nperseg / sample_rate < 7.5
+        raw["sim"].update(rbw_hz=sample_rate / nperseg, duration_s=0.02)
+        path = write_config(tmp_path, raw)
+        code, out, err = run_cli(capsys, "simulate", "--config", path, "--out", str(tmp_path / "o"))
+        assert code == 0, err
+        for port in json.loads(out)["runs"]["sui"]["ports"].values():
+            assert len(port["tones"]) == 3
+            for tone in port["tones"].values():
+                assert math.isfinite(tone["peak_snr"]) and tone["peak_snr"] > 0
+
+    def test_tone_above_the_last_welch_bin_fails_at_load_time(self, tmp_path, capsys):
+        # 241-sample segments end at 120 bins, 1.1955 MHz, short of Nyquist
+        # and of the 1.2 MHz tone; this once failed after writing a CSV.
+        raw = preset_config("fig2")
+        raw["sim"].update(sample_rate_hz=2.401e6, rbw_hz=2.401e6 / 241)
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "simulate", "--config", write_config(tmp_path, raw), "--out", str(out_dir))
+        assert code == 1, err
+        assert "'sim.rbw_hz'" in err and "last bin" in err
+        assert not out_dir.exists()
+        # One more sample per segment puts the last bin on Nyquist, above the tone.
+        raw["sim"].update(rbw_hz=2.401e6 / 242)
+        load_config(raw)
+
     @pytest.mark.parametrize("tone, port", [(0.8e6, "tap"), (1.2e6, "signal")])
     def test_invisible_calibration_tone_fails_before_simulating(self, tmp_path, capsys, tone, port):
         # fig5's tap reads the pi/2 quadrature and its signal port the 0 one,

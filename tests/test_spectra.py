@@ -27,6 +27,7 @@ from suisim.spectra import (
     TimeSeries,
     band_floor,
     calibrate_k,
+    check_readout,
     check_sampling,
     combine_currents,
     extract_peak_snr,
@@ -368,6 +369,36 @@ class TestPeakExtraction:
             assert info.value.name == "rbw_hz"
         else:
             check_sampling(0.01, fs, fs / nperseg, tones)
+
+    @pytest.mark.parametrize(
+        "fs, tones, npersegs",
+        [
+            (10e6, (0.8e6, 1.0e6, 1.2e6), range(320, 400)),
+            (2.401e6, (0.8e6, 1.2e6), range(236, 250)),
+        ],
+        ids=["fig4-spacing", "fig2-odd-segments"],
+    )
+    def test_readout_check_rejects_exactly_the_unreadable_tone_plans(self, fs, tones, npersegs):
+        # Each segment length is accepted iff every tone's peak and floor
+        # can be read off a spectrum at that resolution.
+        verdicts = set()
+        for nperseg in npersegs:
+            spec = Spectrum(np.fft.rfftfreq(nperseg, 1.0 / fs), np.ones(nperseg // 2 + 1), fs / nperseg, 1)
+            try:
+                for f in tones:
+                    extract_peak_snr(spec, f, exclude=tones)
+                    tone_power(spec, f, exclude=tones)
+                readable = True
+            except ValueError:
+                readable = False
+            verdicts.add(readable)
+            if readable:
+                check_readout(0.01, fs, fs / nperseg, tones)
+            else:
+                with pytest.raises(ParameterError) as info:
+                    check_readout(0.01, fs, fs / nperseg, tones)
+                assert info.value.name == "rbw_hz"
+        assert verdicts == {True, False}
 
     def test_colliding_exclusion_is_ambiguous(self):
         spec = welch_psd(white_series(), rbw=5e3)
