@@ -171,8 +171,9 @@ def oracle_homodyne_mean(
 class ClosedFormInput:
     """Parameters of the closed-form SNR expressions.
 
-    Only the gains relevant to ``kind`` are read: ``gain_g1``/``gain_g2``
-    for "sui", ``gain`` for "amp", none for "bs".
+    Only the gain relevant to ``kind`` is read: ``gain_g1`` for "sui" (its
+    closed form is the ``g2 >> g1`` asymptote, which does not depend on the
+    recombining gain), ``gain`` for "amp", none for "bs".
     """
 
     kind: str
@@ -180,7 +181,6 @@ class ClosedFormInput:
     epsilon: float
     delta: float
     gain_g1: float = 1.0
-    gain_g2: float = 1.0
     gain: float = 1.0
 
     def __post_init__(self):
@@ -188,7 +188,7 @@ class ClosedFormInput:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
         if self.i_ps < 0:
             raise ValueError("probe photon number must be nonnegative")
-        for name in ("gain_g1", "gain_g2", "gain"):
+        for name in ("gain_g1", "gain"):
             if getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be >= 1")
 

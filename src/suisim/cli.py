@@ -63,10 +63,8 @@ def _load_run_config(args) -> RunConfig:
     cfg = load_config(raw)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seed=args.seed))
-        cfg.resolved["sim"]["seed"] = args.seed
     if args.out is not None:
         cfg = dataclasses.replace(cfg, output_dir=args.out)
-        cfg.resolved["output"]["directory"] = args.out
     return cfg
 
 
@@ -304,20 +302,21 @@ def _parse_grid(text: str) -> list[float]:
     text = text.strip()
     if not text:
         return []
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError("--grid expects start:stop:count or a comma-separated list")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 0:
-            raise ConfigError("--grid count must be nonnegative")
-        if count == 0:
-            return []
-        if count == 1:
-            return [start]
-        step = (stop - start) / (count - 1)
-        return [start + step * i for i in range(count)]
-    return [float(v) for v in text.split(",")]
+    try:
+        if ":" not in text:
+            return [float(v) for v in text.split(",")]
+        start, stop, count = text.split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError as exc:
+        raise ConfigError(f"--grid expects start:stop:count or a comma-separated list ({exc})") from exc
+    if count < 0:
+        raise ConfigError("--grid count must be nonnegative")
+    if count == 0:
+        return []
+    if count == 1:
+        return [start]
+    step = (stop - start) / (count - 1)
+    return [start + step * i for i in range(count)]
 
 
 def build_parser() -> argparse.ArgumentParser:

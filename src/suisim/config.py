@@ -1,10 +1,12 @@
 """Run-configuration loading, strict validation and bundled presets.
 
 Configs are JSON documents with the sections ``scheme``, ``losses``,
-``tones``, ``ports``, ``sim`` and ``output``.  Unknown keys are rejected
-rather than ignored so that a saved config reproduces exactly the run it
-came from.  The bundled presets ``fig2`` .. ``fig5`` encode the reference
-operating points used throughout the test suite.
+``tones``, ``ports``, ``sim`` and ``output``.  The document is checked and
+read in one pass: each section's type and keys are checked where its values
+are read.  Unknown keys are rejected rather than ignored so that a saved
+config reproduces exactly the run it came from.  The bundled presets
+``fig2`` .. ``fig5`` encode the reference operating points used throughout
+the test suite.
 """
 
 from __future__ import annotations
@@ -55,14 +57,6 @@ _SCHEME_KEYS = {
     "interferometer_phase",
     "compare_with",
 }
-_LOSS_KEYS = {"eta_internal", "eta_signal_det", "eta_idler_det", "eta_tap_det"}
-_TONE_KEYS = {"frequency_hz", "depth", "angle_rad"}
-_PORTS_KEYS = {"tap_enabled", "channels"}
-_CHANNEL_KEYS = {"name", "lo_phase_rad", "efficiency"}
-_SIM_KEYS = {"sample_rate_hz", "duration_s", "rbw_hz", "seed", "combine"}
-_COMBINE_KEYS = {"thetas", "calibration_tone_hz"}
-_OUTPUT_KEYS = {"directory"}
-_TOP_KEYS = {"scheme", "losses", "tones", "ports", "sim", "output"}
 
 #: Config paths cmd_sweep may vary.
 SWEEP_PARAMETERS = (
@@ -99,24 +93,64 @@ class RunConfig:
     compare_with: str | None
     sim: SimSettings
     output_dir: str | None
-    #: Fully expanded config (defaults filled in), embedded in outputs.
-    resolved: dict
     #: The config as given, without default expansion; parameter sweeps
     #: rebase on this so port efficiencies keep tracking the loss budget
     #: unless a channel pinned its own.
     raw: dict
 
+    @property
+    def resolved(self) -> dict:
+        """Fully expanded config (defaults filled in), embedded in outputs."""
+        scheme = self.scheme
+        gains = {"gain_g1": scheme.opa1, "gain_g2": scheme.opa2_or_amp}
+        return {
+            "scheme": {
+                "kind": scheme.kind,
+                "probe_photon_number": scheme.probe_photon_number,
+                "interferometer_phase": (
+                    AUTO_DARK_FRINGE if self.auto_dark_fringe else scheme.interferometer_phase
+                ),
+                "compare_with": self.compare_with,
+                **{key: opa.gain for key, opa in gains.items() if opa is not None},
+            },
+            "losses": dataclasses.asdict(scheme.losses),
+            "tones": [
+                {"frequency_hz": t.frequency_hz, "depth": t.depth, "angle_rad": t.angle}
+                for t in scheme.tones
+            ],
+            "ports": {
+                "tap_enabled": scheme.tap_enabled,
+                "channels": [
+                    {"name": p.port_name, "lo_phase_rad": p.lo_phase, "efficiency": p.efficiency}
+                    for p in scheme.ports
+                ],
+            },
+            "sim": dataclasses.asdict(self.sim),
+            "output": {"directory": self.output_dir},
+        }
 
-def _require_mapping(value, path: str) -> dict:
+
+def _section(value, path: str, keys) -> dict:
+    """``value``, checked to be a mapping whose keys all lie in ``keys``;
+    ``path`` is empty for the top level."""
     if not isinstance(value, dict):
-        raise ConfigError(f"config section '{path}' must be a mapping")
+        raise ConfigError(f"config section '{path or '<top>'}' must be a mapping")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(f"unknown config key '{path}.{key}'" if path else f"unknown config key '{key}'")
     return value
 
 
-def _check_keys(section: dict, allowed: set[str], path: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key '{path}.{key}'" if path else f"unknown config key '{key}'")
+def _list(value, what: str) -> list:
+    """``value``, checked to be a list; ``what`` names it in the error."""
+    if not isinstance(value, list):
+        raise ConfigError(f"config {what} must be a list")
+    return value
+
+
+def _defaults(cls) -> dict:
+    """Field names of a settings dataclass, which are its config keys, and their defaults."""
+    return {field.name: field.default for field in dataclasses.fields(cls)}
 
 
 def _is_finite_number(value) -> bool:
@@ -147,44 +181,10 @@ def _values_under(path: str):
         raise ConfigError(f"config key '{key}': {exc}") from exc
 
 
-def validate_raw(raw: dict) -> None:
-    """Structural validation; value-level checks happen at build time."""
-    _require_mapping(raw, "<top>")
-    _check_keys(raw, _TOP_KEYS, "")
-    scheme = _require_mapping(raw.get("scheme", {}), "scheme")
-    _check_keys(scheme, _SCHEME_KEYS, "scheme")
-    if "kind" not in scheme:
-        raise ConfigError("missing required config key 'scheme.kind'")
-    losses = _require_mapping(raw.get("losses", {}), "losses")
-    _check_keys(losses, _LOSS_KEYS, "losses")
-    tones = raw.get("tones", [])
-    if not isinstance(tones, list):
-        raise ConfigError("config section 'tones' must be a list")
-    for i, tone in enumerate(tones):
-        _check_keys(_require_mapping(tone, f"tones[{i}]"), _TONE_KEYS, f"tones[{i}]")
-    ports = _require_mapping(raw.get("ports", {}), "ports")
-    _check_keys(ports, _PORTS_KEYS, "ports")
-    channels = ports.get("channels", [])
-    if not isinstance(channels, list):
-        raise ConfigError("config key 'ports.channels' must be a list")
-    for i, channel in enumerate(channels):
-        _check_keys(
-            _require_mapping(channel, f"ports.channels[{i}]"),
-            _CHANNEL_KEYS,
-            f"ports.channels[{i}]",
-        )
-    sim = _require_mapping(raw.get("sim", {}), "sim")
-    _check_keys(sim, _SIM_KEYS, "sim")
-    if "combine" in sim and sim["combine"] is not None:
-        _check_keys(_require_mapping(sim["combine"], "sim.combine"), _COMBINE_KEYS, "sim.combine")
-    output = _require_mapping(raw.get("output", {}), "output")
-    _check_keys(output, _OUTPUT_KEYS, "output")
-
-
-def _resolve_gain(scheme_raw: dict, key: str, path: str) -> float | None:
+def _resolve_gain(scheme_raw: dict, key: str) -> float | None:
     if key not in scheme_raw:
         return None
-    value = _number(scheme_raw, key, path="scheme")
+    value = _number(scheme_raw, key, "scheme")
     convention = scheme_raw.get("gain_convention", "amplitude")
     if convention == "amplitude":
         return value
@@ -195,61 +195,93 @@ def _resolve_gain(scheme_raw: dict, key: str, path: str) -> float | None:
     raise ConfigError("config key 'scheme.gain_convention' must be 'amplitude' or 'power'")
 
 
+def _read_ports(ports_raw, losses: LossBudget) -> tuple[bool, list]:
+    """``tap_enabled`` and the port channels: the defaults for the loss budget,
+    overridden per port by the ``ports.channels`` entries."""
+    ports_raw = _section(ports_raw, "ports", {"tap_enabled", "channels"})
+    tap_enabled = ports_raw.get("tap_enabled", False)
+    if not isinstance(tap_enabled, bool):
+        raise ConfigError("config key 'ports.tap_enabled' must be true or false")
+    defaults = _default_ports(losses, tap_enabled)
+    names = [default.port_name for default in defaults]
+    overrides = {}
+    for i, channel in enumerate(_list(ports_raw.get("channels", []), "key 'ports.channels'")):
+        path = f"ports.channels[{i}]"
+        name = _section(channel, path, {"name", "lo_phase_rad", "efficiency"}).get("name")
+        if name not in names:
+            raise ConfigError(f"config key '{path}.name' must be one of {names}, got {name!r}")
+        if name in overrides:
+            raise ConfigError(f"config key '{path}.name' repeats the channel {name!r}")
+        overrides[name] = (channel, path)
+    ports = []
+    for default in defaults:
+        channel, path = overrides.get(default.port_name, ({}, "ports"))
+        lo_phase = _number(channel, "lo_phase_rad", path, default.lo_phase)
+        efficiency = _number(channel, "efficiency", path, default.efficiency)
+        with _values_under(path):
+            ports.append(dataclasses.replace(default, lo_phase=lo_phase, efficiency=efficiency))
+    return tap_enabled, ports
+
+
+def _read_combine(combine_raw, tap_enabled: bool, frequencies: list[float]) -> CombineSettings | None:
+    """The post-detection combination of ``sim.combine``, if one is given."""
+    if combine_raw is None:
+        return None
+    combine_raw = _section(combine_raw, "sim.combine", _defaults(CombineSettings))
+    thetas = combine_raw.get("thetas", [])
+    if not isinstance(thetas, (list, tuple)) or not all(_is_finite_number(v) for v in thetas):
+        raise ConfigError("config key 'sim.combine.thetas' must be a list of finite numbers")
+    if not tap_enabled:
+        raise ConfigError("config key 'sim.combine' needs ports.tap_enabled = true")
+    combine = CombineSettings(
+        thetas=tuple(float(v) for v in thetas),
+        calibration_tone_hz=_number(combine_raw, "calibration_tone_hz", "sim.combine"),
+    )
+    if combine.calibration_tone_hz not in frequencies:
+        raise ConfigError(
+            "config key 'sim.combine.calibration_tone_hz' must be one of the tone "
+            f"frequencies {frequencies}, got {combine.calibration_tone_hz}"
+        )
+    return combine
+
+
 def load_config(source: str | dict) -> RunConfig:
     """Build a validated :class:`RunConfig` from a JSON file path or a dict."""
     if isinstance(source, str):
-        with open(source, encoding="utf-8") as handle:
-            raw = json.load(handle)
+        try:
+            with open(source, encoding="utf-8") as handle:
+                raw = json.load(handle)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config file '{source}': {exc}") from exc
     else:
         raw = copy.deepcopy(source)
-    validate_raw(raw)
-    raw_input = copy.deepcopy(raw)
+    _section(raw, "", {"scheme", "losses", "tones", "ports", "sim", "output"})
+    scheme_raw = _section(raw.get("scheme", {}), "scheme", _SCHEME_KEYS)
+    if "kind" not in scheme_raw:
+        raise ConfigError("missing required config key 'scheme.kind'")
 
-    scheme_raw = raw.get("scheme", {})
-    kind = scheme_raw.get("kind")
-    losses_raw = raw.get("losses", {})
     try:
+        losses_raw = _section(raw.get("losses", {}), "losses", _defaults(LossBudget))
         with _values_under("losses"):
             losses = LossBudget(
                 **{
-                    field.name: _number(losses_raw, field.name, "losses", field.default)
-                    for field in dataclasses.fields(LossBudget)
+                    key: _number(losses_raw, key, "losses", default)
+                    for key, default in _defaults(LossBudget).items()
                 }
             )
         tones = []
-        for i, t in enumerate(raw.get("tones", [])):
-            with _values_under(f"tones[{i}]"):
+        for i, tone in enumerate(_list(raw.get("tones", []), "section 'tones'")):
+            path = f"tones[{i}]"
+            _section(tone, path, {"frequency_hz", "depth", "angle_rad"})
+            with _values_under(path):
                 tones.append(
                     ModulationTone(
-                        frequency_hz=_number(t, "frequency_hz", f"tones[{i}]"),
-                        depth=_number(t, "depth", f"tones[{i}]"),
-                        angle=_number(t, "angle_rad", f"tones[{i}]", 0.0),
+                        frequency_hz=_number(tone, "frequency_hz", path),
+                        depth=_number(tone, "depth", path),
+                        angle=_number(tone, "angle_rad", path, 0.0),
                     )
                 )
-
-        ports_raw = raw.get("ports", {})
-        tap_enabled = ports_raw.get("tap_enabled", False)
-        if not isinstance(tap_enabled, bool):
-            raise ConfigError("config key 'ports.tap_enabled' must be true or false")
-        defaults = _default_ports(losses, tap_enabled)
-        names = [default.port_name for default in defaults]
-        overrides = {}
-        for i, channel in enumerate(ports_raw.get("channels", [])):
-            name = channel.get("name")
-            if name not in names:
-                raise ConfigError(
-                    f"config key 'ports.channels[{i}].name' must be one of {names}, got {name!r}"
-                )
-            if name in overrides:
-                raise ConfigError(f"config key 'ports.channels[{i}].name' repeats the channel {name!r}")
-            overrides[name] = (channel, f"ports.channels[{i}]")
-        ports = []
-        for default in defaults:
-            channel, path = overrides.get(default.port_name, ({}, "ports"))
-            lo_phase = _number(channel, "lo_phase_rad", path, default.lo_phase)
-            efficiency = _number(channel, "efficiency", path, default.efficiency)
-            with _values_under(path):
-                ports.append(dataclasses.replace(default, lo_phase=lo_phase, efficiency=efficiency))
+        tap_enabled, ports = _read_ports(raw.get("ports", {}), losses)
 
         phase_raw = scheme_raw.get("interferometer_phase", math.pi)
         auto = isinstance(phase_raw, str)
@@ -257,17 +289,17 @@ def load_config(source: str | dict) -> RunConfig:
             raise ConfigError(
                 f"config key 'scheme.interferometer_phase' must be a number or {AUTO_DARK_FRINGE!r}"
             )
-        phase = math.pi if auto else _number(scheme_raw, "interferometer_phase", "scheme", math.pi)
-
         with _values_under(""):
             scheme = build_scheme(
-                kind,
+                scheme_raw["kind"],
                 probe_photon_number=_number(scheme_raw, "probe_photon_number", "scheme"),
                 tones=tones,
                 losses=losses,
-                gain_g1=_resolve_gain(scheme_raw, "gain_g1", "scheme"),
-                gain_g2=_resolve_gain(scheme_raw, "gain_g2", "scheme"),
-                interferometer_phase=phase,
+                gain_g1=_resolve_gain(scheme_raw, "gain_g1"),
+                gain_g2=_resolve_gain(scheme_raw, "gain_g2"),
+                interferometer_phase=(
+                    math.pi if auto else _number(scheme_raw, "interferometer_phase", "scheme", math.pi)
+                ),
                 tap_enabled=tap_enabled,
                 ports=ports,
             )
@@ -279,93 +311,32 @@ def load_config(source: str | dict) -> RunConfig:
     compare_with = scheme_raw.get("compare_with")
     if compare_with is not None and compare_with not in ("bs", "amp"):
         raise ConfigError("config key 'scheme.compare_with' must be 'bs', 'amp' or null")
-    if compare_with is not None and kind != "sui":
+    if compare_with is not None and scheme.kind != "sui":
         raise ConfigError("config key 'scheme.compare_with' needs scheme.kind = 'sui'")
 
     frequencies = [t.frequency_hz for t in scheme.tones]
-    sim_raw = raw.get("sim", {})
-    combine = None
-    if sim_raw.get("combine") is not None:
-        combine_raw = sim_raw["combine"]
-        thetas = combine_raw.get("thetas", [])
-        if not isinstance(thetas, list) or not all(_is_finite_number(v) for v in thetas):
-            raise ConfigError("config key 'sim.combine.thetas' must be a list of finite numbers")
-        if not tap_enabled:
-            raise ConfigError("config key 'sim.combine' needs ports.tap_enabled = true")
-        combine = CombineSettings(
-            thetas=tuple(float(v) for v in thetas),
-            calibration_tone_hz=_number(combine_raw, "calibration_tone_hz", "sim.combine"),
-        )
-        if combine.calibration_tone_hz not in frequencies:
-            raise ConfigError(
-                "config key 'sim.combine.calibration_tone_hz' must be one of the tone "
-                f"frequencies {frequencies}, got {combine.calibration_tone_hz}"
-            )
+    sim_raw = _section(raw.get("sim", {}), "sim", _defaults(SimSettings))
     sim = SimSettings(
         sample_rate_hz=_number(sim_raw, "sample_rate_hz", "sim", SimSettings.sample_rate_hz),
         duration_s=_number(sim_raw, "duration_s", "sim", SimSettings.duration_s),
         rbw_hz=_number(sim_raw, "rbw_hz", "sim", SimSettings.rbw_hz),
         seed=sim_raw.get("seed", 0),
-        combine=combine,
+        combine=_read_combine(sim_raw.get("combine"), tap_enabled, frequencies),
     )
     with _values_under("sim"):
         check_readout(sim.duration_s, sim.sample_rate_hz, sim.rbw_hz, frequencies)
-    output_dir = raw.get("output", {}).get("directory")
+    output_dir = _section(raw.get("output", {}), "output", {"directory"}).get("directory")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("config key 'output.directory' must be a string")
 
-    resolved = _resolved_dict(scheme, phase_raw, compare_with, sim, output_dir)
     return RunConfig(
         scheme=scheme,
         auto_dark_fringe=auto,
         compare_with=compare_with,
         sim=sim,
         output_dir=output_dir,
-        resolved=resolved,
-        raw=raw_input,
+        raw=raw,
     )
-
-
-def _resolved_dict(scheme, phase_raw, compare_with, sim, output_dir) -> dict:
-    scheme_section = {
-        "kind": scheme.kind,
-        "probe_photon_number": scheme.probe_photon_number,
-        "interferometer_phase": phase_raw if isinstance(phase_raw, str) else float(phase_raw),
-        "compare_with": compare_with,
-    }
-    if scheme.opa1 is not None:
-        scheme_section["gain_g1"] = scheme.opa1.gain
-    if scheme.opa2_or_amp is not None:
-        scheme_section["gain_g2"] = scheme.opa2_or_amp.gain
-    combine = None
-    if sim.combine is not None:
-        combine = {
-            "thetas": list(sim.combine.thetas),
-            "calibration_tone_hz": sim.combine.calibration_tone_hz,
-        }
-    return {
-        "scheme": scheme_section,
-        "losses": dataclasses.asdict(scheme.losses),
-        "tones": [
-            {"frequency_hz": t.frequency_hz, "depth": t.depth, "angle_rad": t.angle}
-            for t in scheme.tones
-        ],
-        "ports": {
-            "tap_enabled": scheme.tap_enabled,
-            "channels": [
-                {"name": p.port_name, "lo_phase_rad": p.lo_phase, "efficiency": p.efficiency}
-                for p in scheme.ports
-            ],
-        },
-        "sim": {
-            "sample_rate_hz": sim.sample_rate_hz,
-            "duration_s": sim.duration_s,
-            "rbw_hz": sim.rbw_hz,
-            "seed": sim.seed,
-            "combine": combine,
-        },
-        "output": {"directory": output_dir},
-    }
 
 
 def set_parameter(raw: dict, path: str, value: float) -> dict:

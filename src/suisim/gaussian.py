@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 
@@ -34,6 +35,8 @@ class OpaParams:
     def __post_init__(self):
         if not (self.gain >= 1.0):
             raise ValueError(f"amplifier gain must be >= 1, got {self.gain}")
+        if self.gain * self.gain > sys.float_info.max:
+            raise ValueError(f"amplifier gain {self.gain} is too large: its square overflows")
 
     @property
     def conjugate_gain(self) -> float:

@@ -229,25 +229,28 @@ class SchemeInstance:
     tap_enabled: bool = False
 
     def __post_init__(self):
+        # The rules a config can break are named by the config path it sets them at.
         if self.kind not in SCHEME_KINDS:
-            raise ValueError(f"unknown scheme kind {self.kind!r}")
+            raise ParameterError("scheme.kind", f"unknown scheme kind {self.kind!r}")
         if self.probe_photon_number < 0:
-            raise ValueError("probe photon number must be nonnegative")
+            raise ParameterError("scheme.probe_photon_number", "probe photon number must be nonnegative")
         if self.kind == "sui":
             if self.opa1 is None or self.opa2_or_amp is None:
-                raise ValueError("the SU(1,1) scheme needs both amplifier settings")
+                missing = "scheme.gain_g1" if self.opa1 is None else "scheme.gain_g2"
+                raise ParameterError(missing, "the SU(1,1) scheme needs gain_g1 and gain_g2")
             if self.losses.eta_internal == 0.0 and self.probe_photon_number > 0:
-                raise ValueError(
-                    "eta_internal = 0 cannot deliver a nonzero probe to the sensing plane"
+                raise ParameterError(
+                    "losses.eta_internal",
+                    "eta_internal = 0 cannot deliver a nonzero probe to the sensing plane",
                 )
         elif self.kind == "amp":
             if self.opa2_or_amp is None:
-                raise ValueError("the amplifier scheme needs its amplifier setting")
+                raise ParameterError("scheme.gain_g2", "the amplifier scheme needs gain_g2")
             if self.opa1 is not None:
-                raise ValueError("the amplifier scheme has no first amplifier")
-        else:
-            if self.opa1 is not None or self.opa2_or_amp is not None:
-                raise ValueError("the beam-splitter scheme has no amplifier")
+                raise ParameterError("scheme.gain_g1", "gain_g1 is not used by the amplifier scheme")
+        elif self.opa1 is not None or self.opa2_or_amp is not None:
+            given = "scheme.gain_g1" if self.opa1 is not None else "scheme.gain_g2"
+            raise ParameterError(given, "the beam-splitter scheme takes no gains")
         freqs = [t.frequency_hz for t in self.tones]
         for i, frequency in enumerate(freqs):
             if frequency in freqs[:i]:
@@ -293,6 +296,14 @@ def _default_ports(losses: LossBudget, tap_enabled: bool) -> tuple[HomodyneChann
     return tuple(ports)
 
 
+def _amplifier(key: str, gain: float | None) -> OpaParams | None:
+    """The amplifier of a given gain, if any; a bad gain is named ``scheme.<key>``."""
+    try:
+        return None if gain is None else OpaParams(gain, 0.0)
+    except ValueError as exc:
+        raise ParameterError(f"scheme.{key}", str(exc)) from exc
+
+
 def build_scheme(
     kind: str,
     *,
@@ -305,41 +316,25 @@ def build_scheme(
     tap_enabled: bool = False,
     ports: tuple[HomodyneChannel, ...] | list[HomodyneChannel] | None = None,
 ) -> SchemeInstance:
-    """Assemble a :class:`SchemeInstance` with per-kind defaults.
+    """Assemble a :class:`SchemeInstance` with default losses and ports.
 
     ``gain_g2`` is the gain of the single amplifier in the ``amp`` scheme
     and of the recombining amplifier in the ``sui`` scheme; ``gain_g1`` is
-    only meaningful for ``sui``.  Port LO phases default to 0 (signal),
-    pi/2 (idler) and pi/4 (tap), with efficiencies taken from ``losses``.
+    only meaningful for ``sui``.  Which gains a kind needs is checked by
+    :class:`SchemeInstance`.  Port LO phases default to 0 (signal), pi/2
+    (idler) and pi/4 (tap), with efficiencies taken from ``losses``.
     """
-    if kind not in SCHEME_KINDS:
-        raise ValueError(f"unknown scheme kind {kind!r}")
     losses = losses if losses is not None else LossBudget()
     if ports is None:
         ports = _default_ports(losses, tap_enabled)
-    opa1 = opa2 = None
-    if kind == "sui":
-        if gain_g1 is None or gain_g2 is None:
-            raise ValueError("the SU(1,1) scheme needs gain_g1 and gain_g2")
-        opa1 = OpaParams(gain_g1, 0.0)
-        opa2 = OpaParams(gain_g2, 0.0)
-    elif kind == "amp":
-        if gain_g2 is None:
-            raise ValueError("the amplifier scheme needs gain_g2")
-        if gain_g1 is not None:
-            raise ValueError("gain_g1 is not used by the amplifier scheme")
-        opa2 = OpaParams(gain_g2, 0.0)
-    else:
-        if gain_g1 is not None or gain_g2 is not None:
-            raise ValueError("the beam-splitter scheme takes no gains")
     return SchemeInstance(
         kind=kind,
         probe_photon_number=probe_photon_number,
         losses=losses,
         tones=tuple(tones),
         ports=tuple(ports),
-        opa1=opa1,
-        opa2_or_amp=opa2,
+        opa1=_amplifier("gain_g1", gain_g1),
+        opa2_or_amp=_amplifier("gain_g2", gain_g2),
         interferometer_phase=interferometer_phase,
         tap_enabled=tap_enabled,
     )

@@ -83,6 +83,12 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="unknown preset"):
             preset_config("fig9")
 
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
+    def test_resolved_config_reloads_to_itself(self, name):
+        resolved = load_config(preset_config(name)).resolved
+        for reloaded in (resolved, json.loads(json.dumps(resolved))):
+            assert load_config(reloaded).resolved == resolved
+
 
 class TestSnrCommand:
     def test_fig2_preset_report_fields(self, capsys):
@@ -143,6 +149,12 @@ class TestSnrCommand:
         code, _, _ = run_cli(capsys, "snr", "--preset", "fig2", "--out", out_dir)
         assert code == 0
         assert os.path.exists(os.path.join(out_dir, "snr_report.json"))
+
+    def test_out_override_lands_in_report(self, tmp_path, capsys):
+        out_dir = str(tmp_path / "results")
+        code, out, _ = run_cli(capsys, "snr", "--preset", "fig5", "--out", out_dir)
+        assert code == 0
+        assert json.loads(out)["resolved_config"]["output"]["directory"] == out_dir
 
 
 def small_sim_config():
@@ -323,6 +335,55 @@ class TestConfigRejections:
         code, _, err = run_cli(capsys, "snr", "--config", write_config(tmp_path, raw))
         assert code == 1
         assert "'ports.channels[2].name'" in err
+
+    @pytest.mark.parametrize("content", ['{"scheme": ', None], ids=["malformed-json", "missing-file"])
+    def test_unreadable_config_file_names_its_path(self, tmp_path, capsys, content):
+        path = tmp_path / "config.json"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        code, _, err = run_cli(capsys, "snr", "--config", str(path))
+        assert code == 1, err
+        assert err.startswith(f"config error: cannot read config file '{path}'")
+
+    @pytest.mark.parametrize("grid", ["0:1:x", "0.5,foo"])
+    def test_bad_grid_is_a_config_error(self, tmp_path, capsys, grid):
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys,
+            "sweep", "--preset", "fig2", "--out", str(out_dir),
+            "--param", "scheme.gain_g2", "--grid", grid,
+        )
+        assert code == 1, err
+        assert err.startswith("config error: --grid")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "section, changes, path",
+        [
+            ("scheme", {"gain_g2": None}, "scheme.gain_g2"),
+            ("scheme", {"kind": "amp", "compare_with": None}, "scheme.gain_g1"),
+            ("scheme", {"kind": "bs", "gain_g1": None, "compare_with": None}, "scheme.gain_g2"),
+            ("scheme", {"gain_g1": 0.5}, "scheme.gain_g1"),
+            ("scheme", {"gain_g2": 1e155}, "scheme.gain_g2"),
+            ("scheme", {"probe_photon_number": -1}, "scheme.probe_photon_number"),
+            ("scheme", {"kind": "mzi"}, "scheme.kind"),
+            ("losses", {"eta_internal": 0.0}, "losses.eta_internal"),
+        ],
+        ids=[
+            "sui-without-gain_g2", "gain_g1-on-amp", "gain-on-bs", "gain-below-one",
+            "gain-square-overflows", "negative-probe", "unknown-kind", "no-internal-transmission",
+        ],
+    )
+    def test_scheme_rejection_names_its_path(self, tmp_path, capsys, section, changes, path):
+        raw = preset_config("fig2")
+        for key, value in changes.items():
+            if value is None:
+                del raw[section][key]
+            else:
+                raw[section][key] = value
+        code, _, err = run_cli(capsys, "snr", "--config", write_config(tmp_path, raw))
+        assert code == 1, err
+        assert err.startswith(f"config error: config key '{path}': ")
 
     def test_negative_seed_override_rejected(self, capsys):
         code, _, err = run_cli(capsys, "snr", "--preset", "fig2", "--seed", "-1")
