@@ -23,6 +23,7 @@ from .config import (
     ConfigError,
     PRESET_NAMES,
     RunConfig,
+    check_sweep_parameter,
     load_config,
     preset_config,
     set_parameter,
@@ -249,6 +250,7 @@ def cmd_simulate(cfg: RunConfig) -> dict:
 
 
 def cmd_sweep(cfg: RunConfig, parameter: str, grid: list[float]) -> dict:
+    check_sweep_parameter(parameter)
     out_dir = cfg.output_dir or "out"
     os.makedirs(out_dir, exist_ok=True)
 

@@ -339,12 +339,17 @@ def load_config(source: str | dict) -> RunConfig:
     )
 
 
-def set_parameter(raw: dict, path: str, value: float) -> dict:
-    """Copy of ``raw`` with one sweepable config path replaced."""
+def check_sweep_parameter(path: str) -> None:
+    """Raise :class:`ConfigError` unless ``path`` is in :data:`SWEEP_PARAMETERS`."""
     if path not in SWEEP_PARAMETERS:
         raise ConfigError(
             f"unknown sweep parameter '{path}'; valid parameters: {', '.join(SWEEP_PARAMETERS)}"
         )
+
+
+def set_parameter(raw: dict, path: str, value: float) -> dict:
+    """Copy of ``raw`` with one sweepable config path replaced."""
+    check_sweep_parameter(path)
     out = copy.deepcopy(raw)
     section, key = path.split(".")
     out.setdefault(section, {})[key] = value

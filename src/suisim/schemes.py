@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -52,6 +53,11 @@ PORT_TAP = "tap"
 
 # Depths beyond this strain the first-order (pure displacement) modulation model.
 WEAK_MODULATION_BOUND = 0.05
+
+# Largest output moment (covariance entry or squared mean field) a scheme
+# may have: the float range, less headroom for the sums of moments formed
+# downstream, such as the lock's sum over its scan of total photon numbers.
+_MAX_MOMENT = sys.float_info.max / 2**16
 
 
 class ParameterError(ValueError):
@@ -251,6 +257,7 @@ class SchemeInstance:
         elif self.opa1 is not None or self.opa2_or_amp is not None:
             given = "scheme.gain_g1" if self.opa1 is not None else "scheme.gain_g2"
             raise ParameterError(given, "the beam-splitter scheme takes no gains")
+        self._check_moments()
         freqs = [t.frequency_hz for t in self.tones]
         for i, frequency in enumerate(freqs):
             if frequency in freqs[:i]:
@@ -272,6 +279,41 @@ class SchemeInstance:
         )
         object.__setattr__(self, "tones", tuple(self.tones))
         object.__setattr__(self, "ports", tuple(self.ports))
+
+    def _check_moments(self) -> None:
+        """Reject a scheme whose output covariance or mean field would overflow
+        a float, naming the setting that drives it.
+
+        Beam splitters and losses attenuate, and an amplifier of gain G scales
+        an amplitude by at most G + g.  So the output covariance is at most the
+        product of (G + g)^2, and the output mean field at most the last
+        amplifier's G + g times the field entering it: the probe's 2 sqrt(N),
+        2 sqrt(N) depth per tone and, in ``sui``, the idler's field, below
+        2 sqrt(N / eta_internal) since the seed is back-solved through the loss.
+        """
+        g1, g2 = (1.0 if a is None else a.gain + a.conjugate_gain for a in (self.opa1, self.opa2_or_amp))
+        if (g1 * g2) * (g1 * g2) > _MAX_MOMENT:
+            raise ParameterError(
+                "scheme.gain_g1" if g1 > g2 else "scheme.gain_g2",
+                f"the gains amplify the output covariance up to ({g1 * g2:.3g})^2, "
+                f"beyond the largest state moment {_MAX_MOMENT:.3g}",
+            )
+        root_n = math.sqrt(self.probe_photon_number)
+        probe = 2.0 * root_n
+        if self.kind == "sui" and self.probe_photon_number > 0:
+            probe += 2.0 * math.sqrt(self.probe_photon_number / self.losses.eta_internal)
+        field = (probe + 2.0 * root_n * sum(t.depth for t in self.tones)) * g2
+        if field * field > _MAX_MOMENT:
+            # Name the largest of the factors that the bound multiplies.
+            factors = {"scheme.gain_g2": g2, "scheme.probe_photon_number": 2.0 * root_n}
+            if self.kind == "sui":
+                factors["losses.eta_internal"] = 1.0 / math.sqrt(self.losses.eta_internal)
+            factors.update({f"tones[{i}].depth": t.depth for i, t in enumerate(self.tones)})
+            raise ParameterError(
+                max(factors, key=factors.get),
+                f"the output mean field reaches up to {field:.3g}, whose square is beyond "
+                f"the largest state moment {_MAX_MOMENT:.3g}",
+            )
 
     @property
     def n_modes(self) -> int:

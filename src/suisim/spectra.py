@@ -58,16 +58,37 @@ def _bin_mask(freq: np.ndarray, bin_width: float, centre: float, halfwidth_bins:
     return np.abs(freq - centre) <= halfwidth_bins * bin_width + 1e-9
 
 
-def _floor_bins(freq: np.ndarray, bin_width: float, f0: float, exclude) -> np.ndarray:
-    """Bins the floor under the tone at ``f0`` is read from: its +-5-bin
-    annulus outside the peak window, less the neighbourhood of every other
-    tone in ``exclude``."""
-    annulus = _bin_mask(freq, bin_width, f0, _EXCLUDE_HALFWIDTH_BINS)
-    annulus &= ~_bin_mask(freq, bin_width, f0, _PEAK_HALFWIDTH_BINS)
-    for f in exclude:
+def _readout_bins(freq: np.ndarray, bin_width: float, f0: float, tones) -> tuple[np.ndarray, np.ndarray]:
+    """``(window, floor)``, the bins of ``freq`` that read the tone at ``f0``:
+    its +-1.5-bin peak window, and its +-5-bin annulus less the window and
+    the +-5-bin neighbourhoods of the other ``tones``.
+
+    The one readout rule, applied by the readers and by :func:`check_readout`.
+    Raises :class:`ParameterError` named ``rbw_hz`` when ``f0`` lies outside
+    the bins, another tone reaches into its window, or no floor bin is left.
+    """
+    if not freq[0] <= f0 <= freq[-1]:
+        raise ParameterError(
+            "rbw_hz",
+            f"the tone at {f0} Hz lies outside the spectrum span, up to the last bin at {freq[-1]:.6g} Hz",
+        )
+    for f in tones:
+        if f != f0 and _tones_collide(f0, f, bin_width):
+            raise ParameterError(
+                "rbw_hz", f"the tone at {f0} Hz is ambiguous: the tone at {f} Hz overlaps its readout window"
+            )
+    window = _bin_mask(freq, bin_width, f0, _PEAK_HALFWIDTH_BINS)
+    floor = _bin_mask(freq, bin_width, f0, _EXCLUDE_HALFWIDTH_BINS) & ~window
+    for f in tones:
         if f != f0:
-            annulus &= ~_bin_mask(freq, bin_width, f, _EXCLUDE_HALFWIDTH_BINS)
-    return annulus
+            floor &= ~_bin_mask(freq, bin_width, f, _EXCLUDE_HALFWIDTH_BINS)
+    if not floor.any():
+        raise ParameterError(
+            "rbw_hz",
+            f"{bin_width:.6g} Hz bins let the other tones' neighbourhoods cover "
+            f"the whole floor annulus of the tone at {f0} Hz",
+        )
+    return window, floor
 
 
 # Welch steps per streamed block.  At the default settings a block is 16k
@@ -159,32 +180,21 @@ def check_readout(
     """:func:`check_sampling`, and further that every tone can be read off the
     Welch spectrum by :func:`extract_peak_snr` and :func:`tone_power`.
 
-    No tone may lie above the last bin, which falls short of Nyquist when
-    the segment length is odd, and no tone may have its whole floor annulus
-    covered by the neighbourhoods of the others.  Raises
+    It runs the readers' own rule on each tone's bins, so it rejects exactly
+    the tone plans they cannot read: a tone above the last bin, which falls
+    short of Nyquist when the segment length is odd, and a tone whose whole
+    floor annulus the neighbourhoods of the others cover.  Raises
     :class:`ParameterError` named ``rbw_hz`` for either.
     """
     n_samples = check_sampling(duration, sample_rate, rbw, tone_frequencies)
     nperseg = _segment_length(sample_rate, rbw, n_samples)
     bin_width = _bin_width(sample_rate, nperseg)
-    last_bin = nperseg // 2
     reach = math.ceil(_EXCLUDE_HALFWIDTH_BINS) + 1
     for f in tone_frequencies:
-        if f > last_bin * bin_width:
-            raise ParameterError(
-                "rbw_hz",
-                f"rbw {rbw} Hz gives {nperseg}-sample segments whose last bin, at "
-                f"{last_bin * bin_width:.6g} Hz, lies below the tone at {f} Hz",
-            )
         # The spectrum's bins around f, as np.fft.rfftfreq computes them.
         centre = round(f / bin_width)
-        bins = np.arange(max(0, centre - reach), min(last_bin, centre + reach) + 1)
-        if not np.any(_floor_bins(bins * bin_width, bin_width, f, tone_frequencies)):
-            raise ParameterError(
-                "rbw_hz",
-                f"rbw {rbw} Hz gives {bin_width:.6g} Hz bins, so the neighbourhoods of the "
-                f"other tones cover the whole floor annulus of the tone at {f} Hz",
-            )
+        bins = np.arange(max(0, centre - reach), min(nperseg // 2, centre + reach) + 1)
+        _readout_bins(bins * bin_width, bin_width, f, tone_frequencies)
     return n_samples
 
 
@@ -506,27 +516,6 @@ def shot_noise_calibration(
     return float(1.0 / np.mean(interior))
 
 
-def _annulus_floor(spec: Spectrum, f0: float, exclude: tuple[float, ...]) -> float:
-    annulus = _floor_bins(spec.freq, spec.bin_width, f0, exclude)
-    if not np.any(annulus):
-        raise ValueError(
-            "no clean bins left around the peak to estimate the floor; "
-            "use a finer rbw or fewer exclusions"
-        )
-    return float(np.median(spec.psd_snu[annulus]))
-
-
-def _check_peak_request(spec: Spectrum, f0: float, exclude: tuple[float, ...]) -> None:
-    if not spec.freq[0] <= f0 <= spec.freq[-1]:
-        raise ValueError(f"peak frequency {f0} Hz lies outside the spectrum span")
-    for f in exclude:
-        if f != f0 and _tones_collide(f0, f, spec.bin_width):
-            raise ValueError(
-                f"peak at {f0} Hz is ambiguous: the excluded tone at {f} Hz "
-                "overlaps its readout window"
-            )
-
-
 def extract_peak_snr(spec: Spectrum, f0: float, exclude: tuple[float, ...] = ()) -> float:
     """Trace-style SNR: peak PSD near ``f0`` over the median local floor.
 
@@ -534,10 +523,9 @@ def extract_peak_snr(spec: Spectrum, f0: float, exclude: tuple[float, ...] = ())
     and any ``exclude`` tones masked.  On pure noise the estimate sits a
     few percent above 1 because the numerator is a maximum over bins.
     """
-    _check_peak_request(spec, f0, exclude)
-    window = _bin_mask(spec.freq, spec.bin_width, f0, _PEAK_HALFWIDTH_BINS)
+    window, floor = _readout_bins(spec.freq, spec.bin_width, f0, exclude)
     peak = float(np.max(spec.psd_snu[window]))
-    return peak / _annulus_floor(spec, f0, exclude)
+    return peak / float(np.median(spec.psd_snu[floor]))
 
 
 def tone_power(spec: Spectrum, f0: float, exclude: tuple[float, ...] = ()) -> float:
@@ -547,10 +535,8 @@ def tone_power(spec: Spectrum, f0: float, exclude: tuple[float, ...] = ()) -> fl
     amplitude A returns A^2/2 exactly when centred on a bin and within 1%
     at the worst bin offset (Hann window).
     """
-    _check_peak_request(spec, f0, exclude)
-    window = _bin_mask(spec.freq, spec.bin_width, f0, _PEAK_HALFWIDTH_BINS)
-    floor = _annulus_floor(spec, f0, exclude)
-    excess = np.sum(spec.psd_snu[window] - floor) * spec.bin_width
+    window, floor = _readout_bins(spec.freq, spec.bin_width, f0, exclude)
+    excess = np.sum(spec.psd_snu[window] - float(np.median(spec.psd_snu[floor]))) * spec.bin_width
     return float(excess / spec.span)
 
 

@@ -2,6 +2,8 @@ import copy
 import json
 import math
 import os
+import struct
+import sys
 
 import pytest
 
@@ -23,6 +25,17 @@ def write_config(tmp_path, raw, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw), encoding="utf-8")
     return str(path)
+
+
+def _changed_preset(name, section, changes):
+    """A preset with ``changes`` applied to one section; None deletes a key."""
+    raw = preset_config(name)
+    for key, value in changes.items():
+        if value is None:
+            del raw[section][key]
+        else:
+            raw[section][key] = value
+    return raw
 
 
 def run_cli(capsys, *argv):
@@ -289,12 +302,16 @@ class TestSweepCommand:
 
     def test_unknown_parameter_lists_valid_paths(self, tmp_path, capsys):
         path = write_config(tmp_path, copy.deepcopy(BS_CONFIG))
-        code, _, err = run_cli(
-            capsys,
-            "sweep", "--config", path, "--param", "scheme.bogus", "--grid", "1:2:2",
-        )
-        assert code == 1
-        assert "losses.eta_signal_det" in err
+        out_dir = tmp_path / "out"
+        # An empty grid never reaches a grid point, so the path is checked first.
+        for grid in ("1:2:2", "0:1:0", ""):
+            code, _, err = run_cli(
+                capsys,
+                "sweep", "--config", path, "--out", str(out_dir), "--param", "scheme.bogus", "--grid", grid,
+            )
+            assert code == 1, grid
+            assert "losses.eta_signal_det" in err
+            assert not out_dir.exists()
 
 
 class TestConfigRejections:
@@ -368,22 +385,60 @@ class TestConfigRejections:
             ("scheme", {"probe_photon_number": -1}, "scheme.probe_photon_number"),
             ("scheme", {"kind": "mzi"}, "scheme.kind"),
             ("losses", {"eta_internal": 0.0}, "losses.eta_internal"),
+            # Each of these overflowed a state moment in the lock (exit 2).
+            ("scheme", {"gain_g2": 1e152}, "scheme.gain_g2"),
+            ("scheme", {"gain_g2": 1e153}, "scheme.gain_g2"),
+            ("scheme", {"gain_g2": 1e154}, "scheme.gain_g2"),
+            ("scheme", {"kind": "amp", "compare_with": None, "gain_g1": None, "gain_g2": 1e154}, "scheme.gain_g2"),
+            ("scheme", {"probe_photon_number": 1e307}, "scheme.probe_photon_number"),
+            ("losses", {"eta_internal": 1e-310}, "losses.eta_internal"),
         ],
         ids=[
             "sui-without-gain_g2", "gain_g1-on-amp", "gain-on-bs", "gain-below-one",
             "gain-square-overflows", "negative-probe", "unknown-kind", "no-internal-transmission",
+            "sui-gain_g2-1e152", "sui-gain_g2-1e153", "sui-gain_g2-1e154", "amp-gain_g2-1e154",
+            "probe-1e307", "eta_internal-1e-310",
         ],
     )
     def test_scheme_rejection_names_its_path(self, tmp_path, capsys, section, changes, path):
-        raw = preset_config("fig2")
-        for key, value in changes.items():
-            if value is None:
-                del raw[section][key]
-            else:
-                raw[section][key] = value
+        raw = _changed_preset("fig2", section, changes)
         code, _, err = run_cli(capsys, "snr", "--config", write_config(tmp_path, raw))
         assert code == 1, err
         assert err.startswith(f"config error: config key '{path}': ")
+
+    @pytest.mark.parametrize(
+        "changes, path",
+        [
+            ({}, "scheme.gain_g1"),
+            ({}, "scheme.gain_g2"),
+            ({"kind": "amp", "compare_with": None, "gain_g1": None}, "scheme.gain_g2"),
+            ({}, "scheme.probe_photon_number"),
+        ],
+        ids=["sui-gain_g1", "sui-gain_g2", "amp-gain_g2", "sui-probe"],
+    )
+    def test_largest_accepted_value_runs(self, tmp_path, capsys, changes, path):
+        # Bisect on the bit patterns of positive floats, which sort like the floats.
+        raw = _changed_preset("fig2", "scheme", changes)
+        key = path.split(".")[1]
+        to_bits = lambda x: struct.unpack("<q", struct.pack("<d", x))[0]
+        to_float = lambda n: struct.unpack("<d", struct.pack("<q", n))[0]
+        accepted, rejected = to_bits(raw["scheme"][key]), to_bits(sys.float_info.max)
+        while rejected - accepted > 1:
+            middle = (accepted + rejected) // 2
+            raw["scheme"][key] = to_float(middle)
+            try:
+                load_config(raw)
+                accepted = middle
+            except ConfigError as exc:
+                assert f"'{path}'" in str(exc)
+                rejected = middle
+        raw["scheme"][key] = to_float(accepted)
+        code, out, err = run_cli(capsys, "snr", "--config", write_config(tmp_path, raw))
+        assert code == 0, err
+        assert "NaN" not in out and "Infinity" not in out
+        raw["scheme"][key] = to_float(rejected)
+        code, _, err = run_cli(capsys, "snr", "--config", write_config(tmp_path, raw))
+        assert code == 1 and f"'{path}'" in err
 
     def test_negative_seed_override_rejected(self, capsys):
         code, _, err = run_cli(capsys, "snr", "--preset", "fig2", "--seed", "-1")

@@ -17,6 +17,7 @@ from suisim.schemes import (
     HomodyneChannel,
     LossBudget,
     ModulationTone,
+    ParameterError,
     SchemeInstance,
     build_scheme,
     enhancement_report,
@@ -112,6 +113,15 @@ class TestBuilders:
                 gain_g2=9.0,
                 losses=LossBudget(eta_internal=0.0),
             )
+
+    def test_overflowing_mean_field_names_its_largest_factor(self):
+        with pytest.warns(UserWarning, match="weak-modulation"), pytest.raises(ParameterError) as info:
+            build_scheme(
+                "bs",
+                probe_photon_number=1e4,
+                tones=(ModulationTone(AM, 0.01, 0.0), ModulationTone(PM, 1e300, 0.0)),
+            )
+        assert info.value.name == "tones[1].depth"
 
     def test_duplicate_tone_frequencies_rejected(self):
         with pytest.raises(ValueError, match="unique"):

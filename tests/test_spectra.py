@@ -384,13 +384,18 @@ class TestPeakExtraction:
         verdicts = set()
         for nperseg in npersegs:
             spec = Spectrum(np.fft.rfftfreq(nperseg, 1.0 / fs), np.ones(nperseg // 2 + 1), fs / nperseg, 1)
-            try:
-                for f in tones:
-                    extract_peak_snr(spec, f, exclude=tones)
-                    tone_power(spec, f, exclude=tones)
-                readable = True
-            except ValueError:
-                readable = False
+            rejections = []
+            for reader in (extract_peak_snr, tone_power):
+                try:
+                    for f in tones:
+                        reader(spec, f, exclude=tones)
+                except ValueError as exc:
+                    rejections.append(exc)
+            # Both readers apply the load-time rule and name its parameter.
+            assert len(rejections) in (0, 2), rejections
+            for exc in rejections:
+                assert isinstance(exc, ParameterError) and exc.name == "rbw_hz", exc
+            readable = not rejections
             verdicts.add(readable)
             if readable:
                 check_readout(0.01, fs, fs / nperseg, tones)
