@@ -290,7 +290,15 @@ class SchemeInstance:
         amplifier's G + g times the field entering it: the probe's 2 sqrt(N),
         2 sqrt(N) depth per tone and, in ``sui``, the idler's field, below
         2 sqrt(N / eta_internal) since the seed is back-solved through the loss.
+        A tone depth is squared on its own too (the closed-form SNRs), so its
+        square is bounded whatever the probe.
         """
+        for i, tone in enumerate(self.tones):
+            if tone.depth * tone.depth > _MAX_MOMENT:
+                raise ParameterError(
+                    f"tones[{i}].depth",
+                    f"the depth {tone.depth:.3g} squares beyond the largest state moment {_MAX_MOMENT:.3g}",
+                )
         g1, g2 = (1.0 if a is None else a.gain + a.conjugate_gain for a in (self.opa1, self.opa2_or_amp))
         if (g1 * g2) * (g1 * g2) > _MAX_MOMENT:
             raise ParameterError(

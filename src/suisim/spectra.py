@@ -5,7 +5,10 @@ its deterministic tone sinusoids (amplitudes taken from the single-shot
 engine, detector efficiency included) on top of white Gaussian noise whose
 joint covariance across ports equals the output-state covariance.  The
 flat noise floors this produces match the measured spectra over the band
-of interest; no coloured-noise model is attempted.
+of interest; no coloured-noise model is attempted.  The tone sinusoids and
+the lock-in reference are read off fixed-grid phasors
+(:class:`_GridPhasor`) rather than a per-sample ``sin`` or ``exp``; they
+equal ``np.sin(omega * (n / fs))`` up to the rounding of the angle.
 
 Spectra are Welch periodograms (Hann window, 50% overlap, one sided)
 normalised so unit-variance white noise sits at 1, i.e. the shot-noise
@@ -254,14 +257,62 @@ class CombineParams:
             raise ValueError("balance gain k must be finite and positive")
 
 
+# Samples per row of the grid that tones and the lock-in reference are read
+# from (see _GridPhasor): one row of cos and sin is 64 kB, and the Python
+# work per row is small next to 4096 samples.
+_GRID = 4096
+
+
+class _GridPhasor:
+    """``cos`` and ``sin`` of ``omega n / fs`` at sample indices ``n``, off a fixed grid.
+
+    With ``n = q L + r`` and ``L = _GRID``, the angle is ``theta_q + phi_r``:
+    ``phi_r = omega (r / fs)`` is one row of ``L`` angles whose cos and sin
+    are taken once, and ``theta_q = omega (q L / fs)`` one angle per grid
+    row; the angle-addition formulas join them.  A sample's value depends on
+    ``n`` alone, so any blocking of a record gives the same samples bit for
+    bit.  They differ from ``np.sin(omega * (n / fs))`` by the rounding of
+    the angle, a few ``eps * omega n / fs``.
+    """
+
+    def __init__(self, frequency_hz: float, sample_rate: float):
+        self.omega = 2.0 * math.pi * frequency_hz
+        self.sample_rate = sample_rate
+        phi = self.omega * (np.arange(_GRID) / sample_rate)
+        self.cos_phi, self.sin_phi = np.cos(phi), np.sin(phi)
+
+    def _join(self, start: int, m: int, weights) -> np.ndarray:
+        """``a_q cos(phi_r) + b_q sin(phi_r)`` for the ``m`` samples from
+        ``n = start``, with ``(a_q, b_q) = weights(theta_q)``."""
+        out = np.empty(m)
+        # row is q L, the first sample of each grid row the m samples reach.
+        for row in range(start - start % _GRID, start + m, _GRID):
+            lo, hi = max(row, start), min(row + _GRID, start + m)
+            a, b = weights(self.omega * (row / self.sample_rate))
+            r = slice(lo - row, hi - row)
+            out[lo - start : hi - start] = a * self.cos_phi[r] + b * self.sin_phi[r]
+        return out
+
+    def sin(self, start: int, m: int) -> np.ndarray:
+        """``sin(omega n / fs)`` for the ``m`` samples from ``n = start``."""
+        return self._join(start, m, lambda theta: (math.sin(theta), math.cos(theta)))
+
+    def cos(self, start: int, m: int) -> np.ndarray:
+        """``cos(omega n / fs)`` for the ``m`` samples from ``n = start``."""
+        return self._join(start, m, lambda theta: (math.cos(theta), -math.sin(theta)))
+
+
 def _synthesize(model: MeasurementModel, n_samples: int, sample_rate: float, seed: int, block: int):
     """Yield ``(start, samples)``: the joint port record in blocks of ``block`` samples.
 
     ``samples`` has one row per port.  Each block takes one normal draw
-    coloured by the port covariance, and each tone's sinusoid is computed
-    once per block and added to every port it reaches.  Successive draws
-    from one generator equal one draw of the whole record, so the blocks
-    join into the same samples bit for bit whatever ``block`` is.
+    coloured by the port covariance, and adds each tone's sinusoid, read
+    off its :class:`_GridPhasor`, to every port at once.  Successive draws
+    from one generator equal one draw of the whole record, and a tone's
+    samples depend only on their index, so the blocks join into the same
+    samples bit for bit whatever ``block`` is.  A tone's samples differ from
+    ``np.sin`` of the angle by the angle's rounding: at most 1.7e-9 over
+    8M samples of a 1.2 MHz tone at 10 MHz, 6.9e-9 at 4.9 MHz.
     """
     try:
         factor = np.linalg.cholesky(model.noise_cov)
@@ -271,19 +322,16 @@ def _synthesize(model: MeasurementModel, n_samples: int, sample_rate: float, see
         factor = vecs @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
     rng = np.random.default_rng(seed)
     waves = [
-        (2.0 * math.pi * frequency, amps)
+        (_GridPhasor(frequency, sample_rate), np.array(amps)[:, None])
         for frequency, amps in model.tone_amplitudes.items()
         if any(a != 0.0 for a in amps)
     ]
     for start in range(0, n_samples, block):
         m = min(block, n_samples - start)
-        samples = (rng.standard_normal((m, len(model.port_names))) @ factor.T).T
-        t = np.arange(start, start + m) / sample_rate
-        for omega, amps in waves:
-            wave = np.sin(omega * t)
-            for row, amp in zip(samples, amps):
-                if amp != 0.0:
-                    row += amp * wave
+        # (ports, m) and C-contiguous; bit for bit the rows of z @ factor.T.
+        samples = factor @ rng.standard_normal((m, len(model.port_names))).T
+        for phasor, amps in waves:
+            samples += amps * phasor.sin(start, m)
         yield start, samples
 
 
@@ -354,11 +402,14 @@ class _WelchSums:
 
 
 class _LockIn:
-    """Running lock-in sums of a pair of records at one frequency, for :func:`calibrate_k`."""
+    """Running lock-in sums of a pair of records at one frequency, for :func:`calibrate_k`.
+
+    The reference ``exp(-i omega n / fs)`` is read off a :class:`_GridPhasor`.
+    """
 
     def __init__(self, frequency_hz: float, sample_rate: float):
         self.frequency_hz = frequency_hz
-        self.sample_rate = sample_rate
+        self.reference = _GridPhasor(frequency_hz, sample_rate)
         self.z = np.zeros(2, dtype=complex)
         self.total = np.zeros(2)
         self.squares = np.zeros(2)
@@ -366,8 +417,8 @@ class _LockIn:
 
     def feed(self, start: int, pair: np.ndarray) -> None:
         """Add the block of both records that begins at sample ``start``."""
-        t = np.arange(start, start + pair.shape[1]) / self.sample_rate
-        self.z += pair @ np.exp(-2j * math.pi * self.frequency_hz * t)
+        m = pair.shape[1]
+        self.z += pair @ self.reference.cos(start, m) - 1j * (pair @ self.reference.sin(start, m))
         self.total += pair.sum(axis=1)
         self.squares += np.einsum("ij,ij->i", pair, pair)
         self.n += pair.shape[1]

@@ -28,14 +28,19 @@ def write_config(tmp_path, raw, name="config.json"):
 
 
 def _changed_preset(name, section, changes):
-    """A preset with ``changes`` applied to one section; None deletes a key."""
+    """A preset with ``changes`` applied to one section, or to the whole
+    config when ``section`` is None; None deletes a key."""
     raw = preset_config(name)
+    target = raw if section is None else raw[section]
     for key, value in changes.items():
         if value is None:
-            del raw[section][key]
+            del target[key]
         else:
-            raw[section][key] = value
+            target[key] = value
     return raw
+
+
+_HUGE_DEPTH = [{"frequency_hz": 800000.0, "depth": 1e300, "angle_rad": 0.0}]
 
 
 def run_cli(capsys, *argv):
@@ -392,12 +397,19 @@ class TestConfigRejections:
             ("scheme", {"kind": "amp", "compare_with": None, "gain_g1": None, "gain_g2": 1e154}, "scheme.gain_g2"),
             ("scheme", {"probe_photon_number": 1e307}, "scheme.probe_photon_number"),
             ("losses", {"eta_internal": 1e-310}, "losses.eta_internal"),
+            # A huge depth with no probe squared the depth in the closed form (exit 2).
+            (None, {"scheme": {"kind": "bs", "probe_photon_number": 0.0}, "tones": _HUGE_DEPTH}, "tones[0].depth"),
+            (
+                None,
+                {"scheme": {"kind": "sui", "probe_photon_number": 0.0, "gain_g1": 2.0, "gain_g2": 9.0}, "tones": _HUGE_DEPTH},
+                "tones[0].depth",
+            ),
         ],
         ids=[
             "sui-without-gain_g2", "gain_g1-on-amp", "gain-on-bs", "gain-below-one",
             "gain-square-overflows", "negative-probe", "unknown-kind", "no-internal-transmission",
             "sui-gain_g2-1e152", "sui-gain_g2-1e153", "sui-gain_g2-1e154", "amp-gain_g2-1e154",
-            "probe-1e307", "eta_internal-1e-310",
+            "probe-1e307", "eta_internal-1e-310", "bs-depth-1e300-no-probe", "sui-depth-1e300-no-probe",
         ],
     )
     def test_scheme_rejection_names_its_path(self, tmp_path, capsys, section, changes, path):

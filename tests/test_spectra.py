@@ -37,6 +37,7 @@ from suisim.spectra import (
     tone_power,
     welch_psd,
 )
+from suisim.spectra import _GridPhasor, _LockIn
 
 AM = 0.8e6
 PM = 1.2e6
@@ -197,19 +198,19 @@ def preset_run_config(name):
 
 
 def single_draw_records(scheme, duration, sample_rate, seed):
-    """Reference synthesis: one (n, ports) draw and one sin per (port, tone)."""
+    """Reference synthesis: one (n, ports) draw and one whole-record phasor
+    sine per (port, tone)."""
     model = measurement_model(scheme)
     n = int(round(duration * sample_rate))
     factor = np.linalg.cholesky(model.noise_cov)
     noise = np.random.default_rng(seed).standard_normal((n, len(model.port_names))) @ factor.T
-    t = np.arange(n) / sample_rate
     records = {}
     for idx, name in enumerate(model.port_names):
         waveform = noise[:, idx].copy()
         for tone in scheme.tones:
             amp = model.tone_amplitudes[tone.frequency_hz][idx]
             if amp != 0.0:
-                waveform += amp * np.sin(2.0 * math.pi * tone.frequency_hz * t)
+                waveform += amp * _GridPhasor(tone.frequency_hz, sample_rate).sin(0, n)
         records[name] = waveform
     return records
 
@@ -290,6 +291,36 @@ class TestStreamedPass:
             )
             peaks[duration] = int(result.stdout)
         assert peaks["0.8"] <= 1.25 * peaks["0.2"], peaks
+
+
+class TestGridPhasor:
+    N_MAX = 8_000_000
+    FS = 10e6
+
+    @pytest.mark.parametrize("frequency", [0.8e6, 1.2e6, 4.9e6])
+    def test_matches_numpy_to_phase_rounding(self, frequency):
+        phasor = _GridPhasor(frequency, self.FS)
+        omega = 2.0 * math.pi * frequency
+        bound = 8 * np.finfo(float).eps * omega * self.N_MAX / self.FS
+        # Chunks off the grid rows, so every offset into a row is read.
+        chunk = 1_000_003
+        for start in range(0, self.N_MAX, chunk):
+            m = min(chunk, self.N_MAX - start)
+            angle = omega * (np.arange(start, start + m) / self.FS)
+            assert np.max(np.abs(phasor.sin(start, m) - np.sin(angle))) <= bound
+            assert np.max(np.abs(phasor.cos(start, m) - np.cos(angle))) <= bound
+
+    def test_lock_in_balance_gain_matches_numpy_reference(self):
+        cfg = preset_run_config("fig5")
+        f = cfg.sim.combine.calibration_tone_hz
+        records = simulate_currents(cfg.scheme, 0.05, seed=cfg.sim.seed)
+        i1, i3 = records["signal"], records["tap"]
+        reference = np.exp(-2j * math.pi * f * (np.arange(i1.samples.size) / i1.sample_rate))
+        expected = abs(i1.samples @ reference) / abs(i3.samples @ reference)
+        lock_in = _LockIn(f, i1.sample_rate)
+        lock_in.feed(0, np.stack((i1.samples, i3.samples)))
+        assert lock_in.balance_gain(("signal", "tap")) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert calibrate_k(i1, i3, f) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_package_import_does_not_load_scipy():
