@@ -21,6 +21,14 @@ _SYMMETRY_TOL = 1e-12
 _UNCERTAINTY_TOL = 1e-12
 
 
+def _check_gain(gain: float) -> None:
+    """The amplifier gain rules: G >= 1 (NaN fails it) and G^2 is a finite float."""
+    if not (gain >= 1.0):
+        raise ValueError(f"amplifier gain must be >= 1, got {gain}")
+    if gain * gain > sys.float_info.max:
+        raise ValueError(f"amplifier gain {gain} is too large: its square overflows")
+
+
 @dataclasses.dataclass(frozen=True)
 class OpaParams:
     """Two-mode squeezer settings.
@@ -33,10 +41,7 @@ class OpaParams:
     pump_phase: float = 0.0
 
     def __post_init__(self):
-        if not (self.gain >= 1.0):
-            raise ValueError(f"amplifier gain must be >= 1, got {self.gain}")
-        if self.gain * self.gain > sys.float_info.max:
-            raise ValueError(f"amplifier gain {self.gain} is too large: its square overflows")
+        _check_gain(self.gain)
 
     @property
     def conjugate_gain(self) -> float:
@@ -76,6 +81,9 @@ class GaussianState:
         asym = np.abs(cov - cov_t).max()
         if asym > _SYMMETRY_TOL:
             raise ValueError(f"covariance matrix is not symmetric (defect {asym:.3e})")
+        # Not redundant for a covariance that is already symmetric: entries
+        # above half the float range make cov + cov.T inf, and this is where
+        # such a state is caught.
         cov = 0.5 * (cov + cov_t)
         scale = np.abs(cov).max()
         if scale == math.inf:
@@ -123,7 +131,8 @@ def two_mode_squeezer_matrix(gain: float, pump_phase: float = 0.0) -> np.ndarray
     ``Xa' = G Xa + g Xb`` and ``Ya' = G Ya - g Yb``, which is what makes
     X sums and Y differences of the two modes correlated.
     """
-    g = OpaParams(gain, pump_phase).conjugate_gain
+    _check_gain(gain)
+    g = math.sqrt(gain**2 - 1.0)  # as in OpaParams.conjugate_gain
     gc, gs = g * math.cos(pump_phase), g * math.sin(pump_phase)
     return np.array(
         [
@@ -166,11 +175,17 @@ def phase_shift_matrix(theta: float) -> np.ndarray:
 
 
 def _embed(block: np.ndarray, n_modes: int, *modes: int) -> np.ndarray:
-    """Identity on ``n_modes`` modes except ``block`` acting on ``modes``."""
+    """Identity on ``n_modes`` modes except ``block`` acting on ``modes``.
+
+    A block that already acts on every mode in order is returned itself,
+    not a copy.
+    """
     for mode in modes:
         _check_mode(n_modes, mode)
     if len(set(modes)) != len(modes):
         raise ValueError(f"a two-mode element needs two distinct modes, got {modes}")
+    if modes == tuple(range(n_modes)):
+        return block
     full = np.eye(2 * n_modes)
     for i, a in enumerate(modes):
         for j, b in enumerate(modes):

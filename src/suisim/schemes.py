@@ -25,6 +25,7 @@ off the model, and physicality is checked once, on the output state.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import sys
 import warnings
@@ -43,7 +44,6 @@ from .gaussian import (
     mean_photon_number,
     phase_shift_matrix,
     two_mode_squeezer_matrix,
-    vacuum_state,
 )
 
 SCHEME_KINDS = ("bs", "sui", "amp")
@@ -111,20 +111,36 @@ class Loss:
 
 Element = Displace | TwoModeSqueeze | Splitter | PhaseShift | Loss
 
+# Element channels kept by _element_channel.  A lock's phase scan varies only
+# the recombining amplifier, so the other elements of its pipelines are built
+# once per lock.  Each entry holds one or two 2n x 2n arrays (6x6 for a
+# scheme with a tap).
+_ELEMENT_CACHE_SIZE = 64
 
+
+@functools.lru_cache(maxsize=_ELEMENT_CACHE_SIZE)
 def _element_channel(n_modes: int, element: Element) -> tuple[np.ndarray, np.ndarray | float]:
-    """Transfer matrix and added noise of one element other than a displacement."""
+    """Transfer matrix and added noise of one element other than a displacement.
+
+    Memoised on ``(n_modes, element)``; the arrays are shared between calls
+    and therefore read-only.
+    """
+    noise = 0.0
     if isinstance(element, TwoModeSqueeze):
         s4 = two_mode_squeezer_matrix(element.gain, element.pump_phase)
-        return _embed(s4, n_modes, element.mode_a, element.mode_b), 0.0
-    if isinstance(element, Splitter):
+        transfer = _embed(s4, n_modes, element.mode_a, element.mode_b)
+    elif isinstance(element, Splitter):
         s4 = beam_splitter_matrix(element.transmissivity, element.phase)
-        return _embed(s4, n_modes, element.mode_a, element.mode_b), 0.0
-    if isinstance(element, PhaseShift):
-        return _embed(phase_shift_matrix(element.theta), n_modes, element.mode), 0.0
-    if isinstance(element, Loss):
-        return loss_channel(n_modes, element.mode, element.eta)
-    raise ValueError(f"unsupported pipeline element: {element!r}")
+        transfer = _embed(s4, n_modes, element.mode_a, element.mode_b)
+    elif isinstance(element, PhaseShift):
+        transfer = _embed(phase_shift_matrix(element.theta), n_modes, element.mode)
+    elif isinstance(element, Loss):
+        transfer, noise = loss_channel(n_modes, element.mode, element.eta)
+        noise.flags.writeable = False
+    else:
+        raise ValueError(f"unsupported pipeline element: {element!r}")
+    transfer.flags.writeable = False
+    return transfer, noise
 
 
 def compile_pipeline(n_modes: int, elements: list[Element]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,6 +170,17 @@ def apply_pipeline(state: GaussianState, elements: list[Element]) -> GaussianSta
     """Run a pipeline on ``state`` through its compiled channel."""
     transfer, noise, shifts = compile_pipeline(state.n_modes, elements)
     return apply_channel(state, transfer, noise, shifts.sum(axis=1))
+
+
+def _vacuum_output(n_modes: int, transfer: np.ndarray, noise: np.ndarray, shifts: np.ndarray) -> GaussianState:
+    """The state a compiled channel makes of the vacuum, checked once for physicality.
+
+    The vacuum covariance is the identity and ``S I == S`` exactly, so this
+    equals ``apply_channel(vacuum_state(n_modes), S, N, D.sum(axis=1))``
+    without building the vacuum state.
+    """
+    cov = transfer @ transfer.T + noise
+    return GaussianState(n_modes, shifts.sum(axis=1), 0.5 * (cov + cov.T))
 
 
 # --------------------------------------------------------------------------
@@ -461,8 +488,8 @@ def output_state(
     scheme: SchemeInstance, active_tones: frozenset[float] | None = None
 ) -> tuple[GaussianState, dict[str, int]]:
     """Deterministic state at the measurement plane plus port-to-mode map."""
-    state = apply_pipeline(vacuum_state(scheme.n_modes), pipeline_elements(scheme, active_tones))
-    return state, port_modes(scheme)
+    channel = compile_pipeline(scheme.n_modes, pipeline_elements(scheme, active_tones))
+    return _vacuum_output(scheme.n_modes, *channel), port_modes(scheme)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -513,8 +540,7 @@ def measurement_model(scheme: SchemeInstance) -> MeasurementModel:
     ``V = S S^T + N``; the tone amplitudes are ``E P D`` past the carrier column.
     """
     transfer, noise, shifts = compile_pipeline(scheme.n_modes, pipeline_elements(scheme))
-    # Building the output state checks its physicality, once per model.
-    state = apply_channel(vacuum_state(scheme.n_modes), transfer, noise, shifts.sum(axis=1))
+    state = _vacuum_output(scheme.n_modes, transfer, noise, shifts)
     modes = port_modes(scheme)
     eta = np.array([c.efficiency for c in scheme.ports])
     readout = np.zeros((len(scheme.ports), 2 * scheme.n_modes))
@@ -567,10 +593,11 @@ class DarkFringeResult:
     visibility: float
 
 
-# Phases scanned per lock.  Three would fix the first harmonic exactly; 256
-# keeps the evaluations per lock that bench/test_bench.py asserts.  The bench
-# pins the count of evaluations, not their cost: each may get cheaper, but
-# the scan only shrinks together with that assertion.
+# Phases scanned per lock.  Three would fix the first harmonic exactly, but
+# bench/test_bench.py asserts more than 256 evaluations per lock, so a 4-point
+# scan waits on that assertion.  Each point is one compiled channel read with
+# one physicality check; every element but the recombining amplifier comes
+# from the _element_channel cache.
 _FRINGE_POINTS = 256
 
 

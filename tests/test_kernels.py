@@ -13,6 +13,7 @@ import pytest
 from suisim.conventions import i_omega, omega, rotation_block, xy_indices
 from suisim.gaussian import (
     GaussianState,
+    OpaParams,
     _embed,
     beam_splitter_matrix,
     displacement,
@@ -28,6 +29,7 @@ from suisim.schemes import (
     PhaseShift,
     Splitter,
     TwoModeSqueeze,
+    _element_channel,
     apply_pipeline,
     compile_pipeline,
 )
@@ -139,6 +141,24 @@ class TestBuilders:
                 assert_bitwise_equal(transfer, ref_transfer)
                 assert_bitwise_equal(noise, ref_noise)
 
+    @pytest.mark.parametrize(
+        "gain, message",
+        [(0.5, "must be >= 1"), (math.nan, "must be >= 1"), (1e155, "square overflows")],
+    )
+    def test_squeezer_checks_its_gain_as_opa_params_does(self, gain, message):
+        # 1e155**2 would raise OverflowError, not ValueError, were it squared unchecked.
+        with pytest.raises(ValueError, match=message) as from_matrix:
+            two_mode_squeezer_matrix(gain)
+        with pytest.raises(ValueError) as from_params:
+            OpaParams(gain)
+        assert str(from_matrix.value) == str(from_params.value)
+
+    def test_embed_of_every_mode_in_order_is_the_block_itself(self):
+        block = two_mode_squeezer_matrix(2.0, 0.3)
+        assert _embed(block, 2, 0, 1) is block
+        assert _embed(block, 2, 1, 0) is not block
+        assert _embed(block, 3, 0, 1) is not block
+
     def test_embed_and_loss_still_check_their_modes(self):
         with pytest.raises(ValueError, match="out of range"):
             _embed(np.eye(4), 2, 0, 2)
@@ -177,6 +197,50 @@ class TestCompiledPipeline:
     def test_pipeline_without_displacement_has_no_shift_columns(self):
         _, _, shifts = compile_pipeline(2, [Loss(0, 0.5), TwoModeSqueeze(0, 1, 2.0, 0.0)])
         assert shifts.shape == (4, 0)
+
+
+class TestElementCache:
+    ELEMENTS = [
+        TwoModeSqueeze(0, 1, 2.0, 0.4),
+        Splitter(0, 2, 0.5, math.pi),
+        PhaseShift(1, 0.7),
+        Loss(0, 0.6),
+    ]
+
+    @pytest.mark.parametrize("element", ELEMENTS, ids=lambda e: type(e).__name__)
+    def test_arrays_are_read_only(self, element):
+        for part in _element_channel(3, element):
+            if isinstance(part, np.ndarray):
+                assert not part.flags.writeable
+                with pytest.raises(ValueError):
+                    part[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "n_modes, element",
+        [(3, element) for element in ELEMENTS] + [(2, TwoModeSqueeze(0, 1, 2.0, 0.4))],
+        ids=[f"3-{type(e).__name__}" for e in ELEMENTS] + ["2-TwoModeSqueeze"],
+    )
+    def test_cached_channel_is_the_uncached_one(self, n_modes, element):
+        expected = _element_channel.__wrapped__(n_modes, element)
+        for _ in range(2):  # the second call is a cache hit
+            for actual, part in zip(_element_channel(n_modes, element), expected):
+                if isinstance(part, np.ndarray):
+                    assert_bitwise_equal(actual, part)
+                else:
+                    assert actual == part
+
+    def test_cache_is_bounded(self):
+        maxsize = _element_channel.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 256
+
+    def test_signed_zero_pump_phases_give_equal_channels(self):
+        # 0.0 == -0.0 and both hash alike, so they share one cache entry.
+        _element_channel.cache_clear()
+        negative, _ = _element_channel(2, TwoModeSqueeze(0, 1, 3.0, -0.0))
+        positive, _ = _element_channel(2, TwoModeSqueeze(0, 1, 3.0, 0.0))
+        assert np.array_equal(negative, positive)
+        assert np.array_equal(positive, two_mode_squeezer_matrix(3.0, 0.0))
+        assert np.array_equal(negative, two_mode_squeezer_matrix(3.0, -0.0))
 
 
 class TestSymplecticForm:
