@@ -15,7 +15,6 @@ all from run configs.
 """
 
 from .bogoliubov import (
-    ClosedFormInput,
     ClosedFormSnr,
     TransferMap,
     build_transfer,

@@ -10,7 +10,10 @@ Homodyne means and variances follow directly from these coefficients, with
 no symplectic algebra shared with :mod:`suisim.gaussian`, which is what
 makes the comparison between the two routes meaningful.
 
-The closed-form SNR expressions for the three schemes live here as well.
+The closed-form SNRs of the three schemes live here as well.  They read a
+:class:`~suisim.schemes.SchemeInstance` (its kind, probe photon number,
+gains and the depths of its tones at angles 0 and pi/2), so a scheme's own
+checks are the only ones its closed form needs.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .schemes import (
     Splitter,
     TwoModeSqueeze,
     pipeline_elements,
+    tone_at_angle,
 )
 
 
@@ -39,13 +43,12 @@ class TransferMap:
     ``u`` multiplies annihilation inputs, ``v`` creation inputs; rows of the
     conjugate (creation) outputs are implied, a_out* having coefficients
     (conj(v), conj(u)).  ``amplitude`` is the accumulated coherent amplitude
-    per output mode.  ``labels`` names the input columns.
+    per output mode.
     """
 
     u: np.ndarray
     v: np.ndarray
     amplitude: np.ndarray
-    labels: tuple[str, ...]
 
     @property
     def n_modes(self) -> int:
@@ -64,14 +67,12 @@ def identity_transfer(n_modes: int) -> TransferMap:
         u=np.eye(n_modes, dtype=complex),
         v=np.zeros((n_modes, n_modes), dtype=complex),
         amplitude=np.zeros(n_modes, dtype=complex),
-        labels=tuple(f"in{k}" for k in range(n_modes)),
     )
 
 
 def _apply_element(tm: TransferMap, element: Element) -> TransferMap:
     u, v = tm.u.copy(), tm.v.copy()
     amp = tm.amplitude.copy()
-    labels = tm.labels
 
     if isinstance(element, Displace):
         amp[element.mode] += (element.dx + 1j * element.dy) / 2.0
@@ -116,11 +117,10 @@ def _apply_element(tm: TransferMap, element: Element) -> TransferMap:
         fresh_u[m, 0] = math.sqrt(1.0 - element.eta)
         u = np.hstack([u, fresh_u])
         v = np.hstack([v, np.zeros((tm.n_modes, 1), dtype=complex)])
-        labels = labels + (f"loss{sum(1 for l in labels if l.startswith('loss'))}",)
     else:
         raise ValueError(f"unsupported pipeline element for the transfer map: {element!r}")
 
-    return TransferMap(u=u, v=v, amplitude=amp, labels=labels)
+    return TransferMap(u=u, v=v, amplitude=amp)
 
 
 def build_transfer_from_elements(n_modes: int, elements: list[Element]) -> TransferMap:
@@ -168,32 +168,6 @@ def oracle_homodyne_mean(
 
 
 @dataclasses.dataclass(frozen=True)
-class ClosedFormInput:
-    """Parameters of the closed-form SNR expressions.
-
-    Only the gain relevant to ``kind`` is read: ``gain_g1`` for "sui" (its
-    closed form is the ``g2 >> g1`` asymptote, which does not depend on the
-    recombining gain), ``gain`` for "amp", none for "bs".
-    """
-
-    kind: str
-    i_ps: float
-    epsilon: float
-    delta: float
-    gain_g1: float = 1.0
-    gain: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("bs", "sui", "amp"):
-            raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if self.i_ps < 0:
-            raise ValueError("probe photon number must be nonnegative")
-        for name in ("gain_g1", "gain"):
-            if getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be >= 1")
-
-
-@dataclasses.dataclass(frozen=True)
 class ClosedFormSnr:
     """SNRs of the amplitude (x) and phase (y) readouts of one scheme.
 
@@ -207,23 +181,28 @@ class ClosedFormSnr:
     asymptotic: bool
 
 
-def closed_form_snr(params: ClosedFormInput) -> ClosedFormSnr:
-    """Lossless closed-form SNRs of the three schemes.
+def closed_form_snr(scheme: SchemeInstance) -> ClosedFormSnr:
+    """Lossless closed-form SNRs of a scheme's amplitude and phase readouts.
+
+    ``eps`` and ``delta`` are the depths of the scheme's tones at angles 0
+    and pi/2 (0 without such a tone) and ``I`` its probe photon number; its
+    losses and detector efficiencies are not read.
 
     bs:  (2 I eps^2, 2 I delta^2)
-    sui: 2 (G1 + g1)^2 I eps^2 and the same with delta, valid for g2 >> g1
+    sui: 2 (G1 + g1)^2 I eps^2 and the same with delta, valid for G2 >> G1
     amp: (4 G^2 I eps^2 / (G^2 + g^2), 4 g^2 I delta^2 / (G^2 + g^2))
     """
-    i_ps, eps, delta = params.i_ps, params.epsilon, params.delta
-    if params.kind == "bs":
+    i_ps = scheme.probe_photon_number
+    eps, delta = (
+        0.0 if tone is None else tone.depth
+        for tone in (tone_at_angle(scheme, 0.0), tone_at_angle(scheme, math.pi / 2))
+    )
+    if scheme.kind == "bs":
         return ClosedFormSnr(2.0 * i_ps * eps**2, 2.0 * i_ps * delta**2, False)
-    if params.kind == "sui":
-        g1 = params.gain_g1
-        c1 = math.sqrt(g1**2 - 1.0)
-        factor = 2.0 * (g1 + c1) ** 2 * i_ps
+    if scheme.kind == "sui":
+        factor = 2.0 * (scheme.opa1.gain + scheme.opa1.conjugate_gain) ** 2 * i_ps
         return ClosedFormSnr(factor * eps**2, factor * delta**2, True)
-    gain = params.gain
-    conj = math.sqrt(gain**2 - 1.0)
+    gain, conj = scheme.opa2_or_amp.gain, scheme.opa2_or_amp.conjugate_gain
     total = gain**2 + conj**2
     return ClosedFormSnr(
         4.0 * gain**2 * i_ps * eps**2 / total,

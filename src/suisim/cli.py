@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import verify
-from .bogoliubov import ClosedFormInput, closed_form_snr
+from .bogoliubov import closed_form_snr
 from .config import (
     ConfigError,
     PRESET_NAMES,
@@ -37,11 +37,13 @@ from .schemes import (
     find_dark_fringe,
     matched_baseline,
     measurement_model,
+    tone_at_angle,
 )
 from .spectra import (
     Spectrum,
     band_floor,
     extract_peak_snr,
+    report_band,
     simulate_spectra,
     tone_power,
 )
@@ -80,31 +82,6 @@ def _resolve_scheme(cfg: RunConfig) -> tuple[SchemeInstance, dict | None]:
     return scheme, fringe_info
 
 
-def _tone_at_angle(scheme: SchemeInstance, angle: float):
-    for tone in scheme.tones:
-        if math.isclose(tone.angle, angle, abs_tol=1e-12):
-            return tone
-    return None
-
-
-def _closed_form_for(scheme: SchemeInstance) -> dict | None:
-    x_tone = _tone_at_angle(scheme, 0.0)
-    y_tone = _tone_at_angle(scheme, math.pi / 2)
-    eps = x_tone.depth if x_tone else 0.0
-    delta = y_tone.depth if y_tone else 0.0
-    if scheme.kind == "sui":
-        params = ClosedFormInput(
-            "sui", scheme.probe_photon_number, eps, delta, gain_g1=scheme.opa1.gain
-        )
-    elif scheme.kind == "amp":
-        params = ClosedFormInput(
-            "amp", scheme.probe_photon_number, eps, delta, gain=scheme.opa2_or_amp.gain
-        )
-    else:
-        params = ClosedFormInput("bs", scheme.probe_photon_number, eps, delta)
-    return dataclasses.asdict(closed_form_snr(params))
-
-
 def _scheme_snr_section(model: MeasurementModel) -> dict:
     ports = {
         name: {"lo_phase_rad": lo_phase, "efficiency": efficiency, "noise_variance_snu": model.variance(name)}
@@ -124,11 +101,11 @@ def cmd_snr(cfg: RunConfig) -> dict:
         "scheme_kind": scheme.kind,
         "seed": cfg.sim.seed,
         "dark_fringe": fringe_info,
-        "closed_form": _closed_form_for(scheme),
+        "closed_form": dataclasses.asdict(closed_form_snr(scheme)),
     }
     report.update(_scheme_snr_section(model))
 
-    axes = {"x": _tone_at_angle(scheme, 0.0), "y": _tone_at_angle(scheme, math.pi / 2)}
+    axes = {"x": tone_at_angle(scheme, 0.0), "y": tone_at_angle(scheme, math.pi / 2)}
     axes = {axis: tone.frequency_hz for axis, tone in axes.items() if tone is not None}
     for axis, frequency in axes.items():
         report[f"snr_{scheme.kind}_{axis}"] = model.best_port(frequency)[1]
@@ -139,7 +116,7 @@ def cmd_snr(cfg: RunConfig) -> dict:
         comparison = enhancement_from_models(scheme, model, baseline_model)
         baseline_section = _scheme_snr_section(baseline_model)
         baseline_section["scheme_kind"] = baseline.kind
-        baseline_section["closed_form"] = _closed_form_for(baseline)
+        baseline_section["closed_form"] = dataclasses.asdict(closed_form_snr(baseline))
         report["baseline"] = baseline_section
         report["enhancement"] = dataclasses.asdict(comparison)
         ratios = {row.frequency_hz: row.ratio for row in comparison.per_tone}
@@ -163,19 +140,9 @@ def _write_text(path: str, content: str) -> None:
         raise RuntimeError(f"cannot write output file {path}: {exc}") from exc
 
 
-def _tone_band(scheme: SchemeInstance, spec: Spectrum) -> tuple[float, float]:
-    freqs = [t.frequency_hz for t in scheme.tones]
-    if not freqs:
-        return spec.freq[2], spec.freq[-2]
-    margin = 30 * spec.bin_width
-    lo = max(spec.freq[1], min(freqs) - margin)
-    hi = min(spec.freq[-1], max(freqs) + margin)
-    return lo, hi
-
-
 def _peak_section(scheme: SchemeInstance, spec: Spectrum) -> dict:
     exclude = tuple(t.frequency_hz for t in scheme.tones)
-    lo, hi = _tone_band(scheme, spec)
+    lo, hi = report_band(spec.freq.size, spec.bin_width, exclude)
     section = {
         "floor_snu": band_floor(spec, lo, hi, exclude=exclude),
         "tones": {},

@@ -477,6 +477,14 @@ def pipeline_elements(
     return elements
 
 
+def tone_at_angle(scheme: SchemeInstance, angle: float) -> ModulationTone | None:
+    """The first of the scheme's tones encoded at quadrature ``angle``, if any."""
+    for tone in scheme.tones:
+        if math.isclose(tone.angle, angle, abs_tol=1e-12):
+            return tone
+    return None
+
+
 def port_modes(scheme: SchemeInstance) -> dict[str, int]:
     modes = {PORT_SIGNAL: 0, PORT_IDLER: 1}
     if scheme.tap_enabled:

@@ -52,13 +52,16 @@ _EXCLUDE_HALFWIDTH_BINS = 5.0
 _PEAK_HALFWIDTH_BINS = 1.5
 
 
-def _tones_collide(f: float, g: float, bin_width: float) -> bool:
-    """True when a tone at ``g`` reaches into the readout window of one at ``f``."""
-    return abs(f - g) <= (_PEAK_HALFWIDTH_BINS + _EXCLUDE_HALFWIDTH_BINS) * bin_width
-
-
 def _bin_mask(freq: np.ndarray, bin_width: float, centre: float, halfwidth_bins: float) -> np.ndarray:
     return np.abs(freq - centre) <= halfwidth_bins * bin_width + 1e-9
+
+
+def _clear_of(freq: np.ndarray, bin_width: float, tones) -> np.ndarray:
+    """The bins of ``freq`` outside the +-5-bin neighbourhoods of ``tones``."""
+    clear = np.ones(freq.shape, dtype=bool)
+    for f in tones:
+        clear &= ~_bin_mask(freq, bin_width, f, _EXCLUDE_HALFWIDTH_BINS)
+    return clear
 
 
 def _readout_bins(freq: np.ndarray, bin_width: float, f0: float, tones) -> tuple[np.ndarray, np.ndarray]:
@@ -75,16 +78,15 @@ def _readout_bins(freq: np.ndarray, bin_width: float, f0: float, tones) -> tuple
             "rbw_hz",
             f"the tone at {f0} Hz lies outside the spectrum span, up to the last bin at {freq[-1]:.6g} Hz",
         )
-    for f in tones:
-        if f != f0 and _tones_collide(f0, f, bin_width):
+    others = [f for f in tones if f != f0]
+    for f in others:
+        if abs(f0 - f) <= (_PEAK_HALFWIDTH_BINS + _EXCLUDE_HALFWIDTH_BINS) * bin_width:
             raise ParameterError(
                 "rbw_hz", f"the tone at {f0} Hz is ambiguous: the tone at {f} Hz overlaps its readout window"
             )
     window = _bin_mask(freq, bin_width, f0, _PEAK_HALFWIDTH_BINS)
     floor = _bin_mask(freq, bin_width, f0, _EXCLUDE_HALFWIDTH_BINS) & ~window
-    for f in tones:
-        if f != f0:
-            floor &= ~_bin_mask(freq, bin_width, f, _EXCLUDE_HALFWIDTH_BINS)
+    floor &= _clear_of(freq, bin_width, others)
     if not floor.any():
         raise ParameterError(
             "rbw_hz",
@@ -92,6 +94,16 @@ def _readout_bins(freq: np.ndarray, bin_width: float, f0: float, tones) -> tuple
             f"the whole floor annulus of the tone at {f0} Hz",
         )
     return window, floor
+
+
+def report_band(n_bins: int, bin_width: float, tones) -> tuple[float, float]:
+    """``(f_lo, f_hi)``, the band whose :func:`band_floor` a report gives for
+    a spectrum of ``n_bins`` bins: the tones' span widened by 30 bins each
+    side, past the DC bin; without tones, bins 2 to ``n_bins - 2``."""
+    if not tones:
+        return 2 * bin_width, (n_bins - 2) * bin_width
+    margin = 30 * bin_width
+    return max(bin_width, min(tones) - margin), min((n_bins - 1) * bin_width, max(tones) + margin)
 
 
 # Welch steps per streamed block.  At the default settings a block is 16k
@@ -107,12 +119,6 @@ def _block_length(nperseg: int) -> int:
 # Block of the work that has no segment length of its own (whole records,
 # lock-in sums): the Welch block at the default settings.
 _RECORD_BLOCK = _block_length(round(DEFAULT_SAMPLE_RATE / DEFAULT_RBW))
-
-
-def _bin_width(sample_rate: float, nperseg: int) -> float:
-    """Welch bin width as np.fft.rfftfreq computes it, so that the checks
-    below and the readout agree to the last bit."""
-    return 1.0 / (nperseg * (1.0 / sample_rate))
 
 
 def _segment_length(sample_rate: float, rbw: float, n_samples: int) -> int:
@@ -135,16 +141,14 @@ def _segment_length(sample_rate: float, rbw: float, n_samples: int) -> int:
 def check_sampling(
     duration: float,
     sample_rate: float,
-    rbw: float | None = None,
     tone_frequencies: tuple[float, ...] | list[float] = (),
 ) -> int:
     """Number of samples in a record of ``duration``, after checking that the
-    record can be synthesised and, given ``rbw``, Welch-averaged.
+    record can be synthesised: at least two and at most :data:`MAX_SAMPLES`
+    samples, at a positive rate above twice every tone frequency.
 
-    Given ``rbw``, no two tones may lie within each other's readout window.
     Raises :class:`ParameterError` named after the offending setting of a
-    run config's ``sim`` section: ``duration_s``, ``sample_rate_hz`` or
-    ``rbw_hz``.
+    run config's ``sim`` section: ``duration_s`` or ``sample_rate_hz``.
     """
     if not sample_rate > 0:
         raise ParameterError("sample_rate_hz", f"sample rate must be positive, got {sample_rate} Hz")
@@ -160,17 +164,6 @@ def check_sampling(
             f"sample rate {sample_rate} Hz aliases the {max(tone_frequencies)} Hz tone; "
             "use more than twice the highest tone frequency",
         )
-    if rbw is not None:
-        nperseg = _segment_length(sample_rate, rbw, n_samples)
-        bin_width = _bin_width(sample_rate, nperseg)
-        frequencies = sorted(tone_frequencies)
-        for f, g in zip(frequencies, frequencies[1:]):
-            if _tones_collide(f, g, bin_width):
-                raise ParameterError(
-                    "rbw_hz",
-                    f"rbw {rbw} Hz gives {bin_width:.6g} Hz bins, too coarse to resolve the "
-                    f"tones at {f} and {g} Hz; their readout windows overlap",
-                )
     return n_samples
 
 
@@ -180,24 +173,39 @@ def check_readout(
     rbw: float,
     tone_frequencies: tuple[float, ...] | list[float],
 ) -> int:
-    """:func:`check_sampling`, and further that every tone can be read off the
-    Welch spectrum by :func:`extract_peak_snr` and :func:`tone_power`.
+    """:func:`check_sampling`, and further every ``rbw`` rule: the record holds
+    one Welch segment, and every tone and the :func:`report_band` floor can
+    be read off the spectrum.
 
-    It runs the readers' own rule on each tone's bins, so it rejects exactly
-    the tone plans they cannot read: a tone above the last bin, which falls
-    short of Nyquist when the segment length is odd, and a tone whose whole
-    floor annulus the neighbourhoods of the others cover.  Raises
-    :class:`ParameterError` named ``rbw_hz`` for either.
+    It runs the readers' own rules on the few bins that decide them, so it
+    rejects exactly the plans they cannot read: a tone above the last bin
+    (short of Nyquist when the segment length is odd), two tones within each
+    other's readout window, a floor annulus or a report band that the tones'
+    neighbourhoods cover.  Raises :class:`ParameterError` named ``rbw_hz``.
     """
-    n_samples = check_sampling(duration, sample_rate, rbw, tone_frequencies)
+    n_samples = check_sampling(duration, sample_rate, tone_frequencies)
     nperseg = _segment_length(sample_rate, rbw, n_samples)
-    bin_width = _bin_width(sample_rate, nperseg)
+    # Bin k lies at k * bin_width, bit for bit as np.fft.rfftfreq puts it.
+    bin_width = 1.0 / (nperseg * (1.0 / sample_rate))
+    n_bins = nperseg // 2 + 1
+    lo, hi = report_band(n_bins, bin_width, tone_frequencies)
+    first = math.ceil(lo / bin_width)
+    near = [np.arange(first - 1, first + 2)]
     reach = math.ceil(_EXCLUDE_HALFWIDTH_BINS) + 1
     for f in tone_frequencies:
-        # The spectrum's bins around f, as np.fft.rfftfreq computes them.
         centre = round(f / bin_width)
-        bins = np.arange(max(0, centre - reach), min(nperseg // 2, centre + reach) + 1)
+        bins = np.arange(max(0, centre - reach), min(n_bins - 1, centre + reach) + 1)
         _readout_bins(bins * bin_width, bin_width, f, tone_frequencies)
+        near.append(bins)
+    # The band's first free bin, if it has one, is its first bin or the bin
+    # just past a tone's neighbourhood, so these bins decide it.
+    freq = np.clip(np.concatenate(near), 0, n_bins - 1) * bin_width
+    if not ((freq >= lo) & (freq <= hi) & _clear_of(freq, bin_width, tone_frequencies)).any():
+        raise ParameterError(
+            "rbw_hz",
+            f"{bin_width:.6g} Hz bins leave no bin of the report's floor band, {lo:.6g} to "
+            f"{hi:.6g} Hz, outside the tones' neighbourhoods",
+        )
     return n_samples
 
 
@@ -506,7 +514,7 @@ def simulate_spectra(
     with ``c, s = cos(theta), sin(theta)``; this equals the Welch spectrum
     of :func:`combine_currents` up to rounding.
     """
-    n_samples = check_sampling(duration, sample_rate, rbw, list(model.tone_amplitudes))
+    n_samples = check_sampling(duration, sample_rate, list(model.tone_amplitudes))
     nperseg = _segment_length(sample_rate, rbw, n_samples)
     pair = None
     if combine is not None:
@@ -598,9 +606,7 @@ def band_floor(
     exclude: tuple[float, ...] = (),
 ) -> float:
     """Median PSD over a band with tone neighbourhoods masked out."""
-    mask = (spec.freq >= f_lo) & (spec.freq <= f_hi)
-    for f in exclude:
-        mask &= ~_bin_mask(spec.freq, spec.bin_width, f, _EXCLUDE_HALFWIDTH_BINS)
+    mask = (spec.freq >= f_lo) & (spec.freq <= f_hi) & _clear_of(spec.freq, spec.bin_width, exclude)
     if not np.any(mask):
         raise ValueError("no bins left in the requested band")
     return float(np.median(spec.psd_snu[mask]))

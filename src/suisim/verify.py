@@ -18,7 +18,6 @@ import numpy as np
 
 from . import gaussian
 from .bogoliubov import (
-    ClosedFormInput,
     build_transfer_from_elements,
     closed_form_snr,
     oracle_homodyne_mean,
@@ -284,30 +283,25 @@ def check_formula_regression() -> tuple[bool, str]:
     for i_ps in (1e2, 1e4):
         for depth in (0.005, 0.01, 0.02):
             scaled = tuple(dataclasses.replace(t, depth=depth) for t in _TONES)
-            bs = measurement_model(build_scheme("bs", probe_photon_number=i_ps, tones=scaled))
-            ref = closed_form_snr(ClosedFormInput("bs", i_ps, depth, depth))
-            worst = max(
-                worst,
-                abs(bs.snr("signal", 0.8e6) / ref.snr_x - 1.0),
-                abs(bs.snr("idler", 1.2e6) / ref.snr_y - 1.0),
-            )
-            for gain in (1.5, 3.0, 9.0):
-                amp = measurement_model(
-                    build_scheme("amp", probe_photon_number=i_ps, tones=scaled, gain_g2=gain)
-                )
-                ref = closed_form_snr(ClosedFormInput("amp", i_ps, depth, depth, gain=gain))
+            cases = [build_scheme("bs", probe_photon_number=i_ps, tones=scaled)]
+            cases += [
+                build_scheme("amp", probe_photon_number=i_ps, tones=scaled, gain_g2=gain)
+                for gain in (1.5, 3.0, 9.0)
+            ]
+            for scheme in cases:
+                model, ref = measurement_model(scheme), closed_form_snr(scheme)
                 worst = max(
                     worst,
-                    abs(amp.snr("signal", 0.8e6) / ref.snr_x - 1.0),
-                    abs(amp.snr("idler", 1.2e6) / ref.snr_y - 1.0),
+                    abs(model.snr("signal", 0.8e6) / ref.snr_x - 1.0),
+                    abs(model.snr("idler", 1.2e6) / ref.snr_y - 1.0),
                 )
     return worst < 1e-3, f"max relative deviation {worst:.3e}"
 
 
 @_check("acceptance-02-sui-asymptote")
 def check_sui_asymptote() -> tuple[bool, str]:
-    sui = measurement_model(_reference_sui(losses=LossBudget(), gain_g2=50.0))
-    ref = closed_form_snr(ClosedFormInput("sui", _PROBE_PHOTONS, 0.01, 0.01, gain_g1=_GAINS[0]))
+    scheme = _reference_sui(losses=LossBudget(), gain_g2=50.0)
+    sui, ref = measurement_model(scheme), closed_form_snr(scheme)
     dev_x = abs(sui.snr("signal", 0.8e6) / ref.snr_x - 1.0)
     dev_y = abs(sui.snr("idler", 1.2e6) / ref.snr_y - 1.0)
     return (
@@ -318,8 +312,8 @@ def check_sui_asymptote() -> tuple[bool, str]:
 
 @_check("acceptance-03-amp-equals-bs-limit")
 def check_amp_equals_bs_limit() -> tuple[bool, str]:
-    amp = closed_form_snr(ClosedFormInput("amp", 1e4, 0.01, 0.01, gain=10.0))
-    bs = closed_form_snr(ClosedFormInput("bs", 1e4, 0.01, 0.01))
+    amp = closed_form_snr(build_scheme("amp", probe_photon_number=_PROBE_PHOTONS, tones=_TONES, gain_g2=10.0))
+    bs = closed_form_snr(build_scheme("bs", probe_photon_number=_PROBE_PHOTONS, tones=_TONES))
     dev = max(abs(amp.snr_x / bs.snr_x - 1.0), abs(amp.snr_y / bs.snr_y - 1.0))
     return dev < 0.01, f"componentwise deviation {dev:.3%} at G = 10"
 

@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from suisim.bogoliubov import (
-    ClosedFormInput,
     build_transfer,
     build_transfer_from_elements,
     closed_form_snr,
@@ -17,6 +16,7 @@ from suisim.gaussian import homodyne_stats, vacuum_state
 from suisim.schemes import (
     Loss,
     ModulationTone,
+    ParameterError,
     TwoModeSqueeze,
     apply_pipeline,
     build_scheme,
@@ -50,7 +50,6 @@ def test_loss_appends_vacuum_column():
     tm = build_transfer_from_elements(2, [Loss(0, 0.64)])
     assert tm.u[0, 0] == pytest.approx(0.8)
     assert tm.u[0, 2] == pytest.approx(0.6)
-    assert tm.labels[-1] == "loss0"
     assert tm.commutator_defect().max() < 1e-10
 
 
@@ -108,37 +107,53 @@ def test_detector_efficiency_folds_like_loss():
     assert oracle_homodyne_variance(tm, 0, 0.0, efficiency=0.72) == pytest.approx(5.32)
 
 
+def two_tone_scheme(kind, **gains):
+    tones = (ModulationTone(0.8e6, 0.01, 0.0), ModulationTone(1.2e6, 0.01, math.pi / 2))
+    return build_scheme(kind, probe_photon_number=1e4, tones=tones, **gains)
+
+
 class TestClosedForms:
     def test_beam_splitter_values(self):
-        out = closed_form_snr(ClosedFormInput("bs", 1e4, 0.01, 0.01))
+        out = closed_form_snr(two_tone_scheme("bs"))
         assert out.snr_x == pytest.approx(2.0)
         assert out.snr_y == pytest.approx(2.0)
         assert not out.asymptotic
 
     def test_sui_value_is_asymptotic(self):
-        out = closed_form_snr(ClosedFormInput("sui", 1e4, 0.01, 0.01, gain_g1=2.0))
+        out = closed_form_snr(two_tone_scheme("sui", gain_g1=2.0, gain_g2=9.0))
         assert out.snr_x == pytest.approx(2.0 * (2.0 + SQRT3) ** 2, rel=1e-12)
         assert out.snr_y == out.snr_x
         assert out.asymptotic
 
     def test_amp_values(self):
-        out = closed_form_snr(ClosedFormInput("amp", 1e4, 0.01, 0.01, gain=9.0))
+        out = closed_form_snr(two_tone_scheme("amp", gain_g2=9.0))
         assert out.snr_x == pytest.approx(324.0 / 161.0, rel=1e-12)
         assert out.snr_y == pytest.approx(320.0 / 161.0, rel=1e-12)
 
     def test_amp_approaches_bs_at_large_gain(self):
-        amp = closed_form_snr(ClosedFormInput("amp", 1e4, 0.01, 0.01, gain=10.0))
-        bs = closed_form_snr(ClosedFormInput("bs", 1e4, 0.01, 0.01))
+        amp = closed_form_snr(two_tone_scheme("amp", gain_g2=10.0))
+        bs = closed_form_snr(two_tone_scheme("bs"))
         assert amp.snr_x == pytest.approx(bs.snr_x, rel=0.01)
         assert amp.snr_y == pytest.approx(bs.snr_y, rel=0.01)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ClosedFormInput("bogus", 1.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            ClosedFormInput("bs", -1.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            ClosedFormInput("amp", 1.0, 0.0, 0.0, gain=0.5)
+        # A closed form reads a scheme, so the scheme's own rules guard it.
+        with pytest.raises(ParameterError, match="unknown scheme kind"):
+            build_scheme("bogus", probe_photon_number=1.0)
+        with pytest.raises(ParameterError, match="nonnegative") as info:
+            build_scheme("bs", probe_photon_number=-1.0)
+        assert info.value.name == "scheme.probe_photon_number"
+        for gain in (0.5, math.nan):
+            with pytest.raises(ParameterError, match=">= 1") as info:
+                build_scheme("amp", probe_photon_number=1.0, gain_g2=gain)
+            assert info.value.name == "scheme.gain_g2"
+
+    def test_missing_quadrature_reads_zero(self):
+        out = closed_form_snr(
+            build_scheme("bs", probe_photon_number=1e4, tones=(ModulationTone(1e6, 0.01, math.pi / 2),))
+        )
+        assert out.snr_x == 0.0
+        assert out.snr_y == pytest.approx(2.0)
 
 
 def test_engine_snr_approaches_sui_closed_form():
@@ -151,6 +166,6 @@ def test_engine_snr_approaches_sui_closed_form():
         gain_g2=50.0,
         interferometer_phase=math.pi,
     )
-    reference = closed_form_snr(ClosedFormInput("sui", 1e4, 0.01, 0.01, gain_g1=2.0))
+    reference = closed_form_snr(sui)
     assert port_snr(sui, "signal", 0.8e6) / reference.snr_x == pytest.approx(1.0, abs=0.01)
     assert port_snr(sui, "idler", 1.2e6) / reference.snr_y == pytest.approx(1.0, abs=0.01)

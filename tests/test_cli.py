@@ -555,6 +555,36 @@ class TestConfigRejections:
             for tone in port["tones"].values():
                 assert math.isfinite(tone["peak_snr"]) and tone["peak_snr"] > 0
 
+    @pytest.mark.parametrize(
+        "tones, sim, finer_rbw",
+        [
+            ([{"frequency_hz": 2.5e6, "depth": 0.01, "angle_rad": 0.0}], {"duration_s": 1e-3, "rbw_hz": 5e5}, 2.5e5),
+            ([], {"duration_s": 1e-4, "rbw_hz": 5e6}, 1e7 / 6),
+            ([], {"duration_s": 1e-4, "rbw_hz": 2.5e6}, 1e7 / 6),
+            ([], {"duration_s": 1e-4, "rbw_hz": 2e6}, 1e7 / 6),
+        ],
+        ids=["tone-covers-band", "toneless-2-bins", "toneless-3-bins", "toneless-odd-segment"],
+    )
+    def test_covered_floor_band_fails_at_load_time(self, tmp_path, capsys, tones, sim, finer_rbw):
+        # No bin of the report's floor band lies outside the tones'
+        # neighbourhoods; each of these once failed after writing its CSVs.
+        raw = {
+            "scheme": {"kind": "bs", "probe_photon_number": 1e4},
+            "tones": tones,
+            "sim": {"sample_rate_hz": 1e7, **sim},
+        }
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "simulate", "--config", write_config(tmp_path, raw), "--out", str(out_dir))
+        assert code == 1, err
+        assert "'sim.rbw_hz'" in err and "floor band" in err
+        assert not out_dir.exists()
+        # Finer bins leave the band a free bin, and the run reads it out.
+        raw["sim"]["rbw_hz"] = finer_rbw
+        code, out, err = run_cli(capsys, "simulate", "--config", write_config(tmp_path, raw), "--out", str(out_dir))
+        assert code == 0, err
+        for port in json.loads(out)["runs"]["bs"]["ports"].values():
+            assert math.isfinite(port["floor_snu"])
+
     def test_tone_above_the_last_welch_bin_fails_at_load_time(self, tmp_path, capsys):
         # 241-sample segments end at 120 bins, 1.1955 MHz, short of Nyquist
         # and of the 1.2 MHz tone; this once failed after writing a CSV.

@@ -6,7 +6,6 @@ import pytest
 
 from suisim import schemes
 from suisim.bogoliubov import (
-    ClosedFormInput,
     build_transfer,
     closed_form_snr,
     oracle_homodyne_mean,
@@ -533,7 +532,7 @@ def test_high_gain_lock_and_snr_table_match_oracle(scheme):
 
 def test_amp_at_high_gain_matches_closed_form():
     amp = build_scheme("amp", probe_photon_number=1e4, tones=two_tones(), gain_g2=1e4)
-    closed = closed_form_snr(ClosedFormInput("amp", 1e4, 0.01, 0.01, gain=1e4))
+    closed = closed_form_snr(amp)
     assert port_snr(amp, "signal", AM) == pytest.approx(closed.snr_x, rel=1e-9)
     assert port_snr(amp, "idler", PM) == pytest.approx(closed.snr_y, rel=1e-9)
     assert port_noise_variance(amp, "signal") == pytest.approx(2 * 1e8 - 1, rel=1e-9)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,9 +29,9 @@ from suisim.spectra import (
     band_floor,
     calibrate_k,
     check_readout,
-    check_sampling,
     combine_currents,
     extract_peak_snr,
+    report_band,
     shot_noise_calibration,
     simulate_currents,
     simulate_spectra,
@@ -396,22 +397,27 @@ class TestPeakExtraction:
             ambiguous = True
         if ambiguous:
             with pytest.raises(ParameterError) as info:
-                check_sampling(0.01, fs, fs / nperseg, tones)
+                check_readout(0.01, fs, fs / nperseg, tones)
             assert info.value.name == "rbw_hz"
         else:
-            check_sampling(0.01, fs, fs / nperseg, tones)
+            check_readout(0.01, fs, fs / nperseg, tones)
 
     @pytest.mark.parametrize(
         "fs, tones, npersegs",
         [
             (10e6, (0.8e6, 1.0e6, 1.2e6), range(320, 400)),
             (2.401e6, (0.8e6, 1.2e6), range(236, 250)),
+            (10e6, (), range(2, 80)),
+            (10e6, (2.5e6,), range(2, 80)),
+            (10e6, (1.0e6, 2.9e6), range(2, 80)),
+            (10e6, (0.3e6, 4.7e6), range(2, 80)),
         ],
-        ids=["fig4-spacing", "fig2-odd-segments"],
+        ids=["fig4-spacing", "fig2-odd-segments", "toneless", "mid-span", "two-tones", "edge-tones"],
     )
     def test_readout_check_rejects_exactly_the_unreadable_tone_plans(self, fs, tones, npersegs):
-        # Each segment length is accepted iff every tone's peak and floor
-        # can be read off a spectrum at that resolution.
+        # Each segment length is accepted iff every tone's peak and floor,
+        # and the floor band a report gives, can be read off a spectrum at
+        # that resolution.
         verdicts = set()
         for nperseg in npersegs:
             spec = Spectrum(np.fft.rfftfreq(nperseg, 1.0 / fs), np.ones(nperseg // 2 + 1), fs / nperseg, 1)
@@ -427,6 +433,11 @@ class TestPeakExtraction:
             for exc in rejections:
                 assert isinstance(exc, ParameterError) and exc.name == "rbw_hz", exc
             readable = not rejections
+            if readable:
+                try:
+                    band_floor(spec, *report_band(spec.freq.size, spec.bin_width, tones), exclude=tones)
+                except ValueError:
+                    readable = False
             verdicts.add(readable)
             if readable:
                 check_readout(0.01, fs, fs / nperseg, tones)
@@ -435,6 +446,17 @@ class TestPeakExtraction:
                     check_readout(0.01, fs, fs / nperseg, tones)
                 assert info.value.name == "rbw_hz"
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("tones", [(), (0.8e6, 1.2e6)])
+    def test_readout_check_builds_no_spectrum(self, tones):
+        # Segments of MAX_SAMPLES samples: the spectrum would be 400 MB of bins.
+        tracemalloc.start()
+        try:
+            check_readout(10.0, 10e6, 0.1, tones)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_colliding_exclusion_is_ambiguous(self):
         spec = welch_psd(white_series(), rbw=5e3)
