@@ -23,10 +23,12 @@ from .config import (
     ConfigError,
     PRESET_NAMES,
     RunConfig,
+    _values_under,
     check_sweep_parameter,
     load_config,
     preset_config,
     set_parameter,
+    theta_label,
 )
 from .schemes import (
     PORT_SIGNAL,
@@ -186,9 +188,11 @@ def cmd_simulate(cfg: RunConfig) -> dict:
         seed = cfg.sim.seed + index
         # Only the main scheme's signal and tap ports are combined.
         combine = cfg.sim.combine if index == 0 else None
-        run = simulate_spectra(
-            model, cfg.sim.duration_s, cfg.sim.sample_rate_hz, seed, cfg.sim.rbw_hz, combine
-        )
+        # A calibration tone the lock-in cannot find is named at sim.combine.
+        with _values_under("sim"):
+            run = simulate_spectra(
+                model, cfg.sim.duration_s, cfg.sim.sample_rate_hz, seed, cfg.sim.rbw_hz, combine
+            )
         run_report = {"seed": seed, "ports": {}}
         for port, spec in run.spectra.items():
             path = os.path.join(out_dir, f"spectrum_{label}_{port}.csv")
@@ -202,10 +206,10 @@ def cmd_simulate(cfg: RunConfig) -> dict:
         if combine is not None:
             combined_report = {"balance_gain_k": run.balance_gain_k, "thetas": {}}
             for theta, spec in zip(combine.thetas, run.combined):
-                path = os.path.join(out_dir, f"spectrum_{label}_combined_theta_{theta:.4f}.csv")
+                path = os.path.join(out_dir, f"spectrum_{label}_combined_theta_{theta_label(theta)}.csv")
                 _write_text(path, _spectrum_rows(spec, seed))
                 report["files"].append(path)
-                combined_report["thetas"][f"{theta:.4f}"] = _peak_section(run_scheme, spec)
+                combined_report["thetas"][theta_label(theta)] = _peak_section(run_scheme, spec)
             report["combined"] = combined_report
 
     report["resolved_config"] = cfg.resolved

@@ -223,6 +223,12 @@ def _read_ports(ports_raw, losses: LossBudget) -> tuple[bool, list]:
     return tap_enabled, ports
 
 
+def theta_label(theta: float) -> str:
+    """Name of the combined readout at ``theta`` (rad) in its spectrum file and
+    report key; the thetas of one run must have distinct labels."""
+    return f"{theta:.4f}"
+
+
 def _read_combine(combine_raw, tap_enabled: bool, frequencies: list[float]) -> CombineSettings | None:
     """The post-detection combination of ``sim.combine``, if one is given."""
     if combine_raw is None:
@@ -237,6 +243,13 @@ def _read_combine(combine_raw, tap_enabled: bool, frequencies: list[float]) -> C
         thetas=tuple(float(v) for v in thetas),
         calibration_tone_hz=_number(combine_raw, "calibration_tone_hz", "sim.combine"),
     )
+    labels = [theta_label(theta) for theta in combine.thetas]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ConfigError(
+                f"config key 'sim.combine.thetas[{i}]': theta {combine.thetas[i]} has the label {label} of "
+                f"sim.combine.thetas[{labels.index(label)}], and its spectrum file and report key would overwrite them"
+            )
     if combine.calibration_tone_hz not in frequencies:
         raise ConfigError(
             "config key 'sim.combine.calibration_tone_hz' must be one of the tone "

@@ -432,6 +432,8 @@ class _LockIn:
         self.n += pair.shape[1]
 
     def balance_gain(self, names: tuple[str, str]) -> float:
+        """Ratio of the two records' tone amplitudes; a :class:`ParameterError` named
+        ``combine.calibration_tone_hz`` (a ``sim`` key) if either is lost in the noise."""
         amplitudes = []
         for z, total, squares, name in zip(self.z, self.total, self.squares, names):
             amp = abs(2.0 * z / self.n)
@@ -439,7 +441,8 @@ class _LockIn:
             variance = max(squares / self.n - (total / self.n) ** 2, 0.0)
             noise_scale = 2.0 * math.sqrt(variance / self.n)
             if amp < 10.0 * noise_scale:
-                raise ValueError(
+                raise ParameterError(
+                    "combine.calibration_tone_hz",
                     f"calibration tone at {self.frequency_hz} Hz not found in record "
                     f"{name!r} (response {amp:.3g} vs noise scale {noise_scale:.3g})"
                 )

@@ -1,7 +1,7 @@
 """Acceptance gate: every registered invariant and acceptance check must pass.
 
 The checks live in :mod:`suisim.verify` (shared with ``suisim verify``);
-this module runs them once and asserts each result, printing one PASS/FAIL
+this module asserts each result of the one shared run, printing one PASS/FAIL
 line per criterion.  Run with ``pytest -s tests/test_acceptance.py`` to see
 the lines inline.
 """
@@ -13,8 +13,8 @@ from suisim import gaussian, verify
 
 
 @pytest.fixture(scope="module")
-def results():
-    return {r.check_id: r for r in verify.run_all()}
+def results(verify_results):
+    return {r.check_id: r for r in verify_results}
 
 
 @pytest.mark.parametrize("check_id", verify.check_ids())

@@ -612,6 +612,46 @@ class TestConfigRejections:
         assert f"{port} port" in err
         assert not out_dir.exists()
 
+    def test_weak_calibration_tone_fails_without_writing(self, tmp_path, capsys):
+        # A tap LO 1e-3 rad off the tone's null leaves it a nonzero model
+        # amplitude, too small for the lock-in to find in a 20 ms record;
+        # this once exited 2 after simulating.
+        raw = preset_config("fig5")
+        raw["ports"]["channels"][2]["lo_phase_rad"] = 3 * math.pi / 4 + 1e-3
+        raw["sim"]["duration_s"] = 0.02
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "simulate", "--config", write_config(tmp_path, raw), "--out", str(out_dir))
+        assert code == 1, err
+        assert "'sim.combine.calibration_tone_hz'" in err and "'tap'" in err
+        assert out == ""
+        assert list(out_dir.glob("*")) == []
+
+    @pytest.mark.parametrize("thetas", [[0.0, 1e-5], [0.5, 0.5]], ids=["rounds-to-one-label", "repeated"])
+    def test_thetas_of_one_label_fail_at_load_time(self, tmp_path, capsys, thetas):
+        # The label names both the CSV and the report key; [0, 1e-5] once
+        # wrote one file, holding the second theta's spectrum, and listed it twice.
+        raw = preset_config("fig5")
+        raw["sim"]["combine"]["thetas"] = thetas
+        raw["sim"]["duration_s"] = 0.02
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "simulate", "--config", write_config(tmp_path, raw), "--out", str(out_dir))
+        assert code == 1, err
+        assert "'sim.combine.thetas[1]'" in err
+        assert not out_dir.exists()
+
+    def test_thetas_a_turn_apart_keep_their_own_labels(self, tmp_path, capsys):
+        raw = preset_config("fig5")
+        raw["sim"]["combine"]["thetas"] = [0.0, 2 * math.pi]
+        raw["sim"]["duration_s"] = 0.02
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "simulate", "--config", write_config(tmp_path, raw), "--out", str(out_dir))
+        assert code == 0, err
+        report = json.loads(out)
+        assert list(report["combined"]["thetas"]) == ["0.0000", "6.2832"]
+        combined = sorted(p.name for p in out_dir.glob("*combined*.csv"))
+        assert combined == ["spectrum_sui_combined_theta_0.0000.csv", "spectrum_sui_combined_theta_6.2832.csv"]
+        assert len(report["files"]) == len(set(report["files"]))
+
     def test_only_the_documented_lock_spelling_is_accepted(self, tmp_path, capsys):
         raw = preset_config("fig2")
         raw["scheme"]["interferometer_phase"] = "auto"

@@ -4,7 +4,10 @@ The files under ``tests/golden/`` come from ``tests/golden/regenerate.py``.
 Strings, ints and booleans must match exactly.  Floats must agree to a
 relative 1e-12 where they are analytic (read off the Gaussian channel) and
 to 1e-9 where they are measured off a synthesised spectrum, whose sums may
-be reordered by a change that keeps the physics.
+be reordered by a change that keeps the physics.  A ``verify`` detail must
+match as text with its numbers masked; a number of magnitude 1e-6 or more
+must match to 1e-9, and a smaller one, a rounding-level deviation, must stay
+below 1e-6.
 """
 
 import csv
@@ -13,6 +16,7 @@ import io
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -26,6 +30,9 @@ ANALYTIC_REL = 1e-12
 SPECTRAL_REL = 1e-9
 # Keys of the simulate report whose values are analytic, not measured.
 ANALYTIC_KEYS = {"dark_fringe", "analytic_variance_snu", "resolved_config"}
+DETAIL_REL = 1e-9
+ROUNDING_LEVEL = 1e-6
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 @pytest.fixture(scope="module")
@@ -68,13 +75,28 @@ def test_snr_report(outputs, preset):
 
 
 def test_sweep_csv(outputs):
-    name = regenerate.SWEEP_CSV
-    actual, expected = (list(csv.reader(io.StringIO(text))) for text in (outputs[name], _golden(name)))
-    assert actual[0] == expected[0]
-    rows = [[float(v) for v in row] for row in actual[1:]]
-    assert_matches(rows, [[float(v) for v in row] for row in expected[1:]], ANALYTIC_REL)
+    for name in regenerate.SWEEPS.values():
+        actual, expected = (list(csv.reader(io.StringIO(text))) for text in (outputs[name], _golden(name)))
+        assert actual[0] == expected[0], name
+        rows = [[float(v) for v in row] for row in actual[1:]]
+        assert_matches(rows, [[float(v) for v in row] for row in expected[1:]], ANALYTIC_REL, name)
 
 
 def test_simulate_report(outputs):
-    name = "simulate_fig5.json"
-    assert_matches(json.loads(outputs[name]), json.loads(_golden(name)), SPECTRAL_REL)
+    for preset in regenerate.SIMULATE_PRESETS:
+        name = f"simulate_{preset}.json"
+        assert_matches(json.loads(outputs[name]), json.loads(_golden(name)), SPECTRAL_REL, name)
+
+
+def test_verify_details(verify_results):
+    actual = json.loads(regenerate.verify_details(verify_results))
+    expected = json.loads(_golden(regenerate.VERIFY_DETAILS))
+    assert list(actual) == list(expected)
+    for check_id, detail in expected.items():
+        assert NUMBER.sub("#", actual[check_id]) == NUMBER.sub("#", detail), check_id
+        for a, e in zip(NUMBER.findall(actual[check_id]), NUMBER.findall(detail)):
+            a, e = float(a), float(e)
+            if abs(e) >= ROUNDING_LEVEL:
+                assert math.isclose(a, e, rel_tol=DETAIL_REL, abs_tol=0.0), f"{check_id}: {a!r} != {e!r}"
+            else:
+                assert abs(a) < ROUNDING_LEVEL, f"{check_id}: {a!r} is not at rounding level"

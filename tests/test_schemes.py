@@ -538,6 +538,20 @@ def test_amp_at_high_gain_matches_closed_form():
     assert port_noise_variance(amp, "signal") == pytest.approx(2 * 1e8 - 1, rel=1e-9)
 
 
+@pytest.mark.parametrize("g2", [3.0, 9.0, 50.0, 100.0])
+@pytest.mark.parametrize("g1", [1.5, 2.0, 5.0, 20.0])
+def test_lossless_sui_is_one_two_mode_squeezer(g1, g2):
+    # Lossless at phi = pi the interferometer is one two-mode squeezer of
+    # strength r2 - r1, with G = cosh r (Yurke, McCall and Klauder, Phys. Rev.
+    # A 33, 4033, 1986): the amplified tones sit on a floor cosh(2 (r2 - r1)).
+    depth, photons = 0.01, 1e4
+    scheme = build_scheme("sui", probe_photon_number=photons, tones=two_tones(depth), gain_g1=g1, gain_g2=g2)
+    model = measurement_model(scheme)
+    floor = math.cosh(2.0 * (math.acosh(g2) - math.acosh(g1)))
+    assert model.snr("signal", AM) == pytest.approx(4 * g2**2 * photons * depth**2 / floor, rel=1e-11)
+    assert model.snr("idler", PM) == pytest.approx(4 * (g2**2 - 1) * photons * depth**2 / floor, rel=1e-11)
+
+
 def output_photons(scheme, phi):
     variant = dataclasses.replace(scheme, interferometer_phase=phi)
     state, _ = output_state(variant, active_tones=frozenset())

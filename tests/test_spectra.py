@@ -334,6 +334,19 @@ def test_package_import_does_not_load_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_package_binds_only_its_version():
+    """The modules are the API: ``import suisim`` binds no public name and
+    imports none of them."""
+    src = os.path.dirname(os.path.dirname(suisim.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import suisim; "
+        "print(sorted(n for n in vars(suisim) if not n.startswith('_')), hasattr(suisim, '__version__'), "
+        "sorted(m for m in sys.modules if m.startswith('suisim.')))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[] True []"
+
+
 class TestShotNoiseCalibration:
     def test_factor_is_near_unity(self):
         factor = shot_noise_calibration(1e6, 0.2, seed=1, rbw=5e3)
