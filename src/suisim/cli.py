@@ -31,8 +31,6 @@ from .config import (
     theta_label,
 )
 from .schemes import (
-    PORT_SIGNAL,
-    PORT_TAP,
     MeasurementModel,
     SchemeInstance,
     enhancement_from_models,
@@ -157,26 +155,13 @@ def _peak_section(scheme: SchemeInstance, spec: Spectrum) -> dict:
     return section
 
 
-def _check_calibration_tone(model: MeasurementModel, frequency_hz: float) -> None:
-    """Refuse a calibration tone the signal or tap port cannot see at all."""
-    for port in (PORT_SIGNAL, PORT_TAP):
-        if model.amplitude(port, frequency_hz) == 0.0:
-            raise ConfigError(
-                f"config key 'sim.combine.calibration_tone_hz': the tone at {frequency_hz} Hz "
-                f"does not reach the {port} port, so the channels cannot be balanced on it"
-            )
-
-
 def cmd_simulate(cfg: RunConfig) -> dict:
     scheme, fringe_info = _resolve_scheme(cfg)
     runs: list[tuple[str, SchemeInstance]] = [(scheme.kind, scheme)]
     if cfg.compare_with is not None:
         runs.append((cfg.compare_with, matched_baseline(scheme, cfg.compare_with)))
     models = [measurement_model(run_scheme) for _, run_scheme in runs]
-    if cfg.sim.combine is not None:
-        _check_calibration_tone(models[0], cfg.sim.combine.calibration_tone_hz)
     out_dir = cfg.output_dir or "out"
-    os.makedirs(out_dir, exist_ok=True)
 
     report = {
         "seed": cfg.sim.seed,
@@ -193,6 +178,7 @@ def cmd_simulate(cfg: RunConfig) -> dict:
             run = simulate_spectra(
                 model, cfg.sim.duration_s, cfg.sim.sample_rate_hz, seed, cfg.sim.rbw_hz, combine
             )
+        os.makedirs(out_dir, exist_ok=True)
         run_report = {"seed": seed, "ports": {}}
         for port, spec in run.spectra.items():
             path = os.path.join(out_dir, f"spectrum_{label}_{port}.csv")

@@ -409,45 +409,41 @@ class _WelchSums:
         )
 
 
+def _check_visible(frequency_hz: float, port: str, response: float, variance: float, n_samples: int) -> None:
+    """The lock-in's visibility rule: a :class:`ParameterError` named
+    ``combine.calibration_tone_hz`` (a ``sim`` key) unless the tone's
+    ``response`` at ``port`` is at least ten noise scales.  One noise scale,
+    ``2 sqrt(variance / n_samples)``, is the lock-in amplitude of a toneless
+    record of that variance and length."""
+    noise_scale = 2.0 * math.sqrt(variance / n_samples)
+    if response < 10.0 * noise_scale:
+        raise ParameterError(
+            "combine.calibration_tone_hz",
+            f"calibration tone at {frequency_hz} Hz not found in record {port!r}: its response at the "
+            f"{port} port, {response:.3g}, is under ten times the noise scale {noise_scale:.3g}",
+        )
+
+
 class _LockIn:
-    """Running lock-in sums of a pair of records at one frequency, for :func:`calibrate_k`.
+    """Running lock-in sums of a pair of records at one frequency.
 
     The reference ``exp(-i omega n / fs)`` is read off a :class:`_GridPhasor`.
     """
 
     def __init__(self, frequency_hz: float, sample_rate: float):
-        self.frequency_hz = frequency_hz
         self.reference = _GridPhasor(frequency_hz, sample_rate)
         self.z = np.zeros(2, dtype=complex)
-        self.total = np.zeros(2)
-        self.squares = np.zeros(2)
         self.n = 0
 
     def feed(self, start: int, pair: np.ndarray) -> None:
         """Add the block of both records that begins at sample ``start``."""
         m = pair.shape[1]
         self.z += pair @ self.reference.cos(start, m) - 1j * (pair @ self.reference.sin(start, m))
-        self.total += pair.sum(axis=1)
-        self.squares += np.einsum("ij,ij->i", pair, pair)
-        self.n += pair.shape[1]
+        self.n += m
 
-    def balance_gain(self, names: tuple[str, str]) -> float:
-        """Ratio of the two records' tone amplitudes; a :class:`ParameterError` named
-        ``combine.calibration_tone_hz`` (a ``sim`` key) if either is lost in the noise."""
-        amplitudes = []
-        for z, total, squares, name in zip(self.z, self.total, self.squares, names):
-            amp = abs(2.0 * z / self.n)
-            # Lock-in noise floor: |z| of a toneless record is ~ 2 sigma/sqrt(N).
-            variance = max(squares / self.n - (total / self.n) ** 2, 0.0)
-            noise_scale = 2.0 * math.sqrt(variance / self.n)
-            if amp < 10.0 * noise_scale:
-                raise ParameterError(
-                    "combine.calibration_tone_hz",
-                    f"calibration tone at {self.frequency_hz} Hz not found in record "
-                    f"{name!r} (response {amp:.3g} vs noise scale {noise_scale:.3g})"
-                )
-            amplitudes.append(amp)
-        return amplitudes[0] / amplitudes[1]
+    def amplitudes(self) -> list[float]:
+        """The tone amplitude of each record, ``|2 z / n|``."""
+        return [abs(2.0 * z / self.n) for z in self.z]
 
 
 def simulate_currents(
@@ -515,17 +511,24 @@ def simulate_spectra(
     tap ports at its calibration tone and reads each combined spectrum off
     the port cross-spectrum, ``c^2 S11 + k^2 s^2 S33 + 2 c k s Re S13``
     with ``c, s = cos(theta), sin(theta)``; this equals the Welch spectrum
-    of :func:`combine_currents` up to rounding.
+    of :func:`combine_currents` up to rounding.  Before any sample is drawn,
+    the lock-in's visibility rule is applied to the moments the run is drawn
+    from: the model amplitude of the calibration tone at each port, against
+    the port variance plus the ``A^2/2`` of every tone there.
     """
     n_samples = check_sampling(duration, sample_rate, list(model.tone_amplitudes))
     nperseg = _segment_length(sample_rate, rbw, n_samples)
-    pair = None
+    pair = lock_in = None
     if combine is not None:
         if PORT_TAP not in model.port_names:
             raise ValueError("the post-detection combination needs the tap port")
         pair = [model.port_names.index(PORT_SIGNAL), model.port_names.index(PORT_TAP)]
+        f = combine.calibration_tone_hz
+        for port in (PORT_SIGNAL, PORT_TAP):
+            variance = model.variance(port) + sum(model.amplitude(port, t) ** 2 / 2.0 for t in model.tone_amplitudes)
+            _check_visible(f, port, abs(model.amplitude(port, f)), variance, n_samples)
+        lock_in = _LockIn(f, sample_rate)
     sums = _WelchSums(len(model.port_names), sample_rate, nperseg, cross=pair)
-    lock_in = _LockIn(combine.calibration_tone_hz, sample_rate) if pair else None
     for start, samples in _synthesize(model, n_samples, sample_rate, seed, _block_length(nperseg)):
         sums.feed(samples)
         if lock_in is not None:
@@ -534,7 +537,8 @@ def simulate_spectra(
     if pair is None:
         return RunSpectra(spectra)
 
-    k = lock_in.balance_gain((PORT_SIGNAL, PORT_TAP))
+    a1, a3 = lock_in.amplitudes()
+    k = a1 / a3
     s11, s33 = sums.power[pair[0]], sums.power[pair[1]]
     combined = []
     for theta in combine.thetas:
@@ -629,7 +633,10 @@ def calibrate_k(i1: TimeSeries, i3: TimeSeries, cal_tone_hz: float) -> float:
     for start in range(0, i1.samples.size, _RECORD_BLOCK):
         end = start + _RECORD_BLOCK
         lock_in.feed(start, np.stack((i1.samples[start:end], i3.samples[start:end])))
-    return lock_in.balance_gain((i1.port_name, i3.port_name))
+    amplitudes = lock_in.amplitudes()
+    for record, amplitude in zip((i1, i3), amplitudes):
+        _check_visible(cal_tone_hz, record.port_name, amplitude, float(np.var(record.samples)), record.samples.size)
+    return amplitudes[0] / amplitudes[1]
 
 
 def combine_currents(i1: TimeSeries, i3: TimeSeries, params: CombineParams) -> TimeSeries:

@@ -7,9 +7,10 @@ import sys
 
 import pytest
 
-from suisim import verify
+from suisim import spectra, verify
 from suisim.cli import main
 from suisim.config import ConfigError, load_config, preset_config
+from suisim.spectra import MAX_SAMPLES
 from suisim.verify import CheckResult
 
 BS_CONFIG = {
@@ -625,6 +626,26 @@ class TestConfigRejections:
         assert "'sim.combine.calibration_tone_hz'" in err and "'tap'" in err
         assert out == ""
         assert list(out_dir.glob("*")) == []
+
+    @pytest.mark.parametrize("max_samples", [False, True], ids=["default-duration", "max-samples"])
+    def test_weak_calibration_tone_fails_before_any_sample(self, tmp_path, capsys, monkeypatch, max_samples):
+        # The lock-in's visibility rule is applied to the port model, so the
+        # rejection costs nothing however long the record; this once
+        # synthesised the whole record first.
+        def synthesize(*args):
+            raise AssertionError("synthesis started")
+
+        monkeypatch.setattr(spectra, "_synthesize", synthesize)
+        raw = preset_config("fig5")
+        raw["ports"]["channels"][2]["lo_phase_rad"] = 3 * math.pi / 4 + 1e-3
+        if max_samples:
+            raw["sim"]["duration_s"] = MAX_SAMPLES / load_config(raw).sim.sample_rate_hz
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "simulate", "--config", write_config(tmp_path, raw), "--out", str(out_dir))
+        assert code == 1, err
+        assert "'sim.combine.calibration_tone_hz'" in err and "tap port" in err
+        assert out == ""
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("thetas", [[0.0, 1e-5], [0.5, 0.5]], ids=["rounds-to-one-label", "repeated"])
     def test_thetas_of_one_label_fail_at_load_time(self, tmp_path, capsys, thetas):

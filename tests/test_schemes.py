@@ -242,7 +242,6 @@ class TestPortSnr:
         assert port_snr(scheme, "idler", PM) == pytest.approx(2.0, rel=1e-9)
 
     def test_sui_asymptote(self):
-        scheme = dataclasses.replace(reference_sui(g2=50.0), losses=LossBudget())
         lossless = build_scheme(
             "sui",
             probe_photon_number=1e4,

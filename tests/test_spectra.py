@@ -320,8 +320,29 @@ class TestGridPhasor:
         expected = abs(i1.samples @ reference) / abs(i3.samples @ reference)
         lock_in = _LockIn(f, i1.sample_rate)
         lock_in.feed(0, np.stack((i1.samples, i3.samples)))
-        assert lock_in.balance_gain(("signal", "tap")) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        a1, a3 = lock_in.amplitudes()
+        assert a1 / a3 == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert calibrate_k(i1, i3, f) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("tap_lo", [math.pi / 2, 3 * math.pi / 4 + 1e-3], ids=["preset", "near-null"])
+    def test_lock_in_reads_the_model_moments(self, tap_lo):
+        # simulate_spectra decides whether the calibration tone is visible
+        # from the model amplitude and the port variance plus A^2/2 per tone,
+        # before any sample is drawn; the records must bear them out.
+        raw = preset_config("fig5")
+        raw["ports"]["channels"][2]["lo_phase_rad"] = tap_lo
+        cfg = load_config(raw)
+        f = cfg.sim.combine.calibration_tone_hz
+        model = measurement_model(cfg.scheme)
+        records = simulate_currents(cfg.scheme, 0.05, seed=cfg.sim.seed)
+        lock_in = _LockIn(f, cfg.sim.sample_rate_hz)
+        lock_in.feed(0, np.stack((records["signal"].samples, records["tap"].samples)))
+        for port, measured in zip(("signal", "tap"), lock_in.amplitudes()):
+            samples = records[port].samples
+            variance = model.variance(port) + sum(model.amplitude(port, t) ** 2 / 2 for t in model.tone_amplitudes)
+            noise_scale = 2.0 * math.sqrt(variance / samples.size)
+            assert abs(measured - abs(model.amplitude(port, f))) <= 3.0 * noise_scale
+            assert np.var(samples) == pytest.approx(variance, rel=0.02)
 
 
 def test_package_import_does_not_load_scipy():
