@@ -208,9 +208,6 @@ def cmd_simulate(cfg: RunConfig) -> dict:
 
 def cmd_sweep(cfg: RunConfig, parameter: str, grid: list[float]) -> dict:
     check_sweep_parameter(parameter)
-    out_dir = cfg.output_dir or "out"
-    os.makedirs(out_dir, exist_ok=True)
-
     header: list[str] = [parameter]
     rows: list[list[float]] = []
     for value in grid:
@@ -229,6 +226,9 @@ def cmd_sweep(cfg: RunConfig, parameter: str, grid: list[float]) -> dict:
 
     lines = [",".join(header)]
     lines.extend(",".join(f"{v:.10g}" for v in row) for row in rows)
+    # Made only once every point has succeeded, so a rejected sweep writes nothing.
+    out_dir = cfg.output_dir or "out"
+    os.makedirs(out_dir, exist_ok=True)
     safe = parameter.replace(".", "_")
     path = os.path.join(out_dir, f"sweep_{safe}.csv")
     _write_text(path, "\n".join(lines) + "\n")

@@ -24,6 +24,7 @@ off the model, and physicality is checked once, on the output state.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import math
@@ -36,10 +37,10 @@ from .conventions import normalize_angle, xy_indices
 from .gaussian import (
     GaussianState,
     OpaParams,
+    _check_mode,
     _embed,
     apply_channel,
     beam_splitter_matrix,
-    displacement,
     loss_channel,
     mean_photon_number,
     phase_shift_matrix,
@@ -111,10 +112,10 @@ class Loss:
 
 Element = Displace | TwoModeSqueeze | Splitter | PhaseShift | Loss
 
-# Element channels kept by _element_channel.  A lock's phase scan varies only
-# the recombining amplifier, so the other elements of its pipelines are built
-# once per lock.  Each entry holds one or two 2n x 2n arrays (6x6 for a
-# scheme with a tap).
+# Element channels kept by _element_channel.  A lock's tap splitter comes after
+# the recombining amplifier, past the prefix compile_pipeline folds once, so it
+# is folded at every scan point and built once, here.  Each entry holds one or
+# two 2n x 2n arrays (6x6 for a scheme with a tap).
 _ELEMENT_CACHE_SIZE = 64
 
 
@@ -143,27 +144,57 @@ def _element_channel(n_modes: int, element: Element) -> tuple[np.ndarray, np.nda
     return transfer, noise
 
 
+# The last pipeline compile_pipeline folded: (n_modes, elements, folds), where
+# folds[i] is the channel (S, N, D) of elements[:i].  One entry, never mutated
+# and replaced as a whole, so a concurrent caller sees the old entry or the new.
+_last_fold: tuple[int, tuple[Element, ...], tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]] = (-1, (), ())
+
+
 def compile_pipeline(n_modes: int, elements: list[Element]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fold a pipeline into one affine Gaussian channel ``(S, N, D)``.
 
     An input of mean ``m`` and covariance ``V`` leaves with mean
     ``S m + D.sum(axis=1)`` and covariance ``S V S^T + N``.  Column k of ``D``
     is the output shift of the k-th :class:`Displace` on its own.
+
+    The fold resumes after the longest run of leading elements equal (``==``)
+    to those of the previous call with the same ``n_modes``.  The returned
+    arrays may be shared with later calls and are therefore read-only.
     """
-    dim = 2 * n_modes
-    transfer, noise = np.eye(dim), np.zeros((dim, dim))
-    shifts = np.zeros((dim, sum(isinstance(element, Displace) for element in elements)))
-    k = 0  # displacements so far; later columns are still zero
-    for element in elements:
+    global _last_fold
+    elements = tuple(elements)
+    last_n_modes, last_elements, folds = _last_fold
+    start = 0
+    if last_n_modes == n_modes:
+        for old, new in zip(last_elements, elements):
+            if old != new:
+                break
+            start += 1
+        folds = list(folds[: start + 1])
+    else:
+        dim = 2 * n_modes
+        folds = [(np.eye(dim), np.zeros((dim, dim)), np.zeros((dim, 0)))]
+    transfer, noise, shifts = folds[-1]
+    for element in elements[start:]:
         if isinstance(element, Displace):
-            shifts[:, k] = displacement(n_modes, element.mode, element.dx, element.dy)
-            k += 1
+            # The new column is the displacement: (dx, dy) on its mode, zero elsewhere.
+            _check_mode(n_modes, element.mode)
+            k = shifts.shape[1]
+            grown = np.zeros((2 * n_modes, k + 1))
+            grown[:, :k] = shifts
+            ix, iy = xy_indices(element.mode)
+            grown[ix, k], grown[iy, k] = element.dx, element.dy
+            shifts = grown
         else:
             m, added = _element_channel(n_modes, element)
             transfer, noise = m @ transfer, m @ noise @ m.T + added
-            if k:
-                shifts[:, :k] = m @ shifts[:, :k]
-    return transfer, noise, shifts
+            if shifts.shape[1]:
+                shifts = m @ shifts
+        folds.append((transfer, noise, shifts))
+    for array in folds[-1]:
+        array.setflags(write=False)
+    _last_fold = (n_modes, elements, tuple(folds))
+    return folds[-1]
 
 
 def apply_pipeline(state: GaussianState, elements: list[Element]) -> GaussianState:
@@ -604,9 +635,22 @@ class DarkFringeResult:
 # Phases scanned per lock.  Three would fix the first harmonic exactly, but
 # bench/test_bench.py asserts more than 256 evaluations per lock, so a 4-point
 # scan waits on that assertion.  Each point is one compiled channel read with
-# one physicality check; every element but the recombining amplifier comes
-# from the _element_channel cache.
+# one physicality check; compile_pipeline resumes from the fold its previous
+# call left after the internal loss, so only the recombining amplifier and the
+# tap are applied per point.
 _FRINGE_POINTS = 256
+
+
+def _at_phase(scheme: SchemeInstance, phi: float) -> SchemeInstance:
+    """The scheme at interferometer phase ``phi``.
+
+    Equal to ``dataclasses.replace(scheme, interferometer_phase=phi)``, but a
+    copy that skips ``SchemeInstance.__post_init__``: none of its rules reads
+    the phase, so rerunning them at every scan point would check nothing new.
+    """
+    variant = copy.copy(scheme)
+    object.__setattr__(variant, "interferometer_phase", normalize_angle(phi))
+    return variant
 
 
 def find_dark_fringe(scheme: SchemeInstance) -> DarkFringeResult:
@@ -625,8 +669,7 @@ def find_dark_fringe(scheme: SchemeInstance) -> DarkFringeResult:
         raise ValueError("the dark fringe is only defined for the SU(1,1) scheme")
 
     def objective(phi: float) -> float:
-        variant = dataclasses.replace(scheme, interferometer_phase=normalize_angle(phi))
-        state, _ = output_state(variant, active_tones=frozenset())
+        state, _ = output_state(_at_phase(scheme, phi), active_tones=frozenset())
         return sum(mean_photon_number(state, m) for m in range(state.n_modes))
 
     grid = np.linspace(0.0, 2.0 * math.pi, _FRINGE_POINTS, endpoint=False)

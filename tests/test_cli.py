@@ -319,6 +319,18 @@ class TestSweepCommand:
             assert "losses.eta_signal_det" in err
             assert not out_dir.exists()
 
+    def test_rejected_point_leaves_no_directory(self, tmp_path, capsys):
+        # The first two points are valid; eta_internal = 1.5 is rejected.
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys,
+            "sweep", "--preset", "fig2", "--out", str(out_dir),
+            "--param", "losses.eta_internal", "--grid", "0.5:1.5:3",
+        )
+        assert code == 1, err
+        assert "losses.eta_internal" in err
+        assert not out_dir.exists()
+
 
 class TestConfigRejections:
     """Bad values fail at load time with exit code 1 and their config path."""

@@ -6,6 +6,8 @@ not merely to rounding, so that no SNR, spectrum or verify figure moves.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -193,6 +195,80 @@ class TestCompiledPipeline:
                 idx = list(xy_indices(mode))
                 expected = float(cs @ state.cov[np.ix_(idx, idx)] @ cs)
                 assert homodyne_stats(state, mode, theta)[1] == expected
+
+    def test_prefix_memo_never_leaks_between_pipelines(self):
+        first = [
+            Displace(0, 1.5, -0.5),
+            TwoModeSqueeze(0, 1, 2.0, 0.3),
+            Loss(0, 0.7),
+            Displace(1, 0.25, 2.0),
+            TwoModeSqueeze(0, 1, 3.0, 1.1),
+            Splitter(0, 2, 0.5, math.pi),
+        ]
+        changed = first[:2] + [Loss(0, 0.6)] + first[3:]
+        # Each pipeline shares a prefix with the one before it.
+        sequence = [
+            (3, first),
+            (3, changed),  # one element changed
+            (3, changed[:4]),  # a prefix of the last pipeline
+            (3, changed[:4] + [PhaseShift(1, 0.9), Displace(2, -1.0, 0.5)]),  # extends it
+            (4, changed),  # same elements, one mode more
+            (3, first),  # back to the first
+        ]
+        results = []
+        for n_modes, elements in sequence:
+            channel = compile_pipeline(n_modes, elements)
+            for actual, expected in zip(channel, reference_compile(n_modes, elements)):
+                assert_bitwise_equal(actual, expected)
+                assert not actual.flags.writeable
+                with pytest.raises(ValueError):
+                    actual[..., :1] = 1.0
+            results.append(channel)
+        # No later call changed what an earlier one returned.
+        for (n_modes, elements), kept in zip(sequence, results):
+            for actual, expected in zip(kept, reference_compile(n_modes, elements)):
+                assert_bitwise_equal(actual, expected)
+
+    def test_threads_sharing_the_prefix_memo_get_their_own_channels(self):
+        base = [
+            Displace(0, 1.0, 0.5),
+            TwoModeSqueeze(0, 1, 2.5, 0.2),
+            Loss(0, 0.8),
+            TwoModeSqueeze(0, 1, 4.0, 0.0),
+            Splitter(0, 2, 0.5, math.pi),
+        ]
+        pipelines = [(3, base[:3] + [TwoModeSqueeze(0, 1, 4.0, 0.1 * k)] + base[4:]) for k in range(8)]
+        pipelines += [(3, base[:k]) for k in range(1, 5)] + [(2, base[:4])]
+        expected = [reference_compile(n_modes, elements) for n_modes, elements in pipelines]
+        failures = []
+
+        def work(offset):
+            try:
+                for i in range(200):
+                    j = (i * (offset + 1)) % len(pipelines)
+                    for actual, part in zip(compile_pipeline(*pipelines[j]), expected[j]):
+                        if actual.tobytes() != part.tobytes():
+                            failures.append(j)
+            except Exception as exc:  # reported by the assertion below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+    @pytest.mark.parametrize("mode", [-1, 2])
+    def test_displacement_mode_is_checked(self, mode):
+        with pytest.raises(ValueError, match="out of range"):
+            compile_pipeline(2, [TwoModeSqueeze(0, 1, 2.0, 0.0), Displace(mode, 1.0, 0.0)])
 
     def test_pipeline_without_displacement_has_no_shift_columns(self):
         _, _, shifts = compile_pipeline(2, [Loss(0, 0.5), TwoModeSqueeze(0, 1, 2.0, 0.0)])

@@ -633,11 +633,38 @@ def test_vacuum_output_is_the_old_route_bit_for_bit(case, monkeypatch):
         assert model.tone_amplitudes == old.tone_amplitudes
 
 
-def test_second_lock_reads_the_shared_elements_from_the_cache():
+def test_lock_folds_its_fixed_prefix_once(monkeypatch):
     scheme = lock_case(3)
     assert scheme.tap_enabled and scheme.losses.eta_internal < 1.0
+    folded, build = [], schemes._element_channel
+
+    def counted(n_modes, element):
+        folded.append(element)
+        return build(n_modes, element)
+
+    monkeypatch.setattr(schemes, "_element_channel", counted)
+    # An unrelated pipeline first, so the lock starts from an empty prefix.
+    schemes.compile_pipeline(2, [schemes.Loss(1, 0.5)])
+    folded.clear()
     find_dark_fringe(scheme)
-    before = schemes._element_channel.cache_info().hits
-    find_dark_fringe(scheme)
-    # OPA1, the internal loss and the tap are shared by every scan point.
-    assert schemes._element_channel.cache_info().hits - before >= 3 * 256
+    squeezers = [e for e in folded if isinstance(e, schemes.TwoModeSqueeze)]
+    assert sum(e.gain == scheme.opa1.gain for e in squeezers) == 1
+    assert sum(isinstance(e, schemes.Loss) for e in folded) == 1
+    assert sum(e.gain == scheme.opa2_or_amp.gain for e in squeezers) == 257
+    assert sum(isinstance(e, schemes.Splitter) for e in folded) == 257
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_scan_point_is_the_replaced_scheme(k):
+    # dataclasses.replace reruns SchemeInstance.__post_init__, which _at_phase
+    # skips: equal schemes show that none of its rules depends on the phase.
+    scheme = lock_case(k)
+    original = dataclasses.replace(scheme)
+    grid = np.linspace(0.0, 2.0 * math.pi, schemes._FRINGE_POINTS, endpoint=False)
+    # The grid phases, and the same phases a turn below and two above.
+    for phi in np.concatenate([grid, grid - 2.0 * math.pi, grid + 4.0 * math.pi]):
+        variant = schemes._at_phase(scheme, phi)
+        expected = dataclasses.replace(scheme, interferometer_phase=phi)
+        assert type(variant) is SchemeInstance and variant == expected
+        assert type(variant.interferometer_phase) is float
+    assert scheme == original
