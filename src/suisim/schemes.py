@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import functools
 import math
 import sys
 import warnings
@@ -112,20 +111,8 @@ class Loss:
 
 Element = Displace | TwoModeSqueeze | Splitter | PhaseShift | Loss
 
-# Element channels kept by _element_channel.  A lock's tap splitter comes after
-# the recombining amplifier, past the prefix compile_pipeline folds once, so it
-# is folded at every scan point and built once, here.  Each entry holds one or
-# two 2n x 2n arrays (6x6 for a scheme with a tap).
-_ELEMENT_CACHE_SIZE = 64
-
-
-@functools.lru_cache(maxsize=_ELEMENT_CACHE_SIZE)
 def _element_channel(n_modes: int, element: Element) -> tuple[np.ndarray, np.ndarray | float]:
-    """Transfer matrix and added noise of one element other than a displacement.
-
-    Memoised on ``(n_modes, element)``; the arrays are shared between calls
-    and therefore read-only.
-    """
+    """Transfer matrix and added noise of one element other than a displacement."""
     noise = 0.0
     if isinstance(element, TwoModeSqueeze):
         s4 = two_mode_squeezer_matrix(element.gain, element.pump_phase)
@@ -137,17 +124,17 @@ def _element_channel(n_modes: int, element: Element) -> tuple[np.ndarray, np.nda
         transfer = _embed(phase_shift_matrix(element.theta), n_modes, element.mode)
     elif isinstance(element, Loss):
         transfer, noise = loss_channel(n_modes, element.mode, element.eta)
-        noise.flags.writeable = False
     else:
         raise ValueError(f"unsupported pipeline element: {element!r}")
-    transfer.flags.writeable = False
     return transfer, noise
 
 
-# The last pipeline compile_pipeline folded: (n_modes, elements, folds), where
-# folds[i] is the channel (S, N, D) of elements[:i].  One entry, never mutated
-# and replaced as a whole, so a concurrent caller sees the old entry or the new.
-_last_fold: tuple[int, tuple[Element, ...], tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]] = (-1, (), ())
+# The last pipeline compile_pipeline folded: (n_modes, elements, channels, folds),
+# where channels[i] is the _element_channel of elements[i] (None for a Displace)
+# and folds[i] is the channel (S, N, D) of elements[:i].  One entry, never
+# mutated and replaced as a whole, so a concurrent caller sees the old entry or
+# the new.
+_last_fold: tuple = (-1, (), (), ())
 
 
 def compile_pipeline(n_modes: int, elements: list[Element]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -157,25 +144,28 @@ def compile_pipeline(n_modes: int, elements: list[Element]) -> tuple[np.ndarray,
     ``S m + D.sum(axis=1)`` and covariance ``S V S^T + N``.  Column k of ``D``
     is the output shift of the k-th :class:`Displace` on its own.
 
-    The fold resumes after the longest run of leading elements equal (``==``)
-    to those of the previous call with the same ``n_modes``.  The returned
-    arrays may be shared with later calls and are therefore read-only.
+    One memo keeps the previous call.  If it had the same ``n_modes``, the
+    fold resumes after the longest run of leading elements equal (``==``) to
+    its elements; past that run, an element equal to the previous element at
+    the same index reuses that element's channel, and any other is built.
+    The returned arrays may be shared with later calls and are therefore
+    read-only.
     """
     global _last_fold
     elements = tuple(elements)
-    last_n_modes, last_elements, folds = _last_fold
-    start = 0
-    if last_n_modes == n_modes:
-        for old, new in zip(last_elements, elements):
-            if old != new:
-                break
-            start += 1
-        folds = list(folds[: start + 1])
-    else:
+    last_n_modes, last_elements, last_channels, folds = _last_fold
+    if last_n_modes != n_modes:
         dim = 2 * n_modes
-        folds = [(np.eye(dim), np.zeros((dim, dim)), np.zeros((dim, 0)))]
+        last_elements, folds = (), ((np.eye(dim), np.zeros((dim, dim)), np.zeros((dim, 0))),)
+    start = 0
+    for old, new in zip(last_elements, elements):
+        if old != new:
+            break
+        start += 1
+    channels, folds = list(last_channels[:start]), list(folds[: start + 1])
     transfer, noise, shifts = folds[-1]
-    for element in elements[start:]:
+    for i, element in enumerate(elements[start:], start):
+        channel = None
         if isinstance(element, Displace):
             # The new column is the displacement: (dx, dy) on its mode, zero elsewhere.
             _check_mode(n_modes, element.mode)
@@ -186,14 +176,17 @@ def compile_pipeline(n_modes: int, elements: list[Element]) -> tuple[np.ndarray,
             grown[ix, k], grown[iy, k] = element.dx, element.dy
             shifts = grown
         else:
-            m, added = _element_channel(n_modes, element)
+            reuse = i < len(last_elements) and last_elements[i] == element
+            channel = last_channels[i] if reuse else _element_channel(n_modes, element)
+            m, added = channel
             transfer, noise = m @ transfer, m @ noise @ m.T + added
             if shifts.shape[1]:
                 shifts = m @ shifts
+        channels.append(channel)
         folds.append((transfer, noise, shifts))
     for array in folds[-1]:
         array.setflags(write=False)
-    _last_fold = (n_modes, elements, tuple(folds))
+    _last_fold = (n_modes, elements, tuple(channels), tuple(folds))
     return folds[-1]
 
 

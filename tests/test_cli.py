@@ -5,10 +5,11 @@ import os
 import struct
 import sys
 
+import numpy as np
 import pytest
 
 from suisim import spectra, verify
-from suisim.cli import main
+from suisim.cli import cmd_snr, main
 from suisim.config import ConfigError, load_config, preset_config
 from suisim.spectra import MAX_SAMPLES
 from suisim.verify import CheckResult
@@ -174,6 +175,29 @@ class TestSnrCommand:
         code, out, _ = run_cli(capsys, "snr", "--preset", "fig5", "--out", out_dir)
         assert code == 0
         assert json.loads(out)["resolved_config"]["output"]["directory"] == out_dir
+
+
+# fig2 without losses on a 13 x 17 log grid of gain_g1 (10^0.2 to 10^5) and
+# gain_g2 (10^0.2 to 10^8): these (g1, g2) index pairs raise "covariance matrix
+# violates the uncertainty relation" (exit 2), all at gain_g1 of 398 or more.
+LOSSLESS_G1_GRID = np.logspace(0.2, 5.0, 13)
+LOSSLESS_G2_GRID = np.logspace(0.2, 8.0, 17)
+LOSSLESS_FAILURES = [
+    (6, 7), (7, 7), (7, 8), (8, 5), (8, 6), (8, 7), (8, 8), (9, 6), (9, 7), (9, 8),
+    (9, 10), (10, 6), (10, 7), (10, 8), (10, 9), (11, 6), (11, 7), (11, 8), (11, 10), (11, 14),
+    (12, 7), (12, 8), (12, 9), (12, 10), (12, 12), (12, 14), (12, 15), (12, 16),
+]
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError, reason="ROADMAP item 4")
+@pytest.mark.parametrize("i, j", LOSSLESS_FAILURES)
+def test_lossless_high_gain_snr_succeeds(i, j):
+    raw = preset_config("fig2")
+    raw["losses"] = dict.fromkeys(raw["losses"], 1.0)
+    raw["scheme"]["gain_g1"] = float(LOSSLESS_G1_GRID[i])
+    raw["scheme"]["gain_g2"] = float(LOSSLESS_G2_GRID[j])
+    report = cmd_snr(load_config(raw))
+    assert report["snr_sui_x"] > 0 and report["snr_sui_y"] > 0
 
 
 def small_sim_config():

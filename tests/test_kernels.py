@@ -25,13 +25,13 @@ from suisim.gaussian import (
     two_mode_squeezer_matrix,
     vacuum_state,
 )
+from suisim import schemes
 from suisim.schemes import (
     Displace,
     Loss,
     PhaseShift,
     Splitter,
     TwoModeSqueeze,
-    _element_channel,
     apply_pipeline,
     compile_pipeline,
 )
@@ -275,48 +275,110 @@ class TestCompiledPipeline:
         assert shifts.shape == (4, 0)
 
 
-class TestElementCache:
-    ELEMENTS = [
+def assert_reference_channel(n_modes, elements, channel):
+    for actual, expected in zip(channel, reference_compile(n_modes, elements)):
+        assert_bitwise_equal(actual, expected)
+
+
+def forget_pipeline():
+    """Leave the memo holding a one-mode pipeline, so the next call of more
+    modes starts from nothing."""
+    compile_pipeline(1, [Loss(0, 0.5)])
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The elements compile_pipeline builds a channel for, in order."""
+    elements, build = [], schemes._element_channel
+
+    def counted(n_modes, element):
+        elements.append(element)
+        return build(n_modes, element)
+
+    monkeypatch.setattr(schemes, "_element_channel", counted)
+    return elements
+
+
+class TestPipelineMemo:
+    BASE = [
+        Displace(0, 1.5, -0.5),
         TwoModeSqueeze(0, 1, 2.0, 0.4),
-        Splitter(0, 2, 0.5, math.pi),
-        PhaseShift(1, 0.7),
         Loss(0, 0.6),
+        PhaseShift(1, 0.7),
+        TwoModeSqueeze(0, 1, 3.0, 1.1),
+        Splitter(0, 2, 0.5, math.pi),
+    ]
+    # A replacement for each element of BASE, of the same kind.
+    OTHERS = [
+        Displace(0, -1.0, 2.0),
+        TwoModeSqueeze(0, 1, 2.5, 0.4),
+        Loss(0, 0.5),
+        PhaseShift(1, -0.2),
+        TwoModeSqueeze(0, 1, 3.0, 1.2),
+        Splitter(0, 2, 0.4, math.pi),
     ]
 
-    @pytest.mark.parametrize("element", ELEMENTS, ids=lambda e: type(e).__name__)
-    def test_arrays_are_read_only(self, element):
-        for part in _element_channel(3, element):
-            if isinstance(part, np.ndarray):
-                assert not part.flags.writeable
+    @pytest.mark.parametrize("index", range(len(BASE)))
+    def test_a_changed_element_is_the_only_one_built(self, built, index):
+        changed = self.BASE[:index] + [self.OTHERS[index]] + self.BASE[index + 1 :]
+        forget_pipeline()
+        compile_pipeline(3, self.BASE)
+        built.clear()
+        channel = compile_pipeline(3, changed)
+        # A displacement has no channel to build; the elements after it are reused.
+        assert built == ([] if index == 0 else [changed[index]])
+        assert_reference_channel(3, changed, channel)
+
+    def test_reuse_follows_modes_and_lengths(self, built):
+        base, others = self.BASE, self.OTHERS
+        changed = base[:4] + [others[4], base[5]]
+        longer = changed[:4] + [PhaseShift(2, 0.3), Displace(2, -1.0, 0.5), base[5]]
+        inserted = base[:2] + [Displace(2, 1.0, 1.0)] + base[2:]
+        # (n_modes, pipeline, the elements it must build), each after the one before.
+        sequence = [
+            (3, base, base[1:]),
+            (3, changed, [others[4]]),
+            (3, changed[:4], []),  # a prefix of the last pipeline
+            (3, longer, [longer[4], longer[6]]),  # past the last one's end
+            (4, longer, longer[1:4] + [longer[4], longer[6]]),  # one mode more
+            (3, base, base[1:]),  # and back
+            (3, [others[0]] + base[1:], []),  # only the leading displacement differs
+            (3, inserted, base[2:]),  # an insertion moves every later element
+        ]
+        forget_pipeline()
+        for n_modes, elements, expected in sequence:
+            built.clear()
+            channel = compile_pipeline(n_modes, elements)
+            assert built == expected
+            assert_reference_channel(n_modes, elements, channel)
+
+    @pytest.mark.parametrize("lead", [[], [Loss(0, 0.6)]], ids=["prefix", "position"])
+    def test_signed_zero_pump_phases_share_a_channel(self, built, lead):
+        positive, negative = TwoModeSqueeze(0, 1, 3.0, 0.0), TwoModeSqueeze(0, 1, 3.0, -0.0)
+        assert positive == negative
+        forget_pipeline()
+        compile_pipeline(2, [Loss(0, 0.5), positive] if lead else [positive])
+        built.clear()
+        reused = compile_pipeline(2, lead + [negative])
+        assert built == lead  # the squeezer was not built again
+        forget_pipeline()
+        fresh = compile_pipeline(2, lead + [negative])
+        for actual, expected in zip(reused, fresh):
+            assert np.array_equal(actual, expected)
+
+    def test_returned_arrays_reject_writes(self, built):
+        forget_pipeline()
+        built.clear()
+        fresh = compile_pipeline(3, self.BASE)
+        changed = self.BASE[:2] + self.OTHERS[2:3] + self.BASE[3:]
+        reused = compile_pipeline(3, changed)
+        prefix = compile_pipeline(3, changed[:4])
+        assert built == self.BASE[1:] + self.OTHERS[2:3]
+        for channel in (fresh, prefix, reused):
+            for array in channel:
+                assert not array.flags.writeable
                 with pytest.raises(ValueError):
-                    part[0, 0] = 1.0
-
-    @pytest.mark.parametrize(
-        "n_modes, element",
-        [(3, element) for element in ELEMENTS] + [(2, TwoModeSqueeze(0, 1, 2.0, 0.4))],
-        ids=[f"3-{type(e).__name__}" for e in ELEMENTS] + ["2-TwoModeSqueeze"],
-    )
-    def test_cached_channel_is_the_uncached_one(self, n_modes, element):
-        expected = _element_channel.__wrapped__(n_modes, element)
-        for _ in range(2):  # the second call is a cache hit
-            for actual, part in zip(_element_channel(n_modes, element), expected):
-                if isinstance(part, np.ndarray):
-                    assert_bitwise_equal(actual, part)
-                else:
-                    assert actual == part
-
-    def test_cache_is_bounded(self):
-        maxsize = _element_channel.cache_info().maxsize
-        assert maxsize is not None and 0 < maxsize <= 256
-
-    def test_signed_zero_pump_phases_give_equal_channels(self):
-        # 0.0 == -0.0 and both hash alike, so they share one cache entry.
-        _element_channel.cache_clear()
-        negative, _ = _element_channel(2, TwoModeSqueeze(0, 1, 3.0, -0.0))
-        positive, _ = _element_channel(2, TwoModeSqueeze(0, 1, 3.0, 0.0))
-        assert np.array_equal(negative, positive)
-        assert np.array_equal(positive, two_mode_squeezer_matrix(3.0, 0.0))
-        assert np.array_equal(negative, two_mode_squeezer_matrix(3.0, -0.0))
+                    array[..., :1] = 1.0
 
 
 class TestSymplecticForm:

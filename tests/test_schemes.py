@@ -651,7 +651,14 @@ def test_lock_folds_its_fixed_prefix_once(monkeypatch):
     assert sum(e.gain == scheme.opa1.gain for e in squeezers) == 1
     assert sum(isinstance(e, schemes.Loss) for e in folded) == 1
     assert sum(e.gain == scheme.opa2_or_amp.gain for e in squeezers) == 257
-    assert sum(isinstance(e, schemes.Splitter) for e in folded) == 257
+    # The tap follows OPA2 at the same index at every scan point, so its channel is reused.
+    assert sum(isinstance(e, schemes.Splitter) for e in folded) == 1
+    assert len(folded) == 260
+    # A second lock of the same scheme resumes from the first: only OPA2 is built.
+    folded.clear()
+    find_dark_fringe(scheme)
+    assert len(folded) == 257
+    assert all(isinstance(e, schemes.TwoModeSqueeze) and e.gain == scheme.opa2_or_amp.gain for e in folded)
 
 
 @pytest.mark.parametrize("k", range(6))
