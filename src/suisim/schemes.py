@@ -20,11 +20,12 @@ covariance ``S S^T + N`` and one output shift per displacement (carrier
 first, then each tone).  :func:`measurement_model` projects that channel
 onto the homodyne ports; port variances, tone amplitudes and SNRs are read
 off the model, and physicality is checked once, on the output state.
+:func:`find_dark_fringe` reads the ``sui`` dark fringe in closed form off the
+channel of the pipeline up to the recombining amplifier.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import math
 import sys
@@ -56,7 +57,7 @@ WEAK_MODULATION_BOUND = 0.05
 
 # Largest output moment (covariance entry or squared mean field) a scheme
 # may have: the float range, less headroom for the sums of moments formed
-# downstream, such as the lock's sum over its scan of total photon numbers.
+# downstream, such as the lock's fringe mean, (G2^2 + g2^2) times a trace.
 _MAX_MOMENT = sys.float_info.max / 2**16
 
 
@@ -129,65 +130,31 @@ def _element_channel(n_modes: int, element: Element) -> tuple[np.ndarray, np.nda
     return transfer, noise
 
 
-# The last pipeline compile_pipeline folded: (n_modes, elements, channels, folds),
-# where channels[i] is the _element_channel of elements[i] (None for a Displace)
-# and folds[i] is the channel (S, N, D) of elements[:i].  One entry, never
-# mutated and replaced as a whole, so a concurrent caller sees the old entry or
-# the new.
-_last_fold: tuple = (-1, (), (), ())
-
-
 def compile_pipeline(n_modes: int, elements: list[Element]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fold a pipeline into one affine Gaussian channel ``(S, N, D)``.
 
     An input of mean ``m`` and covariance ``V`` leaves with mean
     ``S m + D.sum(axis=1)`` and covariance ``S V S^T + N``.  Column k of ``D``
     is the output shift of the k-th :class:`Displace` on its own.
-
-    One memo keeps the previous call.  If it had the same ``n_modes``, the
-    fold resumes after the longest run of leading elements equal (``==``) to
-    its elements; past that run, an element equal to the previous element at
-    the same index reuses that element's channel, and any other is built.
-    The returned arrays may be shared with later calls and are therefore
-    read-only.
     """
-    global _last_fold
-    elements = tuple(elements)
-    last_n_modes, last_elements, last_channels, folds = _last_fold
-    if last_n_modes != n_modes:
-        dim = 2 * n_modes
-        last_elements, folds = (), ((np.eye(dim), np.zeros((dim, dim)), np.zeros((dim, 0))),)
-    start = 0
-    for old, new in zip(last_elements, elements):
-        if old != new:
-            break
-        start += 1
-    channels, folds = list(last_channels[:start]), list(folds[: start + 1])
-    transfer, noise, shifts = folds[-1]
-    for i, element in enumerate(elements[start:], start):
-        channel = None
+    dim = 2 * n_modes
+    transfer, noise, shifts = np.eye(dim), np.zeros((dim, dim)), np.zeros((dim, 0))
+    for element in elements:
         if isinstance(element, Displace):
             # The new column is the displacement: (dx, dy) on its mode, zero elsewhere.
             _check_mode(n_modes, element.mode)
             k = shifts.shape[1]
-            grown = np.zeros((2 * n_modes, k + 1))
+            grown = np.zeros((dim, k + 1))
             grown[:, :k] = shifts
             ix, iy = xy_indices(element.mode)
             grown[ix, k], grown[iy, k] = element.dx, element.dy
             shifts = grown
-        else:
-            reuse = i < len(last_elements) and last_elements[i] == element
-            channel = last_channels[i] if reuse else _element_channel(n_modes, element)
-            m, added = channel
-            transfer, noise = m @ transfer, m @ noise @ m.T + added
-            if shifts.shape[1]:
-                shifts = m @ shifts
-        channels.append(channel)
-        folds.append((transfer, noise, shifts))
-    for array in folds[-1]:
-        array.setflags(write=False)
-    _last_fold = (n_modes, elements, tuple(channels), tuple(folds))
-    return folds[-1]
+            continue
+        m, added = _element_channel(n_modes, element)
+        transfer, noise = m @ transfer, m @ noise @ m.T + added
+        if shifts.shape[1]:
+            shifts = m @ shifts
+    return transfer, noise, shifts
 
 
 def apply_pipeline(state: GaussianState, elements: list[Element]) -> GaussianState:
@@ -625,54 +592,49 @@ class DarkFringeResult:
     visibility: float
 
 
-# Phases scanned per lock.  Three would fix the first harmonic exactly, but
-# bench/test_bench.py asserts more than 256 evaluations per lock, so a 4-point
-# scan waits on that assertion.  Each point is one compiled channel read with
-# one physicality check; compile_pipeline resumes from the fold its previous
-# call left after the internal loss, so only the recombining amplifier and the
-# tap are applied per point.
-_FRINGE_POINTS = 256
-
-
-def _at_phase(scheme: SchemeInstance, phi: float) -> SchemeInstance:
-    """The scheme at interferometer phase ``phi``.
-
-    Equal to ``dataclasses.replace(scheme, interferometer_phase=phi)``, but a
-    copy that skips ``SchemeInstance.__post_init__``: none of its rules reads
-    the phase, so rerunning them at every scan point would check nothing new.
-    """
-    variant = copy.copy(scheme)
-    object.__setattr__(variant, "interferometer_phase", normalize_angle(phi))
-    return variant
-
-
 def find_dark_fringe(scheme: SchemeInstance) -> DarkFringeResult:
     """Interferometer phase minimising the total output power of an SU(1,1) scheme.
 
     The lock runs on the unmodulated carrier (tone depths zeroed): the
     sinusoidal tones average to zero over any realistic lock bandwidth, so
-    they must not bias the operating point.  The total output photon number
-    is exactly ``a0 + a1 cos(phi) + b1 sin(phi)`` (OPA2's conjugate block is
-    a reflection and the tap is passive), so the first harmonic of a uniform
-    scan gives the minimum in closed form.  If the fringe is flat (either
-    amplifier at unit gain), the canonical phase pi is returned with
+    they must not bias the operating point.  OPA2 is the only element that
+    reads the phase, and the tap after it is passive, so with ``M = V + m m^T``
+    the second moments entering OPA2 (gains G2, g2) the total output photon
+    number is the interference fringe of Yurke, McCall and Klauder
+    (Phys. Rev. A 33, 4033, 1986)::
+
+        N(phi) = mean + G2 g2 (A cos(phi) + B sin(phi)),
+        A = M[Xs, Xi] - M[Ys, Yi],   B = M[Xs, Yi] + M[Ys, Xi],
+        mean = ((G2^2 + g2^2) tr M_si + tr M_rest - 2 n) / 4,
+
+    where ``M_si`` is the signal-idler block, ``M_rest`` the tap mode's and
+    ``n`` the number of modes.  Its minimum, at ``atan2(-B, -A)``, is read
+    off one compile of the pipeline up to OPA2.  If the fringe is flat
+    (either amplifier at unit gain), the canonical phase pi is returned with
     ``flat=True``.
     """
     if scheme.kind != "sui":
         raise ValueError("the dark fringe is only defined for the SU(1,1) scheme")
-
-    def objective(phi: float) -> float:
-        state, _ = output_state(_at_phase(scheme, phi), active_tones=frozenset())
-        return sum(mean_photon_number(state, m) for m in range(state.n_modes))
-
-    grid = np.linspace(0.0, 2.0 * math.pi, _FRINGE_POINTS, endpoint=False)
-    harmonics = np.fft.rfft([objective(p) for p in grid])
-    mean = float(harmonics[0].real) / _FRINGE_POINTS
-    amplitude = 2.0 * float(abs(harmonics[1])) / _FRINGE_POINTS
+    # The tone-free pipeline ends with OPA2 and, if enabled, the tap.
+    elements = pipeline_elements(scheme, active_tones=frozenset())
+    transfer, noise, shifts = compile_pipeline(scheme.n_modes, elements[: -2 if scheme.tap_enabled else -1])
+    carrier = shifts.sum(axis=1)
+    moments = transfer @ transfer.T + noise + np.outer(carrier, carrier)
+    (xs, ys), (xi, yi) = xy_indices(0), xy_indices(1)
+    a = moments[xs, xi] - moments[ys, yi]
+    b = moments[xs, yi] + moments[ys, xi]
+    # Signal and idler are modes 0 and 1: the first four quadratures.
+    pair = float(np.trace(moments[:4, :4]))
+    rest = float(np.trace(moments[4:, 4:]))
+    gain, conj = scheme.opa2_or_amp.gain, scheme.opa2_or_amp.conjugate_gain
+    mean = ((gain * gain + conj * conj) * pair + rest - 2.0 * scheme.n_modes) / 4.0
+    amplitude = gain * conj * math.hypot(a, b)
     if 2.0 * amplitude <= 1e-9 * max(1.0, mean + amplitude):
         return DarkFringeResult(math.pi, True, mean, 0.0)
-    phi_star = normalize_angle(math.pi - float(np.angle(harmonics[1])))
-    return DarkFringeResult(phi_star, False, objective(phi_star), amplitude / mean)
+    phi_star = normalize_angle(math.atan2(-b, -a))
+    state, _ = output_state(dataclasses.replace(scheme, interferometer_phase=phi_star), active_tones=frozenset())
+    objective = sum(mean_photon_number(state, m) for m in range(state.n_modes))
+    return DarkFringeResult(phi_star, False, objective, amplitude / mean)
 
 
 # --------------------------------------------------------------------------

@@ -197,6 +197,9 @@ class TestCompiledPipeline:
                 assert homodyne_stats(state, mode, theta)[1] == expected
 
     def test_prefix_memo_never_leaks_between_pipelines(self):
+        # compile_pipeline keeps nothing between calls; a memo put back in
+        # front of the fold must pass this sequence of shared prefixes.
+        rng = np.random.default_rng(11)
         first = [
             Displace(0, 1.5, -0.5),
             TwoModeSqueeze(0, 1, 2.0, 0.3),
@@ -206,27 +209,28 @@ class TestCompiledPipeline:
             Splitter(0, 2, 0.5, math.pi),
         ]
         changed = first[:2] + [Loss(0, 0.6)] + first[3:]
-        # Each pipeline shares a prefix with the one before it.
+        # Pipelines that share a prefix with the one before, then random ones
+        # and random cuts and edits of them.
         sequence = [
             (3, first),
-            (3, changed),  # one element changed
-            (3, changed[:4]),  # a prefix of the last pipeline
-            (3, changed[:4] + [PhaseShift(1, 0.9), Displace(2, -1.0, 0.5)]),  # extends it
-            (4, changed),  # same elements, one mode more
-            (3, first),  # back to the first
+            (3, changed),
+            (3, changed[:4]),
+            (3, changed[:4] + [PhaseShift(1, 0.9), Displace(2, -1.0, 0.5)]),
+            (4, changed),
+            (3, first),
+            (2, [TwoModeSqueeze(0, 1, 3.0, 0.0)]),
+            (2, [TwoModeSqueeze(0, 1, 3.0, -0.0)]),
         ]
-        results = []
-        for n_modes, elements in sequence:
-            channel = compile_pipeline(n_modes, elements)
+        for _ in range(40):
+            n_modes, elements = random_pipeline(rng, with_displacement=bool(rng.integers(2)))
+            sequence.append((n_modes, elements))
+            cut = int(rng.integers(len(elements) + 1))
+            sequence.append((n_modes, elements[:cut] + [PhaseShift(int(rng.integers(n_modes)), 0.4)] + elements[cut:]))
+            sequence.append((n_modes, elements[:cut]))
+        results = [compile_pipeline(n_modes, elements) for n_modes, elements in sequence]
+        # Checked after the whole sequence: no call changed what an earlier one returned.
+        for (n_modes, elements), channel in zip(sequence, results):
             for actual, expected in zip(channel, reference_compile(n_modes, elements)):
-                assert_bitwise_equal(actual, expected)
-                assert not actual.flags.writeable
-                with pytest.raises(ValueError):
-                    actual[..., :1] = 1.0
-            results.append(channel)
-        # No later call changed what an earlier one returned.
-        for (n_modes, elements), kept in zip(sequence, results):
-            for actual, expected in zip(kept, reference_compile(n_modes, elements)):
                 assert_bitwise_equal(actual, expected)
 
     def test_threads_sharing_the_prefix_memo_get_their_own_channels(self):
@@ -275,17 +279,6 @@ class TestCompiledPipeline:
         assert shifts.shape == (4, 0)
 
 
-def assert_reference_channel(n_modes, elements, channel):
-    for actual, expected in zip(channel, reference_compile(n_modes, elements)):
-        assert_bitwise_equal(actual, expected)
-
-
-def forget_pipeline():
-    """Leave the memo holding a one-mode pipeline, so the next call of more
-    modes starts from nothing."""
-    compile_pipeline(1, [Loss(0, 0.5)])
-
-
 @pytest.fixture
 def built(monkeypatch):
     """The elements compile_pipeline builds a channel for, in order."""
@@ -300,85 +293,21 @@ def built(monkeypatch):
 
 
 class TestPipelineMemo:
-    BASE = [
-        Displace(0, 1.5, -0.5),
-        TwoModeSqueeze(0, 1, 2.0, 0.4),
-        Loss(0, 0.6),
-        PhaseShift(1, 0.7),
-        TwoModeSqueeze(0, 1, 3.0, 1.1),
-        Splitter(0, 2, 0.5, math.pi),
-    ]
-    # A replacement for each element of BASE, of the same kind.
-    OTHERS = [
-        Displace(0, -1.0, 2.0),
-        TwoModeSqueeze(0, 1, 2.5, 0.4),
-        Loss(0, 0.5),
-        PhaseShift(1, -0.2),
-        TwoModeSqueeze(0, 1, 3.0, 1.2),
-        Splitter(0, 2, 0.4, math.pi),
-    ]
-
-    @pytest.mark.parametrize("index", range(len(BASE)))
-    def test_a_changed_element_is_the_only_one_built(self, built, index):
-        changed = self.BASE[:index] + [self.OTHERS[index]] + self.BASE[index + 1 :]
-        forget_pipeline()
-        compile_pipeline(3, self.BASE)
-        built.clear()
-        channel = compile_pipeline(3, changed)
-        # A displacement has no channel to build; the elements after it are reused.
-        assert built == ([] if index == 0 else [changed[index]])
-        assert_reference_channel(3, changed, channel)
-
-    def test_reuse_follows_modes_and_lengths(self, built):
-        base, others = self.BASE, self.OTHERS
-        changed = base[:4] + [others[4], base[5]]
-        longer = changed[:4] + [PhaseShift(2, 0.3), Displace(2, -1.0, 0.5), base[5]]
-        inserted = base[:2] + [Displace(2, 1.0, 1.0)] + base[2:]
-        # (n_modes, pipeline, the elements it must build), each after the one before.
-        sequence = [
-            (3, base, base[1:]),
-            (3, changed, [others[4]]),
-            (3, changed[:4], []),  # a prefix of the last pipeline
-            (3, longer, [longer[4], longer[6]]),  # past the last one's end
-            (4, longer, longer[1:4] + [longer[4], longer[6]]),  # one mode more
-            (3, base, base[1:]),  # and back
-            (3, [others[0]] + base[1:], []),  # only the leading displacement differs
-            (3, inserted, base[2:]),  # an insertion moves every later element
-        ]
-        forget_pipeline()
-        for n_modes, elements, expected in sequence:
-            built.clear()
-            channel = compile_pipeline(n_modes, elements)
-            assert built == expected
-            assert_reference_channel(n_modes, elements, channel)
+    """compile_pipeline keeps no memo: each call builds every element's
+    channel.  Elements that compare equal must still give equal channels, so
+    that a memo keyed by ``==`` would be sound."""
 
     @pytest.mark.parametrize("lead", [[], [Loss(0, 0.6)]], ids=["prefix", "position"])
     def test_signed_zero_pump_phases_share_a_channel(self, built, lead):
         positive, negative = TwoModeSqueeze(0, 1, 3.0, 0.0), TwoModeSqueeze(0, 1, 3.0, -0.0)
         assert positive == negative
-        forget_pipeline()
-        compile_pipeline(2, [Loss(0, 0.5), positive] if lead else [positive])
+        first = compile_pipeline(2, lead + [positive])
         built.clear()
-        reused = compile_pipeline(2, lead + [negative])
-        assert built == lead  # the squeezer was not built again
-        forget_pipeline()
-        fresh = compile_pipeline(2, lead + [negative])
-        for actual, expected in zip(reused, fresh):
+        second = compile_pipeline(2, lead + [negative])
+        assert built == lead + [negative]  # nothing is reused
+        for actual, expected, reference in zip(second, first, reference_compile(2, lead + [negative])):
             assert np.array_equal(actual, expected)
-
-    def test_returned_arrays_reject_writes(self, built):
-        forget_pipeline()
-        built.clear()
-        fresh = compile_pipeline(3, self.BASE)
-        changed = self.BASE[:2] + self.OTHERS[2:3] + self.BASE[3:]
-        reused = compile_pipeline(3, changed)
-        prefix = compile_pipeline(3, changed[:4])
-        assert built == self.BASE[1:] + self.OTHERS[2:3]
-        for channel in (fresh, prefix, reused):
-            for array in channel:
-                assert not array.flags.writeable
-                with pytest.raises(ValueError):
-                    array[..., :1] = 1.0
+            assert_bitwise_equal(actual, reference)
 
 
 class TestSymplecticForm:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,13 +13,24 @@ from suisim.bogoliubov import (
     oracle_homodyne_variance,
 )
 from suisim.config import load_config, preset_config, set_parameter
-from suisim.gaussian import OpaParams, apply_channel, displace, homodyne_stats, mean_photon_number, vacuum_state
+from suisim.gaussian import (
+    GaussianState,
+    OpaParams,
+    apply_channel,
+    displace,
+    homodyne_stats,
+    mean_photon_number,
+    vacuum_state,
+)
 from suisim.schemes import (
     HomodyneChannel,
+    Loss,
     LossBudget,
     ModulationTone,
     ParameterError,
     SchemeInstance,
+    Splitter,
+    TwoModeSqueeze,
     apply_pipeline,
     build_scheme,
     enhancement_report,
@@ -578,29 +590,152 @@ def lock_case(k):
     return random_lock_scheme(950 + k, k % 2 == 1, (max(0.5 * k, 0.02), 0.5 * (k + 1)))
 
 
+def scan_photons(scheme, phases):
+    """Total output photon number at each phase: one stacked product of OPA2
+    (and the tap) on the compiled tone-free pipeline that precedes OPA2."""
+    n = scheme.n_modes
+    elements = pipeline_elements(scheme, active_tones=frozenset())
+    transfer, noise, shifts = schemes.compile_pipeline(n, elements[: -2 if scheme.tap_enabled else -1])
+    carrier = shifts.sum(axis=1)
+    moments = transfer @ transfer.T + noise + np.outer(carrier, carrier)
+    gain = scheme.opa2_or_amp.gain
+    conj = math.sqrt(gain**2 - 1.0)
+    c, s = conj * np.cos(phases), conj * np.sin(phases)
+    # OPA2 on (Xs, Ys, Xi, Yi) at every phase, as in gaussian.two_mode_squeezer_matrix.
+    total = np.tile(np.eye(2 * n), (len(phases), 1, 1))
+    for i in range(4):
+        total[:, i, i] = gain
+    total[:, 0, 2] = total[:, 2, 0] = c
+    total[:, 0, 3] = total[:, 3, 0] = s
+    total[:, 1, 2] = total[:, 2, 1] = s
+    total[:, 1, 3] = total[:, 3, 1] = -c
+    if scheme.tap_enabled:
+        total = schemes.compile_pipeline(n, elements[-1:])[0] @ total
+    # Summed over modes, (|mean|^2 + Var X + Var Y - 2) / 4 is (tr(T M T^T) - 2 n) / 4.
+    return (np.einsum("bij,jk,bik->b", total, moments, total) - 2.0 * n) / 4.0
+
+
 @pytest.mark.parametrize("k", range(6))
 def test_lock_is_the_minimum_of_a_dense_scan(k):
     scheme = lock_case(k)
     fringe = find_dark_fringe(scheme)
     assert not fringe.flat
     assert fringe.phi_star == pytest.approx(math.pi, abs=1e-12)
-    scan = np.array([output_photons(scheme, phi) for phi in np.linspace(0, 2 * math.pi, 4096, endpoint=False)])
+    scan = scan_photons(scheme, np.linspace(0, 2 * math.pi, 4096, endpoint=False))
     assert output_photons(scheme, fringe.phi_star) <= scan.min() * (1 + 1e-12)
     assert fringe.visibility == pytest.approx((scan.max() - scan.min()) / (scan.max() + scan.min()), rel=1e-9)
 
 
-def test_lock_makes_exactly_257_evaluations(monkeypatch):
-    # The benchmark asserts more than 256 evaluations per lock: the 256-point
-    # scan plus one at the locked phase.
-    calls = []
+def oracle_photons(scheme, phi):
+    """Total output photon number of the tone-free pipeline at phase ``phi``
+    from the operator transfer oracle: |amplitude|^2 + sum |v|^2 per mode."""
+    tm = build_transfer(dataclasses.replace(scheme, interferometer_phase=phi), active_tones=frozenset())
+    return float(np.sum(np.abs(tm.amplitude) ** 2) + np.sum(np.abs(tm.v) ** 2))
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return output_state(*args, **kwargs)
 
-    monkeypatch.setattr(schemes, "output_state", counted)
-    find_dark_fringe(lock_case(1))
-    assert len(calls) == 257
+def oracle_lock_scheme(rng):
+    eta_internal, *detectors = (float(x) for x in rng.uniform(0.05, 1.0, size=4))
+    scheme = build_scheme(
+        "sui",
+        probe_photon_number=float(10 ** rng.uniform(0, 5)),
+        losses=LossBudget(eta_internal, *detectors),
+        gain_g1=float(rng.uniform(1.01, 5.0)),
+        gain_g2=float(rng.uniform(1.01, 50.0)),
+        tap_enabled=bool(rng.integers(2)),
+    )
+    return dataclasses.replace(scheme, opa1=OpaParams(scheme.opa1.gain, float(rng.uniform(0, 2 * math.pi))))
+
+
+def test_lock_matches_the_oracle_fringe():
+    # The fringe is a pure first harmonic, so eight uniform phases fix it exactly.
+    rng = np.random.default_rng(2024)
+    grid = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+    cases = [oracle_lock_scheme(rng) for _ in range(60)]
+    assert {s.tap_enabled for s in cases} == {False, True}
+    for scheme in cases:
+        photons = np.array([oracle_photons(scheme, phi) for phi in grid])
+        harmonics = np.fft.rfft(photons)
+        mean, amplitude = harmonics[0].real / 8, 2.0 * abs(harmonics[1]) / 8
+        phi_ref = math.pi - float(np.angle(harmonics[1]))
+        fringe = find_dark_fringe(scheme)
+        assert not fringe.flat
+        # Compared on the circle, on the scale of phi*.
+        assert abs(math.remainder(fringe.phi_star - phi_ref, 2.0 * math.pi)) <= 1e-9 * fringe.phi_star
+        assert fringe.visibility == pytest.approx(amplitude / mean, rel=1e-9)
+        assert oracle_photons(scheme, fringe.phi_star) <= photons.min() * (1 + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "gains, probe, tap",
+    [((None, 2.0), 1e4, True), ((2.0, None), 0.0, False)],
+    ids=["gain_g1", "gain_g2"],
+)
+def test_lock_just_below_the_moment_bound(gains, probe, tap):
+    # The free gain puts (g1 g2)^2, with g = G + sqrt(G^2 - 1) per amplifier,
+    # just below the bound that SchemeInstance enforces.
+    fixed = next(g for g in gains if g is not None)
+    free = math.sqrt(schemes._MAX_MOMENT) / (fixed + math.sqrt(fixed**2 - 1.0)) / 2.0 * (1.0 - 1e-9)
+    g1, g2 = (free if g is None else g for g in gains)
+    scheme = build_scheme(
+        "sui", probe_photon_number=probe, losses=reference_losses(), gain_g1=g1, gain_g2=g2, tap_enabled=tap
+    )
+    bound = ((g1 + math.sqrt(g1**2 - 1.0)) * (g2 + math.sqrt(g2**2 - 1.0))) ** 2
+    assert 0.999 * schemes._MAX_MOMENT < bound < schemes._MAX_MOMENT
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            fringe = find_dark_fringe(scheme)
+    assert math.isfinite(fringe.phi_star) and not fringe.flat
+    assert 0.0 <= fringe.visibility <= 1.0
+
+
+def test_lock_folds_its_fixed_prefix_once(monkeypatch):
+    built, states = [], []
+    build, post_init = schemes._element_channel, GaussianState.__post_init__
+
+    def counted_build(n_modes, element):
+        built.append(type(element))
+        return build(n_modes, element)
+
+    def counted_state(state):
+        states.append(state)
+        post_init(state)
+
+    monkeypatch.setattr(schemes, "_element_channel", counted_build)
+    monkeypatch.setattr(GaussianState, "__post_init__", counted_state)
+    lossy = lock_case(3)
+    assert lossy.tap_enabled and lossy.losses.eta_internal < 1.0
+    lossless = build_scheme("sui", probe_photon_number=1e4, tones=two_tones(), gain_g1=2.0, gain_g2=9.0)
+    # The prefix (OPA1 and any internal loss) once for the fringe, then the
+    # whole tone-free pipeline once for the one checked state at phi*; a flat
+    # fringe builds only the prefix and checks no state.
+    for scheme, expected, n_states in (
+        (lossy, [TwoModeSqueeze, Loss, TwoModeSqueeze, Loss, TwoModeSqueeze, Splitter], 1),
+        (lossless, [TwoModeSqueeze, TwoModeSqueeze, TwoModeSqueeze], 1),
+        (reference_sui(g2=1.0), [TwoModeSqueeze, Loss], 0),
+    ):
+        built.clear()
+        states.clear()
+        fringe = find_dark_fringe(scheme)
+        assert built == expected and len(states) == n_states
+        assert fringe.flat == (n_states == 0)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_scan_point_is_the_replaced_scheme(k):
+    # The one state the lock checks is that of the scheme with its phase
+    # replaced through dataclasses.replace, which reruns every rule of
+    # SchemeInstance.__post_init__; the locked scheme itself is not changed.
+    scheme = lock_case(k)
+    original = dataclasses.replace(scheme)
+    fringe = find_dark_fringe(scheme)
+    assert type(fringe.phi_star) is float and 0.0 <= fringe.phi_star < 2.0 * math.pi
+    assert fringe.objective == output_photons(scheme, fringe.phi_star)
+    # The same phase a turn below and two above gives the same point.
+    for turns in (-1, 2):
+        shifted = output_photons(scheme, fringe.phi_star + 2.0 * math.pi * turns)
+        assert shifted == pytest.approx(fringe.objective, rel=1e-9)
+    assert scheme == original
 
 
 def old_route_output(n_modes, transfer, noise, shifts):
@@ -631,47 +766,3 @@ def test_vacuum_output_is_the_old_route_bit_for_bit(case, monkeypatch):
         old = measurement_model(variant)
         assert np.array_equal(model.noise_cov, old.noise_cov)
         assert model.tone_amplitudes == old.tone_amplitudes
-
-
-def test_lock_folds_its_fixed_prefix_once(monkeypatch):
-    scheme = lock_case(3)
-    assert scheme.tap_enabled and scheme.losses.eta_internal < 1.0
-    folded, build = [], schemes._element_channel
-
-    def counted(n_modes, element):
-        folded.append(element)
-        return build(n_modes, element)
-
-    monkeypatch.setattr(schemes, "_element_channel", counted)
-    # An unrelated pipeline first, so the lock starts from an empty prefix.
-    schemes.compile_pipeline(2, [schemes.Loss(1, 0.5)])
-    folded.clear()
-    find_dark_fringe(scheme)
-    squeezers = [e for e in folded if isinstance(e, schemes.TwoModeSqueeze)]
-    assert sum(e.gain == scheme.opa1.gain for e in squeezers) == 1
-    assert sum(isinstance(e, schemes.Loss) for e in folded) == 1
-    assert sum(e.gain == scheme.opa2_or_amp.gain for e in squeezers) == 257
-    # The tap follows OPA2 at the same index at every scan point, so its channel is reused.
-    assert sum(isinstance(e, schemes.Splitter) for e in folded) == 1
-    assert len(folded) == 260
-    # A second lock of the same scheme resumes from the first: only OPA2 is built.
-    folded.clear()
-    find_dark_fringe(scheme)
-    assert len(folded) == 257
-    assert all(isinstance(e, schemes.TwoModeSqueeze) and e.gain == scheme.opa2_or_amp.gain for e in folded)
-
-
-@pytest.mark.parametrize("k", range(6))
-def test_scan_point_is_the_replaced_scheme(k):
-    # dataclasses.replace reruns SchemeInstance.__post_init__, which _at_phase
-    # skips: equal schemes show that none of its rules depends on the phase.
-    scheme = lock_case(k)
-    original = dataclasses.replace(scheme)
-    grid = np.linspace(0.0, 2.0 * math.pi, schemes._FRINGE_POINTS, endpoint=False)
-    # The grid phases, and the same phases a turn below and two above.
-    for phi in np.concatenate([grid, grid - 2.0 * math.pi, grid + 4.0 * math.pi]):
-        variant = schemes._at_phase(scheme, phi)
-        expected = dataclasses.replace(scheme, interferometer_phase=phi)
-        assert type(variant) is SchemeInstance and variant == expected
-        assert type(variant.interferometer_phase) is float
-    assert scheme == original
