@@ -248,23 +248,17 @@ def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
     return apply_channel(state, *loss_channel(state.n_modes, mode, eta))
 
 
-def homodyne_stats(
-    state: GaussianState, mode: int, lo_phase: float, eta_det: float = 1.0
-) -> tuple[float, float]:
-    """Mean and variance of X(lo_phase) on one mode, seen by a detector of
-    efficiency ``eta_det``.
+def homodyne_stats(state: GaussianState, mode: int, lo_phase: float) -> tuple[float, float]:
+    """Mean and variance of X(lo_phase) on one mode, seen by an ideal detector.
 
     The variance is in shot-noise units: the vacuum reads 1 for any LO
-    phase and any detector efficiency.
+    phase.  Detector loss lives in :class:`suisim.schemes.MeasurementModel`.
     """
     _check_mode(state.n_modes, mode)
-    if not 0.0 <= eta_det <= 1.0:
-        raise ValueError(f"detection efficiency must lie in [0, 1], got {eta_det}")
-    lossy = apply_loss(state, mode, eta_det) if eta_det != 1.0 else state
     c, s = math.cos(lo_phase), math.sin(lo_phase)
     ix, iy = xy_indices(mode)
-    mean = c * lossy.mean[ix] + s * lossy.mean[iy]
-    block = lossy.cov[ix : iy + 1, ix : iy + 1]
+    mean = c * state.mean[ix] + s * state.mean[iy]
+    block = state.cov[ix : iy + 1, ix : iy + 1]
     var = float(np.array([c, s]) @ block @ np.array([c, s]))
     return float(mean), var
 

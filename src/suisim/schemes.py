@@ -19,9 +19,10 @@ the element list into an affine Gaussian map ``(S, N, D)`` with output
 covariance ``S S^T + N`` and one output shift per displacement (carrier
 first, then each tone).  :func:`measurement_model` projects that channel
 onto the homodyne ports; port variances, tone amplitudes and SNRs are read
-off the model, and physicality is checked once, on the output state.
-:func:`find_dark_fringe` reads the ``sui`` dark fringe in closed form off the
-channel of the pipeline up to the recombining amplifier.
+off the model.  Each evaluation builds and checks one state, the channel's
+output on the vacuum (:func:`vacuum_output`).  :func:`find_dark_fringe`
+reads the ``sui`` dark fringe in closed form off the channel of the
+pipeline up to the recombining amplifier, and builds no state.
 """
 
 from __future__ import annotations
@@ -39,10 +40,8 @@ from .gaussian import (
     OpaParams,
     _check_mode,
     _embed,
-    apply_channel,
     beam_splitter_matrix,
     loss_channel,
-    mean_photon_number,
     phase_shift_matrix,
     two_mode_squeezer_matrix,
 )
@@ -157,13 +156,7 @@ def compile_pipeline(n_modes: int, elements: list[Element]) -> tuple[np.ndarray,
     return transfer, noise, shifts
 
 
-def apply_pipeline(state: GaussianState, elements: list[Element]) -> GaussianState:
-    """Run a pipeline on ``state`` through its compiled channel."""
-    transfer, noise, shifts = compile_pipeline(state.n_modes, elements)
-    return apply_channel(state, transfer, noise, shifts.sum(axis=1))
-
-
-def _vacuum_output(n_modes: int, transfer: np.ndarray, noise: np.ndarray, shifts: np.ndarray) -> GaussianState:
+def vacuum_output(n_modes: int, transfer: np.ndarray, noise: np.ndarray, shifts: np.ndarray) -> GaussianState:
     """The state a compiled channel makes of the vacuum, checked once for physicality.
 
     The vacuum covariance is the identity and ``S I == S`` exactly, so this
@@ -488,7 +481,7 @@ def output_state(
 ) -> tuple[GaussianState, dict[str, int]]:
     """Deterministic state at the measurement plane plus port-to-mode map."""
     channel = compile_pipeline(scheme.n_modes, pipeline_elements(scheme, active_tones))
-    return _vacuum_output(scheme.n_modes, *channel), port_modes(scheme)
+    return vacuum_output(scheme.n_modes, *channel), port_modes(scheme)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -539,7 +532,7 @@ def measurement_model(scheme: SchemeInstance) -> MeasurementModel:
     ``V = S S^T + N``; the tone amplitudes are ``E P D`` past the carrier column.
     """
     transfer, noise, shifts = compile_pipeline(scheme.n_modes, pipeline_elements(scheme))
-    state = _vacuum_output(scheme.n_modes, transfer, noise, shifts)
+    state = vacuum_output(scheme.n_modes, transfer, noise, shifts)
     modes = port_modes(scheme)
     eta = np.array([c.efficiency for c in scheme.ports])
     readout = np.zeros((len(scheme.ports), 2 * scheme.n_modes))
@@ -587,7 +580,6 @@ def port_snr(scheme: SchemeInstance, port_name: str, frequency_hz: float) -> flo
 class DarkFringeResult:
     phi_star: float
     flat: bool
-    objective: float
     #: Fringe amplitude over its mean, (max - min) / (max + min); 0 when flat.
     visibility: float
 
@@ -611,7 +603,8 @@ def find_dark_fringe(scheme: SchemeInstance) -> DarkFringeResult:
     ``n`` the number of modes.  Its minimum, at ``atan2(-B, -A)``, is read
     off one compile of the pipeline up to OPA2.  If the fringe is flat
     (either amplifier at unit gain), the canonical phase pi is returned with
-    ``flat=True``.
+    ``flat=True``.  No state is built here: whoever reads the locked scheme
+    (:func:`measurement_model`, :func:`output_state`) checks its state.
     """
     if scheme.kind != "sui":
         raise ValueError("the dark fringe is only defined for the SU(1,1) scheme")
@@ -630,11 +623,8 @@ def find_dark_fringe(scheme: SchemeInstance) -> DarkFringeResult:
     mean = ((gain * gain + conj * conj) * pair + rest - 2.0 * scheme.n_modes) / 4.0
     amplitude = gain * conj * math.hypot(a, b)
     if 2.0 * amplitude <= 1e-9 * max(1.0, mean + amplitude):
-        return DarkFringeResult(math.pi, True, mean, 0.0)
-    phi_star = normalize_angle(math.atan2(-b, -a))
-    state, _ = output_state(dataclasses.replace(scheme, interferometer_phase=phi_star), active_tones=frozenset())
-    objective = sum(mean_photon_number(state, m) for m in range(state.n_modes))
-    return DarkFringeResult(phi_star, False, objective, amplitude / mean)
+        return DarkFringeResult(math.pi, True, 0.0)
+    return DarkFringeResult(normalize_angle(math.atan2(-b, -a)), False, amplitude / mean)
 
 
 # --------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from .gaussian import (
     homodyne_stats,
     mean_photon_number,
     symplectic_eigenvalues,
-    vacuum_state,
 )
 from .schemes import (
     PORT_TAP,
@@ -46,13 +45,14 @@ from .schemes import (
     SchemeInstance,
     Splitter,
     TwoModeSqueeze,
-    apply_pipeline,
     build_scheme,
+    compile_pipeline,
     find_dark_fringe,
     matched_baseline,
     measurement_model,
     output_state,
     snr_vs_detection_efficiency,
+    vacuum_output,
 )
 from .spectra import CombineSettings, band_floor, simulate_spectra, tone_power
 
@@ -210,7 +210,7 @@ def check_uncertainty_and_purity() -> tuple[bool, str]:
         # 1e3; beyond that the 1e-9 absolute eigenvalue bound drops below
         # double-precision resolution of the matrix itself.
         n_modes, elements = random_pipeline(rng, with_loss=lossy, max_squeezers=2, max_gain=3.0)
-        state = apply_pipeline(vacuum_state(n_modes), elements)
+        state = vacuum_output(n_modes, *compile_pipeline(n_modes, elements))
         nus = symplectic_eigenvalues(state)
         min_nu = min(min_nu, float(nus.min()))
         if not lossy:
@@ -227,7 +227,7 @@ def check_loss_composition() -> tuple[bool, str]:
         # Moderate gains keep covariance entries of order 10, where the
         # 1e-12 absolute agreement bound is meaningful in double precision.
         n_modes, elements = random_pipeline(rng, max_squeezers=2, max_gain=2.5)
-        state = apply_pipeline(vacuum_state(n_modes), elements)
+        state = vacuum_output(n_modes, *compile_pipeline(n_modes, elements))
         mode = int(rng.integers(n_modes))
         eta1, eta2 = rng.uniform(0.1, 1.0, size=2)
         chained = apply_loss(apply_loss(state, mode, eta1), mode, eta2)
@@ -246,7 +246,7 @@ def check_homodyne_rotation() -> tuple[bool, str]:
     worst = 0.0
     for _ in range(100):
         n_modes, elements = random_pipeline(rng, with_displacement=True)
-        state = apply_pipeline(vacuum_state(n_modes), elements)
+        state = vacuum_output(n_modes, *compile_pipeline(n_modes, elements))
         mode = int(rng.integers(n_modes))
         theta = float(rng.uniform(0, 2 * math.pi))
         direct = homodyne_stats(state, mode, theta)
@@ -261,7 +261,7 @@ def check_photon_conservation() -> tuple[bool, str]:
     worst = 0.0
     for _ in range(100):
         n_modes, elements = random_pipeline(rng, with_loss=False, with_displacement=True)
-        state = apply_pipeline(vacuum_state(n_modes), elements)
+        state = vacuum_output(n_modes, *compile_pipeline(n_modes, elements))
         a, b = rng.choice(n_modes, size=2, replace=False)
         before = mean_photon_number(state, int(a)) + mean_photon_number(state, int(b))
         mixed = gaussian.apply_beam_splitter(
@@ -454,7 +454,7 @@ def check_oracle_equivalence() -> tuple[bool, str]:
     angles = [k * math.pi / 4 for k in range(8)]
     for _ in range(1000):
         n_modes, elements = random_pipeline(rng, with_displacement=True)
-        state = apply_pipeline(vacuum_state(n_modes), elements)
+        state = vacuum_output(n_modes, *compile_pipeline(n_modes, elements))
         transfer = build_transfer_from_elements(n_modes, elements)
         for mode in range(n_modes):
             for theta in angles:

@@ -11,6 +11,7 @@ import pytest
 from suisim import spectra, verify
 from suisim.cli import cmd_snr, main
 from suisim.config import ConfigError, load_config, preset_config
+from suisim.schemes import find_dark_fringe
 from suisim.spectra import MAX_SAMPLES
 from suisim.verify import CheckResult
 
@@ -178,8 +179,9 @@ class TestSnrCommand:
 
 
 # fig2 without losses on a 13 x 17 log grid of gain_g1 (10^0.2 to 10^5) and
-# gain_g2 (10^0.2 to 10^8): these (g1, g2) index pairs raise "covariance matrix
-# violates the uncertainty relation" (exit 2), all at gain_g1 of 398 or more.
+# gain_g2 (10^0.2 to 10^8): at these (g1, g2) index pairs the measurement model
+# raises "covariance matrix violates the uncertainty relation" (exit 2), all at
+# gain_g1 of 398 or more.
 LOSSLESS_G1_GRID = np.logspace(0.2, 5.0, 13)
 LOSSLESS_G2_GRID = np.logspace(0.2, 8.0, 17)
 LOSSLESS_FAILURES = [
@@ -189,14 +191,26 @@ LOSSLESS_FAILURES = [
 ]
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError, reason="ROADMAP item 4")
-@pytest.mark.parametrize("i, j", LOSSLESS_FAILURES)
-def test_lossless_high_gain_snr_succeeds(i, j):
+def lossless_config(i, j):
     raw = preset_config("fig2")
     raw["losses"] = dict.fromkeys(raw["losses"], 1.0)
     raw["scheme"]["gain_g1"] = float(LOSSLESS_G1_GRID[i])
     raw["scheme"]["gain_g2"] = float(LOSSLESS_G2_GRID[j])
-    report = cmd_snr(load_config(raw))
+    return load_config(raw)
+
+
+@pytest.mark.parametrize("i, j", LOSSLESS_FAILURES)
+def test_lossless_high_gain_lock_succeeds(i, j):
+    # The lock builds no state, so the defect surfaces only where a state is read.
+    fringe = find_dark_fringe(lossless_config(i, j).scheme)
+    assert fringe.phi_star == math.pi
+    assert math.isfinite(fringe.visibility) and 0.0 <= fringe.visibility <= 1.0
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError, reason="ROADMAP item 4")
+@pytest.mark.parametrize("i, j", LOSSLESS_FAILURES)
+def test_lossless_high_gain_snr_succeeds(i, j):
+    report = cmd_snr(lossless_config(i, j))
     assert report["snr_sui_x"] > 0 and report["snr_sui_y"] > 0
 
 

@@ -193,13 +193,6 @@ class TestHomodyne:
             assert mean == 0.0
             assert var == pytest.approx(7.0, rel=1e-12)
 
-    def test_detection_efficiency_acts_as_loss(self):
-        state = tmsv()
-        _, var = homodyne_stats(state, 0, 0.0, eta_det=0.72)
-        assert var == pytest.approx(5.32, rel=1e-12)
-        _, var_vac = homodyne_stats(vacuum_state(1), 0, 0.3, eta_det=0.4)
-        assert var_vac == pytest.approx(1.0, rel=1e-12)
-
 
 class TestSymplecticSpectrum:
     def test_vacuum_is_all_ones(self):

@@ -23,7 +23,6 @@ from suisim.gaussian import (
     loss_channel,
     phase_shift_matrix,
     two_mode_squeezer_matrix,
-    vacuum_state,
 )
 from suisim import schemes
 from suisim.schemes import (
@@ -32,8 +31,8 @@ from suisim.schemes import (
     PhaseShift,
     Splitter,
     TwoModeSqueeze,
-    apply_pipeline,
     compile_pipeline,
+    vacuum_output,
 )
 from suisim.verify import random_pipeline
 
@@ -188,7 +187,7 @@ class TestCompiledPipeline:
         rng = np.random.default_rng(7)
         for _ in range(50):
             n_modes, elements = random_pipeline(rng, with_displacement=True)
-            state = apply_pipeline(vacuum_state(n_modes), elements)
+            state = vacuum_output(n_modes, *compile_pipeline(n_modes, elements))
             for mode in range(n_modes):
                 theta = float(rng.uniform(0, 2 * math.pi))
                 cs = np.array([math.cos(theta), math.sin(theta)])
@@ -196,7 +195,7 @@ class TestCompiledPipeline:
                 expected = float(cs @ state.cov[np.ix_(idx, idx)] @ cs)
                 assert homodyne_stats(state, mode, theta)[1] == expected
 
-    def test_prefix_memo_never_leaks_between_pipelines(self):
+    def test_calls_sharing_a_prefix_are_independent(self):
         # compile_pipeline keeps nothing between calls; a memo put back in
         # front of the fold must pass this sequence of shared prefixes.
         rng = np.random.default_rng(11)
@@ -233,7 +232,7 @@ class TestCompiledPipeline:
             for actual, expected in zip(channel, reference_compile(n_modes, elements)):
                 assert_bitwise_equal(actual, expected)
 
-    def test_threads_sharing_the_prefix_memo_get_their_own_channels(self):
+    def test_threads_compiling_shared_prefixes_get_their_own_channels(self):
         base = [
             Displace(0, 1.0, 0.5),
             TwoModeSqueeze(0, 1, 2.5, 0.2),

@@ -12,6 +12,7 @@ from suisim.bogoliubov import (
     oracle_homodyne_mean,
     oracle_homodyne_variance,
 )
+from suisim.cli import cmd_snr
 from suisim.config import load_config, preset_config, set_parameter
 from suisim.gaussian import (
     GaussianState,
@@ -31,7 +32,6 @@ from suisim.schemes import (
     SchemeInstance,
     Splitter,
     TwoModeSqueeze,
-    apply_pipeline,
     build_scheme,
     enhancement_report,
     find_dark_fringe,
@@ -689,52 +689,76 @@ def test_lock_just_below_the_moment_bound(gains, probe, tap):
     assert 0.0 <= fringe.visibility <= 1.0
 
 
-def test_lock_folds_its_fixed_prefix_once(monkeypatch):
-    built, states = [], []
-    build, post_init = schemes._element_channel, GaussianState.__post_init__
+@pytest.fixture
+def states(monkeypatch):
+    """The GaussianStates constructed, and so checked, in order."""
+    made, post_init = [], GaussianState.__post_init__
+
+    def counted(state):
+        made.append(state)
+        post_init(state)
+
+    monkeypatch.setattr(GaussianState, "__post_init__", counted)
+    return made
+
+
+def test_lock_builds_its_prefix_once_and_no_state(states, monkeypatch):
+    built, build = [], schemes._element_channel
 
     def counted_build(n_modes, element):
         built.append(type(element))
         return build(n_modes, element)
 
-    def counted_state(state):
-        states.append(state)
-        post_init(state)
-
     monkeypatch.setattr(schemes, "_element_channel", counted_build)
-    monkeypatch.setattr(GaussianState, "__post_init__", counted_state)
     lossy = lock_case(3)
     assert lossy.tap_enabled and lossy.losses.eta_internal < 1.0
     lossless = build_scheme("sui", probe_photon_number=1e4, tones=two_tones(), gain_g1=2.0, gain_g2=9.0)
-    # The prefix (OPA1 and any internal loss) once for the fringe, then the
-    # whole tone-free pipeline once for the one checked state at phi*; a flat
-    # fringe builds only the prefix and checks no state.
-    for scheme, expected, n_states in (
-        (lossy, [TwoModeSqueeze, Loss, TwoModeSqueeze, Loss, TwoModeSqueeze, Splitter], 1),
-        (lossless, [TwoModeSqueeze, TwoModeSqueeze, TwoModeSqueeze], 1),
-        (reference_sui(g2=1.0), [TwoModeSqueeze, Loss], 0),
+    # Only the prefix, OPA1 and any internal loss, is built; the locked
+    # state is checked by whoever reads the locked scheme.
+    for scheme, expected, flat in (
+        (lossy, [TwoModeSqueeze, Loss], False),
+        (lossless, [TwoModeSqueeze], False),
+        (reference_sui(g2=1.0), [TwoModeSqueeze, Loss], True),
     ):
         built.clear()
-        states.clear()
         fringe = find_dark_fringe(scheme)
-        assert built == expected and len(states) == n_states
-        assert fringe.flat == (n_states == 0)
+        assert built == expected and states == []
+        assert fringe.flat == flat
+
+
+@pytest.mark.parametrize("preset", ["fig2", "fig4"])
+def test_snr_report_checks_one_state_per_scheme(states, preset):
+    cfg = load_config(preset_config(preset))
+    assert cfg.scheme.kind == "sui" and cfg.compare_with == "amp"
+    states.clear()
+    cmd_snr(cfg)
+    # The sui measurement model and the amp baseline's.
+    assert len(states) == 2
 
 
 @pytest.mark.parametrize("k", range(6))
-def test_scan_point_is_the_replaced_scheme(k):
-    # The one state the lock checks is that of the scheme with its phase
-    # replaced through dataclasses.replace, which reruns every rule of
-    # SchemeInstance.__post_init__; the locked scheme itself is not changed.
+def test_vacuum_reader_checks_one_state_per_pipeline(states, k):
+    scheme = lock_case(k)
+    for active in (None, frozenset()):
+        states.clear()
+        state, _ = output_state(scheme, active_tones=active)
+        assert states == [state]
+    states.clear()
+    measurement_model(scheme)
+    assert len(states) == 1
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_lock_returns_a_canonical_phase_and_leaves_the_scheme_unchanged(k):
     scheme = lock_case(k)
     original = dataclasses.replace(scheme)
     fringe = find_dark_fringe(scheme)
     assert type(fringe.phi_star) is float and 0.0 <= fringe.phi_star < 2.0 * math.pi
-    assert fringe.objective == output_photons(scheme, fringe.phi_star)
     # The same phase a turn below and two above gives the same point.
+    locked = output_photons(scheme, fringe.phi_star)
     for turns in (-1, 2):
         shifted = output_photons(scheme, fringe.phi_star + 2.0 * math.pi * turns)
-        assert shifted == pytest.approx(fringe.objective, rel=1e-9)
+        assert shifted == pytest.approx(locked, rel=1e-9)
     assert scheme == original
 
 
@@ -746,7 +770,7 @@ def old_route_output(n_modes, transfer, noise, shifts):
 def test_vacuum_output_is_the_old_route_bit_for_bit(case, monkeypatch):
     """``output_state`` and ``measurement_model`` read the compiled channel
     without a vacuum state; they must equal the route through
-    ``apply_pipeline(vacuum_state(n), elements)`` exactly."""
+    ``apply_channel(vacuum_state(n), ...)`` exactly."""
     if case.startswith("fig"):
         scheme = load_config(preset_config(case)).scheme
     else:
@@ -758,10 +782,11 @@ def test_vacuum_output_is_the_old_route_bit_for_bit(case, monkeypatch):
     for variant in variants:
         for active in (None, frozenset()):
             state, _ = output_state(variant, active_tones=active)
-            old = apply_pipeline(vacuum_state(variant.n_modes), pipeline_elements(variant, active))
+            channel = schemes.compile_pipeline(variant.n_modes, pipeline_elements(variant, active))
+            old = old_route_output(variant.n_modes, *channel)
             assert np.array_equal(state.cov, old.cov) and np.array_equal(state.mean, old.mean)
     models = [measurement_model(v) for v in variants]
-    monkeypatch.setattr(schemes, "_vacuum_output", old_route_output)
+    monkeypatch.setattr(schemes, "vacuum_output", old_route_output)
     for variant, model in zip(variants, models):
         old = measurement_model(variant)
         assert np.array_equal(model.noise_cov, old.noise_cov)
