@@ -137,29 +137,28 @@ def build_transfer(
     return build_transfer_from_elements(scheme.n_modes, pipeline_elements(scheme, active_tones))
 
 
-def oracle_homodyne_variance(
-    tm: TransferMap, port: int, theta: float, efficiency: float = 1.0
-) -> float:
-    """Variance of X(theta) at one output mode, in shot-noise units.
+def oracle_homodyne_variance(tm: TransferMap, port, theta, efficiency: float = 1.0):
+    """Variance of X(theta) at an output mode, in shot-noise units.
 
     X(theta) = e^{-i theta} a + e^{i theta} a*; with all inputs in vacuum
     the variance is the squared norm of the annihilation-side coefficient
-    vector of that combination.
+    vector of that combination.  ``port`` and ``theta`` broadcast together.
     """
-    if not 0 <= port < tm.n_modes:
+    theta = np.asarray(theta)[..., None]
+    if not 0 <= np.min(port) <= np.max(port) < tm.n_modes:
         raise ValueError(f"port {port} out of range")
     coeff = np.exp(-1j * theta) * tm.u[port] + np.exp(1j * theta) * np.conj(tm.v[port])
-    bare = float(np.sum(np.abs(coeff) ** 2))
-    return efficiency * bare + (1.0 - efficiency)
+    bare = np.sum(np.abs(coeff) ** 2, axis=-1)
+    return (efficiency * bare + (1.0 - efficiency))[()]
 
 
-def oracle_homodyne_mean(
-    tm: TransferMap, port: int, theta: float, efficiency: float = 1.0
-) -> float:
-    """Mean of X(theta) at one output mode."""
-    if not 0 <= port < tm.n_modes:
+def oracle_homodyne_mean(tm: TransferMap, port, theta, efficiency: float = 1.0):
+    """Mean of X(theta) at an output mode; broadcasts like the variance."""
+    if not 0 <= np.min(port) <= np.max(port) < tm.n_modes:
         raise ValueError(f"port {port} out of range")
-    return 2.0 * math.sqrt(efficiency) * float(np.real(np.exp(-1j * theta) * tm.amplitude[port]))
+    # Real arithmetic: a complex array product may fuse a multiply-add.
+    phase, amplitude = np.exp(-1j * np.asarray(theta)), tm.amplitude[port]
+    return (2.0 * math.sqrt(efficiency) * (phase.real * amplitude.real - phase.imag * amplitude.imag))[()]
 
 
 # --------------------------------------------------------------------------

@@ -314,6 +314,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "verify":
             out_path = None
+            if args.out == "":
+                raise ConfigError("--out must name a directory")
             if args.out is not None:
                 os.makedirs(args.out, exist_ok=True)
                 out_path = os.path.join(args.out, "verify_report.json")

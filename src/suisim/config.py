@@ -98,6 +98,10 @@ class RunConfig:
     #: unless a channel pinned its own.
     raw: dict
 
+    def __post_init__(self):
+        if self.output_dir is not None and not (isinstance(self.output_dir, str) and self.output_dir):
+            raise ConfigError("config key 'output.directory' must be a nonempty string")
+
     @property
     def resolved(self) -> dict:
         """Fully expanded config (defaults filled in), embedded in outputs."""
@@ -182,17 +186,17 @@ def _values_under(path: str):
 
 
 def _resolve_gain(scheme_raw: dict, key: str) -> float | None:
+    convention = scheme_raw.get("gain_convention", "amplitude")
+    if convention not in ("amplitude", "power"):
+        raise ConfigError("config key 'scheme.gain_convention' must be 'amplitude' or 'power'")
     if key not in scheme_raw:
         return None
     value = _number(scheme_raw, key, "scheme")
-    convention = scheme_raw.get("gain_convention", "amplitude")
-    if convention == "amplitude":
-        return value
     if convention == "power":
         if value < 1.0:
             raise ConfigError(f"power gain 'scheme.{key}' must be >= 1")
         return math.sqrt(value)
-    raise ConfigError("config key 'scheme.gain_convention' must be 'amplitude' or 'power'")
+    return value
 
 
 def _read_ports(ports_raw, losses: LossBudget) -> tuple[bool, list]:
@@ -338,16 +342,12 @@ def load_config(source: str | dict) -> RunConfig:
     )
     with _values_under("sim"):
         check_readout(sim.duration_s, sim.sample_rate_hz, sim.rbw_hz, frequencies)
-    output_dir = _section(raw.get("output", {}), "output", {"directory"}).get("directory")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise ConfigError("config key 'output.directory' must be a string")
-
     return RunConfig(
         scheme=scheme,
         auto_dark_fringe=auto,
         compare_with=compare_with,
         sim=sim,
-        output_dir=output_dir,
+        output_dir=_section(raw.get("output", {}), "output", {"directory"}).get("directory"),
         raw=raw,
     )
 

@@ -248,19 +248,22 @@ def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
     return apply_channel(state, *loss_channel(state.n_modes, mode, eta))
 
 
-def homodyne_stats(state: GaussianState, mode: int, lo_phase: float) -> tuple[float, float]:
-    """Mean and variance of X(lo_phase) on one mode, seen by an ideal detector.
+def homodyne_stats(state: GaussianState, mode, lo_phase):
+    """Mean and variance of X(lo_phase) on a mode, seen by an ideal detector.
 
+    ``mode`` and ``lo_phase`` broadcast together, and so do both results.
     The variance is in shot-noise units: the vacuum reads 1 for any LO
     phase.  Detector loss lives in :class:`suisim.schemes.MeasurementModel`.
     """
-    _check_mode(state.n_modes, mode)
-    c, s = math.cos(lo_phase), math.sin(lo_phase)
-    ix, iy = xy_indices(mode)
-    mean = c * state.mean[ix] + s * state.mean[iy]
-    block = state.cov[ix : iy + 1, ix : iy + 1]
-    var = float(np.array([c, s]) @ block @ np.array([c, s]))
-    return float(mean), var
+    mode, n = np.asarray(mode), state.n_modes
+    if not 0 <= mode.min() <= mode.max() < n:
+        raise ValueError(f"mode {mode} out of range for {n} modes")
+    c, s = np.cos(lo_phase), np.sin(lo_phase)
+    mean = c * state.mean[2 * mode] + s * state.mean[2 * mode + 1]
+    # Each mode's 2x2 block, multiplied in the order of a single (c, s) read.
+    cs = np.stack([c, s], axis=-1)[..., None, :]
+    var = cs @ state.cov.reshape(n, 2, n, 2)[mode, :, mode, :] @ np.swapaxes(cs, -1, -2)
+    return mean[()], var[..., 0, 0][()]
 
 
 def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:

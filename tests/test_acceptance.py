@@ -6,6 +6,8 @@ line per criterion.  Run with ``pytest -s tests/test_acceptance.py`` to see
 the lines inline.
 """
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -51,3 +53,29 @@ def test_random_pipeline_is_reproducible():
     a = verify.random_pipeline(np.random.default_rng(5))
     b = verify.random_pipeline(np.random.default_rng(5))
     assert a == b
+
+
+READERS = ("homodyne_stats", "oracle_homodyne_variance", "oracle_homodyne_mean")
+
+
+@pytest.mark.parametrize(
+    "check_id, reads",
+    [
+        # One array read of every mode at all 8 angles per random pipeline.
+        ("acceptance-08-oracle-equivalence", dict.fromkeys(READERS, 1000)),
+        # One read of all 32 LO angles per locked scheme.
+        ("acceptance-04-dark-fringe", {"homodyne_stats": 2}),
+    ],
+)
+def test_checks_read_all_angles_in_one_call(monkeypatch, check_id, reads):
+    calls = collections.Counter()
+    for name in READERS:
+
+        def counted(*args, _name=name, _reader=getattr(verify, name)):
+            calls[_name] += 1
+            return _reader(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+    result = verify.run_check(check_id)
+    assert result.passed, result.detail
+    assert calls == reads

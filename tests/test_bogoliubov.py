@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from suisim.bogoliubov import (
     oracle_homodyne_mean,
     oracle_homodyne_variance,
 )
-from suisim.gaussian import homodyne_stats
+from suisim.gaussian import homodyne_stats, vacuum_state
 from suisim.schemes import (
     Loss,
     ModulationTone,
@@ -170,3 +171,47 @@ def test_engine_snr_approaches_sui_closed_form():
     reference = closed_form_snr(sui)
     assert port_snr(sui, "signal", 0.8e6) / reference.snr_x == pytest.approx(1.0, abs=0.01)
     assert port_snr(sui, "idler", 1.2e6) / reference.snr_y == pytest.approx(1.0, abs=0.01)
+
+
+def test_oracle_grid_is_the_scalar_read_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        n_modes, elements = random_pipeline(rng, with_displacement=True)
+        tm = build_transfer_from_elements(n_modes, elements)
+        angles = np.concatenate([np.arange(8) * math.pi / 4, rng.uniform(-10.0, 10.0, 8)])
+        efficiency = float(rng.uniform(0.3, 1.0))
+        modes = np.arange(n_modes)[:, None]
+        variances = oracle_homodyne_variance(tm, modes, angles, efficiency)
+        means = oracle_homodyne_mean(tm, modes, angles, efficiency)
+        assert variances.shape == means.shape == (n_modes, angles.size)
+        for mode in range(n_modes):
+            for j, theta in enumerate(angles.tolist()):
+                assert variances[mode, j] == oracle_homodyne_variance(tm, mode, theta, efficiency)
+                assert means[mode, j] == oracle_homodyne_mean(tm, mode, theta, efficiency)
+
+
+# Each reader on three modes, returning a tuple of its results.
+READERS = {
+    "homodyne_stats": lambda mode, theta: homodyne_stats(vacuum_state(3), mode, theta),
+    "oracle_homodyne_variance": lambda port, theta: (
+        oracle_homodyne_variance(build_transfer_from_elements(3, [TwoModeSqueeze(0, 2, 2.0, 0.3)]), port, theta),
+    ),
+    "oracle_homodyne_mean": lambda port, theta: (
+        oracle_homodyne_mean(identity_transfer(3), port, theta, efficiency=0.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", READERS)
+@pytest.mark.parametrize("modes", [3, -1, [0, 1, 3], [[2], [-1]], [[0, 4], [1, 2]]])
+def test_out_of_range_mode_anywhere_raises(name, modes):
+    with pytest.raises(ValueError, match="out of range"):
+        READERS[name](modes, np.linspace(0.0, 1.0, 2))
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_scalar_read_gives_plain_floats(name):
+    for value in READERS[name](1, 0.3):
+        assert isinstance(value, float) and np.ndim(value) == 0
+        assert f"{value:.3e}" == f"{float(value):.3e}"
+        assert json.loads(json.dumps(value)) == value

@@ -503,6 +503,43 @@ class TestConfigRejections:
         code, _, err = run_cli(capsys, "snr", "--config", write_config(tmp_path, raw))
         assert code == 1 and f"'{path}'" in err
 
+    @pytest.mark.parametrize("command", ["snr", "simulate", "sweep"])
+    @pytest.mark.parametrize("where", ["config", "--out"])
+    def test_empty_output_directory_is_rejected(self, tmp_path, capsys, monkeypatch, command, where):
+        raw = small_sim_config()
+        argv = [command, "--config", write_config(tmp_path, raw | {"output": {"directory": ""}})]
+        if where == "--out":
+            argv = [command, "--config", write_config(tmp_path, raw), "--out", ""]
+        if command == "sweep":
+            argv += ["--param", "scheme.probe_photon_number", "--grid", "1e3:1e4:2"]
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, err
+        assert "'output.directory'" in err and out == ""
+        assert os.listdir(run_dir) == []
+
+    def test_empty_verify_directory_is_rejected(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "run_all", lambda progress=None: pytest.fail("verify ran"))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "verify", "--out", "")
+        assert code == 1, err
+        assert "--out" in err and out == ""
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("gains", [{}, {"gain_g2": 4.0}], ids=["bs", "amp"])
+    def test_gain_convention_is_checked_with_or_without_a_gain(self, tmp_path, capsys, gains):
+        kind = "amp" if gains else "bs"
+        raw = {"scheme": {"kind": kind, "probe_photon_number": 1e4, "gain_convention": "bogus", **gains}}
+        with pytest.raises(ConfigError, match="scheme.gain_convention"):
+            load_config(raw)
+        code, _, err = run_cli(capsys, "snr", "--config", write_config(tmp_path, raw))
+        assert code == 1
+        assert "'scheme.gain_convention'" in err
+        raw["scheme"]["gain_convention"] = "power"
+        assert load_config(raw).scheme.kind == kind
+
     def test_negative_seed_override_rejected(self, capsys):
         code, _, err = run_cli(capsys, "snr", "--preset", "fig2", "--seed", "-1")
         assert code == 1

@@ -195,6 +195,27 @@ class TestCompiledPipeline:
                 expected = float(cs @ state.cov[np.ix_(idx, idx)] @ cs)
                 assert homodyne_stats(state, mode, theta)[1] == expected
 
+    def test_homodyne_grid_is_the_scalar_read_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            n_modes, elements = random_pipeline(rng, with_displacement=True)
+            state = vacuum_output(n_modes, *compile_pipeline(n_modes, elements))
+            angles = np.concatenate([np.arange(8) * math.pi / 4, rng.uniform(-10.0, 10.0, 8)])
+            means, variances = homodyne_stats(state, np.arange(n_modes)[:, None], angles)
+            assert means.shape == variances.shape == (n_modes, angles.size)
+            for mode in range(n_modes):
+                for j, theta in enumerate(angles.tolist()):
+                    expected = np.array(homodyne_stats(state, mode, theta))
+                    assert_bitwise_equal(np.array([means[mode, j], variances[mode, j]]), expected)
+                    ix, iy = xy_indices(mode)
+                    assert expected[0] == math.cos(theta) * state.mean[ix] + math.sin(theta) * state.mean[iy]
+            # Paired arrays of one shape read pair by pair, modes in any order.
+            modes = rng.integers(n_modes, size=5)
+            paired = np.array(homodyne_stats(state, modes, angles[:5]))
+            assert paired.shape == (2, 5)
+            for j, (mode, theta) in enumerate(zip(modes.tolist(), angles[:5].tolist())):
+                assert_bitwise_equal(paired[:, j], np.array(homodyne_stats(state, mode, theta)))
+
     def test_calls_sharing_a_prefix_are_independent(self):
         # compile_pipeline keeps nothing between calls; a memo put back in
         # front of the fold must pass this sequence of shared prefixes.
