@@ -31,6 +31,7 @@ from .schemes import (
     SchemeInstance,
     Splitter,
     TwoModeSqueeze,
+    _with_tones,
     pipeline_elements,
     tone_at_angle,
 )
@@ -134,7 +135,7 @@ def build_transfer(
     scheme: SchemeInstance, active_tones: frozenset[float] | None = None
 ) -> TransferMap:
     """Operator transfer map of a scheme's pipeline (detector losses excluded)."""
-    return build_transfer_from_elements(scheme.n_modes, pipeline_elements(scheme, active_tones))
+    return build_transfer_from_elements(scheme.n_modes, pipeline_elements(_with_tones(scheme, active_tones)))
 
 
 def oracle_homodyne_variance(tm: TransferMap, port, theta, efficiency: float = 1.0):

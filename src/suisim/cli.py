@@ -240,14 +240,14 @@ def cmd_sweep(cfg: RunConfig, parameter: str, grid: list[float]) -> dict:
     }
 
 
-def cmd_verify(out_path: str | None = None, echo=print) -> int:
+def cmd_verify(out_path: str | None = None) -> int:
     def progress(result):
         status = "PASS" if result.passed else "FAIL"
-        echo(f"{status}  {result.check_id}  {result.detail}")
+        print(f"{status}  {result.check_id}  {result.detail}")
 
     results = verify.run_all(progress=progress)
     failed = [r for r in results if not r.passed]
-    echo(f"{len(results) - len(failed)}/{len(results)} checks passed")
+    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     if out_path is not None:
         payload = {
             "all_passed": not failed,

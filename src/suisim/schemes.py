@@ -406,28 +406,20 @@ def build_scheme(
 # --------------------------------------------------------------------------
 
 
-def pipeline_elements(
-    scheme: SchemeInstance, active_tones: frozenset[float] | None = None
-) -> list[Element]:
+def pipeline_elements(scheme: SchemeInstance) -> list[Element]:
     """Element list realising the scheme, in propagation order.
 
-    ``active_tones`` restricts which tone displacements are included
-    (None means all); the carrier is always present.  Detector
-    efficiencies are not part of the pipeline, they belong to the ports.
+    The carrier comes first and each tone is its own displacement after it.
+    Detector efficiencies are not part of the pipeline, they belong to the ports.
     """
     i_ps = scheme.probe_photon_number
-    tones = [
-        t
-        for t in scheme.tones
-        if active_tones is None or t.frequency_hz in active_tones
-    ]
     tone_elements = [
         Displace(
             0,
             2.0 * math.sqrt(i_ps) * t.depth * math.cos(t.angle),
             2.0 * math.sqrt(i_ps) * t.depth * math.sin(t.angle),
         )
-        for t in tones
+        for t in scheme.tones
     ]
     # The tap keeps the transmitted signal on mode 0 and sends the +phase
     # reflection to mode 2, so both outputs carry the signal mean with the
@@ -476,11 +468,18 @@ def port_modes(scheme: SchemeInstance) -> dict[str, int]:
     return modes
 
 
+def _with_tones(scheme: SchemeInstance, active_tones: frozenset[float] | None) -> SchemeInstance:
+    """The scheme keeping only the tones at ``active_tones`` (None keeps all)."""
+    if active_tones is None:
+        return scheme
+    return dataclasses.replace(scheme, tones=tuple(t for t in scheme.tones if t.frequency_hz in active_tones))
+
+
 def output_state(
     scheme: SchemeInstance, active_tones: frozenset[float] | None = None
 ) -> tuple[GaussianState, dict[str, int]]:
     """Deterministic state at the measurement plane plus port-to-mode map."""
-    channel = compile_pipeline(scheme.n_modes, pipeline_elements(scheme, active_tones))
+    channel = compile_pipeline(scheme.n_modes, pipeline_elements(_with_tones(scheme, active_tones)))
     return vacuum_output(scheme.n_modes, *channel), port_modes(scheme)
 
 
@@ -587,7 +586,7 @@ class DarkFringeResult:
 def find_dark_fringe(scheme: SchemeInstance) -> DarkFringeResult:
     """Interferometer phase minimising the total output power of an SU(1,1) scheme.
 
-    The lock runs on the unmodulated carrier (tone depths zeroed): the
+    The lock reads the carrier alone, column 0 of ``D``: the
     sinusoidal tones average to zero over any realistic lock bandwidth, so
     they must not bias the operating point.  OPA2 is the only element that
     reads the phase, and the tap after it is passive, so with ``M = V + m m^T``
@@ -608,10 +607,10 @@ def find_dark_fringe(scheme: SchemeInstance) -> DarkFringeResult:
     """
     if scheme.kind != "sui":
         raise ValueError("the dark fringe is only defined for the SU(1,1) scheme")
-    # The tone-free pipeline ends with OPA2 and, if enabled, the tap.
-    elements = pipeline_elements(scheme, active_tones=frozenset())
+    # Drop OPA2 and the tap; the tones end the prefix, so column 0 is the carrier as if they were absent.
+    elements = pipeline_elements(scheme)
     transfer, noise, shifts = compile_pipeline(scheme.n_modes, elements[: -2 if scheme.tap_enabled else -1])
-    carrier = shifts.sum(axis=1)
+    carrier = shifts[:, 0]
     moments = transfer @ transfer.T + noise + np.outer(carrier, carrier)
     (xs, ys), (xi, yi) = xy_indices(0), xy_indices(1)
     a = moments[xs, xi] - moments[ys, yi]

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from suisim import gaussian, verify
+from suisim.schemes import Displace, Loss, PhaseShift, Splitter, TwoModeSqueeze
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +54,53 @@ def test_random_pipeline_is_reproducible():
     a = verify.random_pipeline(np.random.default_rng(5))
     b = verify.random_pipeline(np.random.default_rng(5))
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        dict(with_loss=True, max_squeezers=2, max_gain=3.0),
+        dict(with_loss=False, max_squeezers=2, max_gain=3.0),
+        dict(max_squeezers=2, max_gain=2.5),
+        dict(with_displacement=True),
+        dict(with_loss=False, with_displacement=True),
+    ],
+    ids=["lossy", "lossless", "low-gain", "displaced", "displaced-lossless"],
+)
+def test_random_pipeline_is_the_rng_choice_draw(flags):
+    """The element kind is drawn by indexing with ``rng.integers(4)``; it must
+    give the pipelines, and leave the generator in the state, that the
+    ``rng.choice`` draw of the kind (and of up to six modes) gave."""
+
+    def choice_draw(rng, max_modes=6, with_loss=True, with_displacement=False, max_squeezers=3, max_gain=5.0):
+        n_modes = int(rng.integers(2, max_modes + 1))
+        elements = []
+        if with_displacement:
+            for mode in range(n_modes):
+                if rng.random() < 0.5:
+                    elements.append(Displace(mode, float(rng.normal(0, 5)), float(rng.normal(0, 5))))
+        n_squeezers = 0
+        for _ in range(int(rng.integers(3, 9))):
+            kind = rng.choice(["squeeze", "split", "phase", "loss" if with_loss else "phase"])
+            if kind == "squeeze" and n_squeezers < max_squeezers:
+                a, b = rng.choice(n_modes, size=2, replace=False)
+                elements.append(
+                    TwoModeSqueeze(int(a), int(b), float(rng.uniform(1.0, max_gain)), float(rng.uniform(0, 2 * np.pi)))
+                )
+                n_squeezers += 1
+            elif kind == "split":
+                a, b = rng.choice(n_modes, size=2, replace=False)
+                elements.append(Splitter(int(a), int(b), float(rng.uniform(0, 1)), float(rng.uniform(0, 2 * np.pi))))
+            elif kind == "loss":
+                elements.append(Loss(int(rng.integers(n_modes)), float(rng.uniform(0.2, 1.0))))
+            else:
+                elements.append(PhaseShift(int(rng.integers(n_modes)), float(rng.uniform(0, 2 * np.pi))))
+        return n_modes, elements
+
+    for seed in range(1000):
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert verify.random_pipeline(rng, **flags) == choice_draw(reference_rng, **flags), seed
+        assert rng.bit_generator.state == reference_rng.bit_generator.state, seed
 
 
 READERS = ("homodyne_stats", "oracle_homodyne_variance", "oracle_homodyne_mean")

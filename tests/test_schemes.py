@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import warnings
 
@@ -8,12 +9,14 @@ import pytest
 from suisim import schemes
 from suisim.bogoliubov import (
     build_transfer,
+    build_transfer_from_elements,
     closed_form_snr,
     oracle_homodyne_mean,
     oracle_homodyne_variance,
 )
 from suisim.cli import cmd_snr
 from suisim.config import load_config, preset_config, set_parameter
+from suisim.conventions import normalize_angle
 from suisim.gaussian import (
     GaussianState,
     OpaParams,
@@ -24,6 +27,7 @@ from suisim.gaussian import (
     vacuum_state,
 )
 from suisim.schemes import (
+    Displace,
     HomodyneChannel,
     Loss,
     LossBudget,
@@ -594,7 +598,7 @@ def scan_photons(scheme, phases):
     """Total output photon number at each phase: one stacked product of OPA2
     (and the tap) on the compiled tone-free pipeline that precedes OPA2."""
     n = scheme.n_modes
-    elements = pipeline_elements(scheme, active_tones=frozenset())
+    elements = pipeline_elements(dataclasses.replace(scheme, tones=()))
     transfer, noise, shifts = schemes.compile_pipeline(n, elements[: -2 if scheme.tap_enabled else -1])
     carrier = shifts.sum(axis=1)
     moments = transfer @ transfer.T + noise + np.outer(carrier, carrier)
@@ -762,6 +766,12 @@ def test_lock_returns_a_canonical_phase_and_leaves_the_scheme_unchanged(k):
     assert scheme == original
 
 
+def preset_or_lock_case(case):
+    if case.startswith("fig"):
+        return load_config(preset_config(case)).scheme
+    return lock_case(int(case[len("lock"):]))
+
+
 def old_route_output(n_modes, transfer, noise, shifts):
     return apply_channel(vacuum_state(n_modes), transfer, noise, shifts.sum(axis=1))
 
@@ -771,10 +781,7 @@ def test_vacuum_output_is_the_old_route_bit_for_bit(case, monkeypatch):
     """``output_state`` and ``measurement_model`` read the compiled channel
     without a vacuum state; they must equal the route through
     ``apply_channel(vacuum_state(n), ...)`` exactly."""
-    if case.startswith("fig"):
-        scheme = load_config(preset_config(case)).scheme
-    else:
-        scheme = lock_case(int(case[len("lock"):]))
+    scheme = preset_or_lock_case(case)
     variants = [
         dataclasses.replace(scheme, interferometer_phase=phi)
         for phi in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
@@ -782,7 +789,8 @@ def test_vacuum_output_is_the_old_route_bit_for_bit(case, monkeypatch):
     for variant in variants:
         for active in (None, frozenset()):
             state, _ = output_state(variant, active_tones=active)
-            channel = schemes.compile_pipeline(variant.n_modes, pipeline_elements(variant, active))
+            elements = pipeline_elements(schemes._with_tones(variant, active))
+            channel = schemes.compile_pipeline(variant.n_modes, elements)
             old = old_route_output(variant.n_modes, *channel)
             assert np.array_equal(state.cov, old.cov) and np.array_equal(state.mean, old.mean)
     models = [measurement_model(v) for v in variants]
@@ -791,3 +799,79 @@ def test_vacuum_output_is_the_old_route_bit_for_bit(case, monkeypatch):
         old = measurement_model(variant)
         assert np.array_equal(model.noise_cov, old.noise_cov)
         assert model.tone_amplitudes == old.tone_amplitudes
+
+
+def test_lock_reads_the_carrier_column_of_the_schemes_own_pipeline():
+    """The lock compiles the scheme's pipeline, tones included, and reads
+    column 0 of D; it must equal the lock on the tone-free prefix exactly."""
+
+    def tone_free_lock(scheme):
+        elements = [e for i, e in enumerate(pipeline_elements(scheme)) if i == 0 or not isinstance(e, Displace)]
+        transfer, noise, shifts = schemes.compile_pipeline(
+            scheme.n_modes, elements[: -2 if scheme.tap_enabled else -1]
+        )
+        carrier = shifts.sum(axis=1)
+        moments = transfer @ transfer.T + noise + np.outer(carrier, carrier)
+        a = moments[0, 2] - moments[1, 3]
+        b = moments[0, 3] + moments[1, 2]
+        pair, rest = float(np.trace(moments[:4, :4])), float(np.trace(moments[4:, 4:]))
+        gain, conj = scheme.opa2_or_amp.gain, scheme.opa2_or_amp.conjugate_gain
+        mean = ((gain * gain + conj * conj) * pair + rest - 2.0 * scheme.n_modes) / 4.0
+        amplitude = gain * conj * math.hypot(a, b)
+        if 2.0 * amplitude <= 1e-9 * max(1.0, mean + amplitude):
+            return math.pi, True, 0.0
+        return normalize_angle(math.atan2(-b, -a)), False, amplitude / mean
+
+    rng = np.random.default_rng(2024)
+    cases = [preset_or_lock_case(c) for c in ("fig2", "fig3", "fig4", "fig5", *(f"lock{k}" for k in range(6)))]
+    cases += [oracle_lock_scheme(rng) for _ in range(60)]
+    assert any(s.tones for s in cases) and any(s.tap_enabled for s in cases)
+    for scheme in cases:
+        fringe = find_dark_fringe(scheme)
+        assert (fringe.phi_star, fringe.flat, fringe.visibility) == tone_free_lock(scheme)
+
+
+@pytest.mark.parametrize("case", ["fig2", "fig3", "fig4", "fig5", *(f"lock{k}" for k in range(6))])
+def test_tone_subsets_read_as_the_old_element_filter(case):
+    """``active_tones`` keeps a subset of the tones by making it a scheme of
+    its own; the state and the transfer map must equal those of the element
+    list with the other tones' displacements filtered out."""
+
+    def filtered_elements(scheme, active_tones):
+        elements = pipeline_elements(scheme)
+        slots = [i for i, e in enumerate(elements) if i > 0 and isinstance(e, Displace)]
+        assert len(slots) == len(scheme.tones)
+        dropped = {
+            i for i, t in zip(slots, scheme.tones) if active_tones is not None and t.frequency_hz not in active_tones
+        }
+        return [e for i, e in enumerate(elements) if i not in dropped]
+
+    scheme = preset_or_lock_case(case)
+    n = scheme.n_modes
+    for active in (None, frozenset(), *(frozenset({t.frequency_hz}) for t in scheme.tones)):
+        elements = filtered_elements(scheme, active)
+        state, modes = output_state(scheme, active_tones=active)
+        old = schemes.vacuum_output(n, *schemes.compile_pipeline(n, elements))
+        assert np.array_equal(state.cov, old.cov) and np.array_equal(state.mean, old.mean)
+        assert modes == port_modes(scheme)
+        tm, old_tm = build_transfer(scheme, active_tones=active), build_transfer_from_elements(n, elements)
+        for actual, expected in zip((tm.u, tm.v, tm.amplitude), (old_tm.u, old_tm.v, old_tm.amplitude)):
+            assert np.array_equal(actual, expected)
+
+
+def test_lock_compiles_the_scheme_itself(monkeypatch):
+    seen, build = [], schemes.pipeline_elements
+
+    def recorded(scheme):
+        seen.append(scheme)
+        return build(scheme)
+
+    monkeypatch.setattr(schemes, "pipeline_elements", recorded)
+    for scheme in (lock_case(2), lock_case(3), load_config(preset_config("fig5")).scheme):
+        seen.clear()
+        find_dark_fringe(scheme)
+        assert len(seen) == 1 and seen[0] is scheme
+
+
+def test_pipeline_elements_takes_only_the_scheme():
+    assert list(inspect.signature(pipeline_elements).parameters) == ["scheme"]
