@@ -71,15 +71,15 @@ def _load_run_config(args) -> RunConfig:
     return cfg
 
 
-def _resolve_scheme(cfg: RunConfig) -> tuple[SchemeInstance, dict | None]:
-    """Scheme with the interferometer phase locked when requested."""
+def _resolve_scheme(cfg: RunConfig) -> tuple[SchemeInstance, dict | None, MeasurementModel]:
+    """Scheme with the interferometer phase locked when requested, and its model."""
     scheme = cfg.scheme
-    fringe_info = None
-    if cfg.auto_dark_fringe and scheme.kind == "sui":
-        fringe = find_dark_fringe(scheme)
-        scheme = dataclasses.replace(scheme, interferometer_phase=fringe.phi_star)
-        fringe_info = {"phi_star": fringe.phi_star, "flat": fringe.flat, "visibility": fringe.visibility}
-    return scheme, fringe_info
+    if not (cfg.auto_dark_fringe and scheme.kind == "sui"):
+        return scheme, None, measurement_model(scheme)
+    fringe = find_dark_fringe(scheme)
+    scheme = dataclasses.replace(scheme, interferometer_phase=fringe.phi_star)
+    fringe_info = {"phi_star": fringe.phi_star, "flat": fringe.flat, "visibility": fringe.visibility}
+    return scheme, fringe_info, measurement_model(scheme, _sensing_plane=fringe.sensing_plane)
 
 
 def _scheme_snr_section(model: MeasurementModel) -> dict:
@@ -95,8 +95,7 @@ def _scheme_snr_section(model: MeasurementModel) -> dict:
 
 
 def cmd_snr(cfg: RunConfig) -> dict:
-    scheme, fringe_info = _resolve_scheme(cfg)
-    model = measurement_model(scheme)
+    scheme, fringe_info, model = _resolve_scheme(cfg)
     report = {
         "scheme_kind": scheme.kind,
         "seed": cfg.sim.seed,
@@ -156,11 +155,11 @@ def _peak_section(scheme: SchemeInstance, spec: Spectrum) -> dict:
 
 
 def cmd_simulate(cfg: RunConfig) -> dict:
-    scheme, fringe_info = _resolve_scheme(cfg)
-    runs: list[tuple[str, SchemeInstance]] = [(scheme.kind, scheme)]
+    scheme, fringe_info, model = _resolve_scheme(cfg)
+    runs: list[tuple[str, SchemeInstance, MeasurementModel]] = [(scheme.kind, scheme, model)]
     if cfg.compare_with is not None:
-        runs.append((cfg.compare_with, matched_baseline(scheme, cfg.compare_with)))
-    models = [measurement_model(run_scheme) for _, run_scheme in runs]
+        baseline = matched_baseline(scheme, cfg.compare_with)
+        runs.append((cfg.compare_with, baseline, measurement_model(baseline)))
     out_dir = cfg.output_dir or "out"
 
     report = {
@@ -169,7 +168,7 @@ def cmd_simulate(cfg: RunConfig) -> dict:
         "runs": {},
         "files": [],
     }
-    for index, ((label, run_scheme), model) in enumerate(zip(runs, models)):
+    for index, (label, run_scheme, model) in enumerate(runs):
         seed = cfg.sim.seed + index
         # Only the main scheme's signal and tap ports are combined.
         combine = cfg.sim.combine if index == 0 else None
@@ -212,9 +211,7 @@ def cmd_sweep(cfg: RunConfig, parameter: str, grid: list[float]) -> dict:
     rows: list[list[float]] = []
     for value in grid:
         raw = set_parameter(cfg.raw, parameter, value)
-        point = load_config(raw)
-        scheme, _ = _resolve_scheme(point)
-        model = measurement_model(scheme)
+        _, _, model = _resolve_scheme(load_config(raw))
         row = [value]
         columns = [parameter]
         for port in model.port_names:

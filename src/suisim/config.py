@@ -12,7 +12,6 @@ the test suite.
 from __future__ import annotations
 
 import contextlib
-import copy
 import dataclasses
 import json
 import math
@@ -157,6 +156,15 @@ def _defaults(cls) -> dict:
     return {field.name: field.default for field in dataclasses.fields(cls)}
 
 
+def _copy(value):
+    """Copy of a JSON-shaped value: new dicts, lists and tuples; numbers and strings shared."""
+    if isinstance(value, dict):
+        return {key: _copy(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_copy(item) for item in value)
+    return value
+
+
 def _is_finite_number(value) -> bool:
     """True for a JSON number (not a boolean) that is a finite float; the
     comparison is false for NaN and for integers beyond the float range."""
@@ -271,7 +279,7 @@ def load_config(source: str | dict) -> RunConfig:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config file '{source}': {exc}") from exc
     else:
-        raw = copy.deepcopy(source)
+        raw = _copy(source)
     _section(raw, "", {"scheme", "losses", "tones", "ports", "sim", "output"})
     scheme_raw = _section(raw.get("scheme", {}), "scheme", _SCHEME_KEYS)
     if "kind" not in scheme_raw:
@@ -363,7 +371,7 @@ def check_sweep_parameter(path: str) -> None:
 def set_parameter(raw: dict, path: str, value: float) -> dict:
     """Copy of ``raw`` with one sweepable config path replaced."""
     check_sweep_parameter(path)
-    out = copy.deepcopy(raw)
+    out = _copy(raw)
     section, key = path.split(".")
     out.setdefault(section, {})[key] = value
     return out
@@ -479,4 +487,4 @@ def preset_config(name: str) -> dict:
     """Deep copy of a bundled preset's raw config."""
     if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-    return copy.deepcopy(_PRESETS[name])
+    return _copy(_PRESETS[name])

@@ -22,7 +22,7 @@ onto the homodyne ports; port variances, tone amplitudes and SNRs are read
 off the model.  Each evaluation builds and checks one state, the channel's
 output on the vacuum (:func:`vacuum_output`).  :func:`find_dark_fringe`
 reads the ``sui`` dark fringe in closed form off the channel of the
-pipeline up to the recombining amplifier, and builds no state.
+pipeline up to OPA2, the sensing plane, which the locked model reuses.
 """
 
 from __future__ import annotations
@@ -137,7 +137,13 @@ def compile_pipeline(n_modes: int, elements: list[Element]) -> tuple[np.ndarray,
     is the output shift of the k-th :class:`Displace` on its own.
     """
     dim = 2 * n_modes
-    transfer, noise, shifts = np.eye(dim), np.zeros((dim, dim)), np.zeros((dim, 0))
+    return _fold(n_modes, (np.eye(dim), np.zeros((dim, dim)), np.zeros((dim, 0))), elements)
+
+
+def _fold(n_modes: int, channel: tuple, elements: list[Element]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The channel ``(S, N, D)`` followed by ``elements``, folded element by element."""
+    transfer, noise, shifts = channel
+    dim = 2 * n_modes
     for element in elements:
         if isinstance(element, Displace):
             # The new column is the displacement: (dx, dy) on its mode, zero elsewhere.
@@ -523,14 +529,20 @@ class MeasurementModel:
         return max(((p, self.snr(p, frequency_hz)) for p in self.port_names), key=lambda ps: ps[1])
 
 
-def measurement_model(scheme: SchemeInstance) -> MeasurementModel:
+def measurement_model(scheme: SchemeInstance, *, _sensing_plane: tuple | None = None) -> MeasurementModel:
     """Read the ports off the scheme's compiled channel ``(S, N, D)``.
 
     With LO projections ``P`` and ``E = diag(sqrt(eta))`` for the detectors,
     ``noise_cov = E P V P^T E + diag(1 - eta)`` for the output covariance
     ``V = S S^T + N``; the tone amplitudes are ``E P D`` past the carrier column.
+    Given ``_sensing_plane``, the ``sensing_plane`` of the lock that set the phase,
+    only OPA2 and the tap are folded onto it, as :func:`compile_pipeline` folds them.
     """
-    transfer, noise, shifts = compile_pipeline(scheme.n_modes, pipeline_elements(scheme))
+    elements = pipeline_elements(scheme)
+    cut = len(elements) - (2 if scheme.tap_enabled else 1)
+    if _sensing_plane is None:
+        _sensing_plane = compile_pipeline(scheme.n_modes, elements[:cut])
+    transfer, noise, shifts = _fold(scheme.n_modes, _sensing_plane, elements[cut:])
     state = vacuum_output(scheme.n_modes, transfer, noise, shifts)
     modes = port_modes(scheme)
     eta = np.array([c.efficiency for c in scheme.ports])
@@ -581,6 +593,8 @@ class DarkFringeResult:
     flat: bool
     #: Fringe amplitude over its mean, (max - min) / (max + min); 0 when flat.
     visibility: float
+    #: The channel ``(S, N, D)`` of the pipeline up to OPA2, the sensing plane, that the lock read.
+    sensing_plane: tuple = dataclasses.field(repr=False, compare=False)
 
 
 def find_dark_fringe(scheme: SchemeInstance) -> DarkFringeResult:
@@ -600,16 +614,17 @@ def find_dark_fringe(scheme: SchemeInstance) -> DarkFringeResult:
 
     where ``M_si`` is the signal-idler block, ``M_rest`` the tap mode's and
     ``n`` the number of modes.  Its minimum, at ``atan2(-B, -A)``, is read
-    off one compile of the pipeline up to OPA2.  If the fringe is flat
-    (either amplifier at unit gain), the canonical phase pi is returned with
-    ``flat=True``.  No state is built here: whoever reads the locked scheme
-    (:func:`measurement_model`, :func:`output_state`) checks its state.
+    off one compile of the pipeline up to OPA2, kept as ``sensing_plane``.  If
+    the fringe is flat (either amplifier at unit gain), the canonical phase pi
+    is returned with ``flat=True``.  No state is built here: whoever reads the
+    locked scheme (:func:`measurement_model`, :func:`output_state`) checks its state.
     """
     if scheme.kind != "sui":
         raise ValueError("the dark fringe is only defined for the SU(1,1) scheme")
     # Drop OPA2 and the tap; the tones end the prefix, so column 0 is the carrier as if they were absent.
     elements = pipeline_elements(scheme)
-    transfer, noise, shifts = compile_pipeline(scheme.n_modes, elements[: -2 if scheme.tap_enabled else -1])
+    sensing_plane = compile_pipeline(scheme.n_modes, elements[: -2 if scheme.tap_enabled else -1])
+    transfer, noise, shifts = sensing_plane
     carrier = shifts[:, 0]
     moments = transfer @ transfer.T + noise + np.outer(carrier, carrier)
     (xs, ys), (xi, yi) = xy_indices(0), xy_indices(1)
@@ -622,8 +637,8 @@ def find_dark_fringe(scheme: SchemeInstance) -> DarkFringeResult:
     mean = ((gain * gain + conj * conj) * pair + rest - 2.0 * scheme.n_modes) / 4.0
     amplitude = gain * conj * math.hypot(a, b)
     if 2.0 * amplitude <= 1e-9 * max(1.0, mean + amplitude):
-        return DarkFringeResult(math.pi, True, 0.0)
-    return DarkFringeResult(normalize_angle(math.atan2(-b, -a)), False, amplitude / mean)
+        return DarkFringeResult(math.pi, True, 0.0, sensing_plane)
+    return DarkFringeResult(normalize_angle(math.atan2(-b, -a)), False, amplitude / mean, sensing_plane)
 
 
 # --------------------------------------------------------------------------

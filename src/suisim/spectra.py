@@ -52,31 +52,33 @@ _EXCLUDE_HALFWIDTH_BINS = 5.0
 _PEAK_HALFWIDTH_BINS = 1.5
 
 
-def _bin_mask(freq: np.ndarray, bin_width: float, centre: float, halfwidth_bins: float) -> np.ndarray:
-    return np.abs(freq - centre) <= halfwidth_bins * bin_width + 1e-9
+def _near(x, bin_width: float, centre: float, halfwidth_bins: float):
+    """Whether bin frequency ``x``, a float or an array, lies within ``halfwidth_bins`` bins of ``centre``."""
+    return abs(x - centre) <= halfwidth_bins * bin_width + 1e-9
 
 
-def _clear_of(freq: np.ndarray, bin_width: float, tones) -> np.ndarray:
-    """The bins of ``freq`` outside the +-5-bin neighbourhoods of ``tones``."""
-    clear = np.ones(freq.shape, dtype=bool)
+def _clear_of(x: float, bin_width: float, tones) -> bool:
+    """Whether the bin at frequency ``x`` lies outside the +-5-bin neighbourhoods of ``tones``."""
     for f in tones:
-        clear &= ~_bin_mask(freq, bin_width, f, _EXCLUDE_HALFWIDTH_BINS)
-    return clear
+        if _near(x, bin_width, f, _EXCLUDE_HALFWIDTH_BINS):
+            return False
+    return True
 
 
-def _readout_bins(freq: np.ndarray, bin_width: float, f0: float, tones) -> tuple[np.ndarray, np.ndarray]:
-    """``(window, floor)``, the bins of ``freq`` that read the tone at ``f0``:
-    its +-1.5-bin peak window, and its +-5-bin annulus less the window and
-    the +-5-bin neighbourhoods of the other ``tones``.
+def _readout_bins(n_bins: int, bin_width: float, f0: float, tones) -> tuple[list[int], list[int]]:
+    """``(window, floor)``, the indices of the bins that read the tone at ``f0``
+    off ``n_bins`` bins at ``k * bin_width``: its +-1.5-bin peak window, and its
+    +-5-bin annulus less the window and the +-5-bin neighbourhoods of the other ``tones``.
 
     The one readout rule, applied by the readers and by :func:`check_readout`.
     Raises :class:`ParameterError` named ``rbw_hz`` when ``f0`` lies outside
     the bins, another tone reaches into its window, or no floor bin is left.
     """
-    if not freq[0] <= f0 <= freq[-1]:
+    last = (n_bins - 1) * bin_width
+    if not 0.0 <= f0 <= last:
         raise ParameterError(
             "rbw_hz",
-            f"the tone at {f0} Hz lies outside the spectrum span, up to the last bin at {freq[-1]:.6g} Hz",
+            f"the tone at {f0} Hz lies outside the spectrum span, up to the last bin at {last:.6g} Hz",
         )
     others = [f for f in tones if f != f0]
     for f in others:
@@ -84,10 +86,17 @@ def _readout_bins(freq: np.ndarray, bin_width: float, f0: float, tones) -> tuple
             raise ParameterError(
                 "rbw_hz", f"the tone at {f0} Hz is ambiguous: the tone at {f} Hz overlaps its readout window"
             )
-    window = _bin_mask(freq, bin_width, f0, _PEAK_HALFWIDTH_BINS)
-    floor = _bin_mask(freq, bin_width, f0, _EXCLUDE_HALFWIDTH_BINS) & ~window
-    floor &= _clear_of(freq, bin_width, others)
-    if not floor.any():
+    window, floor = [], []
+    centre = round(f0 / bin_width)
+    # The +-5 bins and one spare; _near's 1e-9 Hz slack widens them only for bins under 1e-9 Hz.
+    reach = math.floor(_EXCLUDE_HALFWIDTH_BINS + 1.0 + 1e-9 / bin_width)
+    for k in range(max(0, centre - reach), min(n_bins - 1, centre + reach) + 1):
+        x = k * bin_width
+        if _near(x, bin_width, f0, _PEAK_HALFWIDTH_BINS):
+            window.append(k)
+        elif _near(x, bin_width, f0, _EXCLUDE_HALFWIDTH_BINS) and _clear_of(x, bin_width, others):
+            floor.append(k)
+    if not floor:
         raise ParameterError(
             "rbw_hz",
             f"{bin_width:.6g} Hz bins let the other tones' neighbourhoods cover "
@@ -177,8 +186,9 @@ def check_readout(
     one Welch segment, and every tone and the :func:`report_band` floor can
     be read off the spectrum.
 
-    It runs the readers' own rules on the few bins that decide them, so it
-    rejects exactly the plans they cannot read: a tone above the last bin
+    It runs the readers' own rule, :func:`_readout_bins`, in plain float
+    arithmetic on the few bins that decide it, so it builds no spectrum and
+    rejects exactly the plans the readers cannot read: a tone above the last bin
     (short of Nyquist when the segment length is odd), two tones within each
     other's readout window, a floor annulus or a report band that the tones'
     neighbourhoods cover.  Raises :class:`ParameterError` named ``rbw_hz``.
@@ -188,25 +198,21 @@ def check_readout(
     # Bin k lies at k * bin_width, bit for bit as np.fft.rfftfreq puts it.
     bin_width = 1.0 / (nperseg * (1.0 / sample_rate))
     n_bins = nperseg // 2 + 1
-    lo, hi = report_band(n_bins, bin_width, tone_frequencies)
-    first = math.ceil(lo / bin_width)
-    near = [np.arange(first - 1, first + 2)]
-    reach = math.ceil(_EXCLUDE_HALFWIDTH_BINS) + 1
     for f in tone_frequencies:
-        centre = round(f / bin_width)
-        bins = np.arange(max(0, centre - reach), min(n_bins - 1, centre + reach) + 1)
-        _readout_bins(bins * bin_width, bin_width, f, tone_frequencies)
-        near.append(bins)
-    # The band's first free bin, if it has one, is its first bin or the bin
-    # just past a tone's neighbourhood, so these bins decide it.
-    freq = np.clip(np.concatenate(near), 0, n_bins - 1) * bin_width
-    if not ((freq >= lo) & (freq <= hi) & _clear_of(freq, bin_width, tone_frequencies)).any():
-        raise ParameterError(
-            "rbw_hz",
-            f"{bin_width:.6g} Hz bins leave no bin of the report's floor band, {lo:.6g} to "
-            f"{hi:.6g} Hz, outside the tones' neighbourhoods",
-        )
-    return n_samples
+        _readout_bins(n_bins, bin_width, f, tone_frequencies)
+    lo, hi = report_band(n_bins, bin_width, tone_frequencies)
+    # Step through the band up to its first bin clear of the tones, at most
+    # a neighbourhood per tone past its first bin.
+    k = max(0, math.ceil(lo / bin_width) - 1)
+    while k * bin_width <= hi:
+        if k * bin_width >= lo and _clear_of(k * bin_width, bin_width, tone_frequencies):
+            return n_samples
+        k += 1
+    raise ParameterError(
+        "rbw_hz",
+        f"{bin_width:.6g} Hz bins leave no bin of the report's floor band, {lo:.6g} to "
+        f"{hi:.6g} Hz, outside the tones' neighbourhoods",
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -589,7 +595,7 @@ def extract_peak_snr(spec: Spectrum, f0: float, exclude: tuple[float, ...] = ())
     and any ``exclude`` tones masked.  On pure noise the estimate sits a
     few percent above 1 because the numerator is a maximum over bins.
     """
-    window, floor = _readout_bins(spec.freq, spec.bin_width, f0, exclude)
+    window, floor = _readout_bins(spec.freq.size, spec.bin_width, f0, exclude)
     peak = float(np.max(spec.psd_snu[window]))
     return peak / float(np.median(spec.psd_snu[floor]))
 
@@ -601,7 +607,7 @@ def tone_power(spec: Spectrum, f0: float, exclude: tuple[float, ...] = ()) -> fl
     amplitude A returns A^2/2 exactly when centred on a bin and within 1%
     at the worst bin offset (Hann window).
     """
-    window, floor = _readout_bins(spec.freq, spec.bin_width, f0, exclude)
+    window, floor = _readout_bins(spec.freq.size, spec.bin_width, f0, exclude)
     excess = np.sum(spec.psd_snu[window] - float(np.median(spec.psd_snu[floor]))) * spec.bin_width
     return float(excess / spec.span)
 
@@ -613,7 +619,9 @@ def band_floor(
     exclude: tuple[float, ...] = (),
 ) -> float:
     """Median PSD over a band with tone neighbourhoods masked out."""
-    mask = (spec.freq >= f_lo) & (spec.freq <= f_hi) & _clear_of(spec.freq, spec.bin_width, exclude)
+    mask = (spec.freq >= f_lo) & (spec.freq <= f_hi)
+    for f in exclude:
+        mask &= ~_near(spec.freq, spec.bin_width, f, _EXCLUDE_HALFWIDTH_BINS)
     if not np.any(mask):
         raise ValueError("no bins left in the requested band")
     return float(np.median(spec.psd_snu[mask]))

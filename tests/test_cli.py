@@ -8,9 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from suisim import spectra, verify
+from suisim import config, spectra, verify
 from suisim.cli import cmd_snr, main
-from suisim.config import ConfigError, load_config, preset_config
+from suisim.config import ConfigError, load_config, preset_config, set_parameter
 from suisim.schemes import find_dark_fringe
 from suisim.spectra import MAX_SAMPLES
 from suisim.verify import CheckResult
@@ -50,6 +50,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def mutate_every_container(value):
+    """Add a key to every dict and an item to every list nested in ``value``."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            stack.extend(item.values())
+            item["mutated"] = True
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+            if isinstance(item, list):
+                item.append("mutated")
 
 
 class TestConfigLoading:
@@ -103,6 +117,31 @@ class TestConfigLoading:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):
             preset_config("fig9")
+
+    @pytest.mark.parametrize("name", ["fig2", "fig5"])
+    @pytest.mark.parametrize("source", ["preset", "dict", "file"])
+    def test_loaded_config_shares_no_container_with_its_source(self, tmp_path, source, name):
+        bundled = copy.deepcopy(config._PRESETS[name])
+        raw = copy.deepcopy(BS_CONFIG) if source == "dict" else preset_config(name)
+        assert preset_config(name) == bundled
+        cfg = load_config(write_config(tmp_path, raw) if source == "file" else raw)
+        assert cfg.raw == copy.deepcopy(raw)
+        loaded = copy.deepcopy(cfg.raw)
+        mutate_every_container(raw)
+        assert cfg.raw == loaded and config._PRESETS[name] == bundled
+
+    def test_swept_configs_share_no_container(self):
+        chain = [preset_config("fig5")]
+        chain[0]["sim"]["combine"]["thetas"] = (0.0, 0.5)
+        for path, value in (("scheme.gain_g2", 3.5), ("losses.eta_internal", 0.6), ("scheme.gain_g1", 2.5)):
+            expected = copy.deepcopy(chain[-1])
+            expected[path.split(".")[0]][path.split(".")[1]] = value
+            chain.append(set_parameter(chain[-1], path, value))
+            assert chain[-1] == expected
+        snapshots = [copy.deepcopy(raw) for raw in chain]
+        for i, raw in enumerate(chain):
+            mutate_every_container(raw)
+            assert chain[i + 1 :] == snapshots[i + 1 :]
 
     @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
     def test_resolved_config_reloads_to_itself(self, name):

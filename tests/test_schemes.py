@@ -14,7 +14,7 @@ from suisim.bogoliubov import (
     oracle_homodyne_mean,
     oracle_homodyne_variance,
 )
-from suisim.cli import cmd_snr
+from suisim.cli import _resolve_scheme, cmd_snr
 from suisim.config import load_config, preset_config, set_parameter
 from suisim.conventions import normalize_angle
 from suisim.gaussian import (
@@ -706,14 +706,20 @@ def states(monkeypatch):
     return made
 
 
-def test_lock_builds_its_prefix_once_and_no_state(states, monkeypatch):
-    built, build = [], schemes._element_channel
+@pytest.fixture
+def built(monkeypatch):
+    """The pipeline elements whose channels are built, in order."""
+    made, build = [], schemes._element_channel
 
-    def counted_build(n_modes, element):
-        built.append(type(element))
+    def counted(n_modes, element):
+        made.append(element)
         return build(n_modes, element)
 
-    monkeypatch.setattr(schemes, "_element_channel", counted_build)
+    monkeypatch.setattr(schemes, "_element_channel", counted)
+    return made
+
+
+def test_lock_builds_its_prefix_once_and_no_state(states, built):
     lossy = lock_case(3)
     assert lossy.tap_enabled and lossy.losses.eta_internal < 1.0
     lossless = build_scheme("sui", probe_photon_number=1e4, tones=two_tones(), gain_g1=2.0, gain_g2=9.0)
@@ -726,8 +732,61 @@ def test_lock_builds_its_prefix_once_and_no_state(states, monkeypatch):
     ):
         built.clear()
         fringe = find_dark_fringe(scheme)
-        assert built == expected and states == []
+        assert [type(e) for e in built] == expected and states == []
         assert fringe.flat == flat
+
+
+def channel_elements(*schemes_):
+    """The elements of the schemes' pipelines that have a channel to build."""
+    return [e for scheme in schemes_ for e in pipeline_elements(scheme) if not isinstance(e, Displace)]
+
+
+@pytest.mark.parametrize("preset", ["fig2", "fig4"])
+def test_snr_report_builds_each_element_once_per_scheme(built, preset):
+    cfg = load_config(preset_config(preset))
+    report = cmd_snr(cfg)
+    locked = dataclasses.replace(cfg.scheme, interferometer_phase=report["dark_fringe"]["phi_star"])
+    # OPA1 and the internal loss are built by the lock alone.
+    assert built == channel_elements(locked, matched_baseline(locked, "amp"))
+
+
+@pytest.fixture
+def channels(monkeypatch):
+    """The channels ``(S, N, D)`` that states are read off, in order."""
+    seen, read = [], schemes.vacuum_output
+
+    def capture(n_modes, *channel):
+        seen.append(channel)
+        return read(n_modes, *channel)
+
+    monkeypatch.setattr(schemes, "vacuum_output", capture)
+    return seen
+
+
+def assert_full_compile(channel, scheme):
+    full = schemes.compile_pipeline(scheme.n_modes, pipeline_elements(scheme))
+    assert all(np.array_equal(a, b) for a, b in zip(channel, full, strict=True))
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_locked_model_folds_the_rest_onto_the_locks_prefix(built, channels, k):
+    scheme = lock_case(k)
+    fringe = find_dark_fringe(scheme)
+    locked = dataclasses.replace(scheme, interferometer_phase=fringe.phi_star)
+    model = measurement_model(locked, _sensing_plane=fringe.sensing_plane)
+    assert built == channel_elements(locked)
+    unlocked = measurement_model(locked)
+    for channel in channels:
+        assert_full_compile(channel, locked)
+    assert np.array_equal(model.noise_cov, unlocked.noise_cov)
+    assert model.tone_amplitudes == unlocked.tone_amplitudes
+
+
+@pytest.mark.parametrize("preset", ["fig2", "fig3", "fig4", "fig5"])
+def test_cli_model_is_read_off_the_full_compile(channels, preset):
+    scheme, _, _ = _resolve_scheme(load_config(preset_config(preset)))
+    assert len(channels) == 1
+    assert_full_compile(channels[0], scheme)
 
 
 @pytest.mark.parametrize("preset", ["fig2", "fig4"])

@@ -38,7 +38,7 @@ from suisim.spectra import (
     tone_power,
     welch_psd,
 )
-from suisim.spectra import _GridPhasor, _LockIn
+from suisim.spectra import _GridPhasor, _LockIn, _segment_length, check_sampling
 
 AM = 0.8e6
 PM = 1.2e6
@@ -505,6 +505,136 @@ class TestPeakExtraction:
             spec = welch_psd(records["signal"])
             values[depth] = tone_power(spec, AM, exclude=(AM, PM))
         assert values[0.02] / values[0.005] == pytest.approx(16.0, rel=0.05)
+
+
+# The readout rule as whole-spectrum masks, the form the readers and
+# check_readout used before they decided on the few bins around each tone;
+# the reference the scalar rule is held to.
+def mask_near(freq, bin_width, centre, halfwidth_bins):
+    return np.abs(freq - centre) <= halfwidth_bins * bin_width + 1e-9
+
+
+def mask_clear_of(freq, bin_width, tones):
+    clear = np.ones(freq.shape, dtype=bool)
+    for f in tones:
+        clear &= ~mask_near(freq, bin_width, f, 5.0)
+    return clear
+
+
+def mask_readout_bins(freq, bin_width, f0, tones):
+    if not freq[0] <= f0 <= freq[-1]:
+        raise ParameterError(
+            "rbw_hz",
+            f"the tone at {f0} Hz lies outside the spectrum span, up to the last bin at {freq[-1]:.6g} Hz",
+        )
+    others = [f for f in tones if f != f0]
+    for f in others:
+        if abs(f0 - f) <= 6.5 * bin_width:
+            raise ParameterError(
+                "rbw_hz", f"the tone at {f0} Hz is ambiguous: the tone at {f} Hz overlaps its readout window"
+            )
+    window = mask_near(freq, bin_width, f0, 1.5)
+    floor = mask_near(freq, bin_width, f0, 5.0) & ~window & mask_clear_of(freq, bin_width, others)
+    if not floor.any():
+        raise ParameterError(
+            "rbw_hz",
+            f"{bin_width:.6g} Hz bins let the other tones' neighbourhoods cover "
+            f"the whole floor annulus of the tone at {f0} Hz",
+        )
+    return window, floor
+
+
+def mask_check_readout(duration, sample_rate, rbw, tones):
+    """check_readout with every rbw rule run on the whole spectrum."""
+    n_samples = check_sampling(duration, sample_rate, tones)
+    nperseg = _segment_length(sample_rate, rbw, n_samples)
+    freq = np.fft.rfftfreq(nperseg, 1.0 / sample_rate)
+    bin_width = float(freq[1] - freq[0])
+    for f in tones:
+        mask_readout_bins(freq, bin_width, f, tones)
+    lo, hi = report_band(freq.size, bin_width, tones)
+    if not ((freq >= lo) & (freq <= hi) & mask_clear_of(freq, bin_width, tones)).any():
+        raise ParameterError(
+            "rbw_hz",
+            f"{bin_width:.6g} Hz bins leave no bin of the report's floor band, {lo:.6g} to "
+            f"{hi:.6g} Hz, outside the tones' neighbourhoods",
+        )
+    return n_samples
+
+
+def readout_plans(seed):
+    """Seeded (sample rate, rbw, tones) plans near every edge of the readout rule."""
+    rng = np.random.default_rng(seed)
+    fs = 1e6
+    npersegs = [2, 3, 4, 5] + [int(n) for n in rng.integers(6, 600, size=40)]
+    npersegs += [n + 1 for n in npersegs[4:]]
+    for nperseg in npersegs:
+        bin_width = fs / nperseg
+        last = (nperseg // 2) * bin_width
+        yield fs, fs / nperseg, (last,)
+        yield fs, fs / nperseg, (last + 0.25 * bin_width,)
+        yield fs, fs / nperseg, (0.3 * fs, last)
+        first = float(rng.uniform(0.0, 0.5 * last))
+        yield fs, fs / nperseg, (first, first + float(rng.uniform(6.0, 7.0)) * bin_width)
+        # Tones 6.6 to 11 bins apart from near DC to near the last bin,
+        # whose neighbourhoods may cover the report band.
+        spacing = float(rng.uniform(6.6, 11.0)) * bin_width
+        start = float(rng.uniform(1.0, 6.0)) * bin_width
+        yield fs, fs / nperseg, tuple(start + j * spacing for j in range(int((last - start) / spacing) + 1))
+        yield fs, fs / nperseg, tuple(float(f) for f in np.sort(rng.uniform(0.0, 0.5 * fs, rng.integers(0, 4))))
+
+
+def readout_verdict(check, plan):
+    fs, rbw, tones = plan
+    try:
+        return check(1e-3, fs, rbw, tones)
+    except ParameterError as exc:
+        return exc.name, str(exc)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_readout_check_decides_as_the_whole_spectrum_rule(seed):
+    verdicts = []
+    for plan in readout_plans(seed):
+        verdict = readout_verdict(check_readout, plan)
+        assert verdict == readout_verdict(mask_check_readout, plan), plan
+        verdicts.append(verdict)
+    # The grid reaches acceptance and every rule.
+    assert any(isinstance(v, int) for v in verdicts)
+    texts = " ".join(v[1] for v in verdicts if isinstance(v, tuple))
+    for rule in ("outside the spectrum span", "is ambiguous", "floor annulus", "floor band", "aliases"):
+        assert rule in texts, rule
+
+
+def mask_readers(spec, f0, exclude):
+    window, floor = mask_readout_bins(spec.freq, spec.bin_width, f0, exclude)
+    median = float(np.median(spec.psd_snu[floor]))
+    peak = float(np.max(spec.psd_snu[window])) / median
+    power = float(np.sum(spec.psd_snu[window] - median) * spec.bin_width / spec.span)
+    return peak, power
+
+
+def mask_band_floor(spec, f_lo, f_hi, exclude):
+    mask = (spec.freq >= f_lo) & (spec.freq <= f_hi) & mask_clear_of(spec.freq, spec.bin_width, exclude)
+    return float(np.median(spec.psd_snu[mask]))
+
+
+@pytest.mark.parametrize("preset", ["fig2", "fig4", "fig5"])
+def test_readers_equal_the_whole_spectrum_masks(preset):
+    cfg = preset_run_config(preset)
+    run = simulate_spectra(
+        measurement_model(cfg.scheme), 0.02, cfg.sim.sample_rate_hz, 7, cfg.sim.rbw_hz, cfg.sim.combine
+    )
+    exclude = tuple(t.frequency_hz for t in cfg.scheme.tones)
+    spectra = list(run.spectra.values()) + list(run.combined)
+    assert len(spectra) == {"fig2": 2, "fig4": 3, "fig5": 7}[preset]
+    for spec in spectra:
+        band = report_band(spec.freq.size, spec.bin_width, exclude)
+        assert band_floor(spec, *band, exclude=exclude) == mask_band_floor(spec, *band, exclude)
+        for f in exclude:
+            peak, power = mask_readers(spec, f, exclude)
+            assert extract_peak_snr(spec, f, exclude=exclude) == peak
+            assert tone_power(spec, f, exclude=exclude) == power
 
 
 class TestCalibrateK:
