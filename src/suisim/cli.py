@@ -83,13 +83,12 @@ def _resolve_scheme(cfg: RunConfig) -> tuple[SchemeInstance, dict | None, Measur
 
 
 def _scheme_snr_section(model: MeasurementModel) -> dict:
-    ports = {
-        name: {"lo_phase_rad": lo_phase, "efficiency": efficiency, "noise_variance_snu": model.variance(name)}
-        for name, lo_phase, efficiency in zip(model.port_names, model.lo_phases, model.efficiencies)
-    }
+    variances = model.noise_cov.diagonal().tolist()
+    rows = zip(model.port_names, model.lo_phases, model.efficiencies, variances)
+    ports = {name: {"lo_phase_rad": lo, "efficiency": eta, "noise_variance_snu": var} for name, lo, eta, var in rows}
     snr = {
-        name: {f"{frequency:.10g}": model.snr(name, frequency) for frequency in model.tone_amplitudes}
-        for name in model.port_names
+        name: {f"{f:.10g}": amplitudes[i] ** 2 / variances[i] for f, amplitudes in model.tone_amplitudes.items()}
+        for i, name in enumerate(model.port_names)
     }
     return {"ports": ports, "snr": snr}
 
@@ -100,14 +99,15 @@ def cmd_snr(cfg: RunConfig) -> dict:
         "scheme_kind": scheme.kind,
         "seed": cfg.sim.seed,
         "dark_fringe": fringe_info,
-        "closed_form": dataclasses.asdict(closed_form_snr(scheme)),
+        "closed_form": dict(vars(closed_form_snr(scheme))),
     }
     report.update(_scheme_snr_section(model))
 
+    # The best port's SNR for each axis tone, read off the table just built.
     axes = {"x": tone_at_angle(scheme, 0.0), "y": tone_at_angle(scheme, math.pi / 2)}
     axes = {axis: tone.frequency_hz for axis, tone in axes.items() if tone is not None}
     for axis, frequency in axes.items():
-        report[f"snr_{scheme.kind}_{axis}"] = model.best_port(frequency)[1]
+        report[f"snr_{scheme.kind}_{axis}"] = max(row[f"{frequency:.10g}"] for row in report["snr"].values())
 
     if cfg.compare_with is not None:
         baseline = matched_baseline(scheme, cfg.compare_with)
@@ -115,9 +115,9 @@ def cmd_snr(cfg: RunConfig) -> dict:
         comparison = enhancement_from_models(scheme, model, baseline_model)
         baseline_section = _scheme_snr_section(baseline_model)
         baseline_section["scheme_kind"] = baseline.kind
-        baseline_section["closed_form"] = dataclasses.asdict(closed_form_snr(baseline))
+        baseline_section["closed_form"] = dict(vars(closed_form_snr(baseline)))
         report["baseline"] = baseline_section
-        report["enhancement"] = dataclasses.asdict(comparison)
+        report["enhancement"] = {**vars(comparison), "per_tone": [dict(vars(row)) for row in comparison.per_tone]}
         ratios = {row.frequency_hz: row.ratio for row in comparison.per_tone}
         report[f"ratio_vs_{cfg.compare_with}"] = {axis: ratios[f] for axis, f in axes.items()}
 

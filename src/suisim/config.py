@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import sys
+import types
 
 from .schemes import (
+    HomodyneChannel,
     LossBudget,
     ModulationTone,
     ParameterError,
@@ -104,7 +107,8 @@ class RunConfig:
     @property
     def resolved(self) -> dict:
         """Fully expanded config (defaults filled in), embedded in outputs."""
-        scheme = self.scheme
+        scheme, combine = self.scheme, self.sim.combine
+        # Shallow dicts of the dataclass fields: dataclasses.asdict would deep-copy every float.
         gains = {"gain_g1": scheme.opa1, "gain_g2": scheme.opa2_or_amp}
         return {
             "scheme": {
@@ -116,7 +120,7 @@ class RunConfig:
                 "compare_with": self.compare_with,
                 **{key: opa.gain for key, opa in gains.items() if opa is not None},
             },
-            "losses": dataclasses.asdict(scheme.losses),
+            "losses": dict(vars(scheme.losses)),
             "tones": [
                 {"frequency_hz": t.frequency_hz, "depth": t.depth, "angle_rad": t.angle}
                 for t in scheme.tones
@@ -128,7 +132,7 @@ class RunConfig:
                     for p in scheme.ports
                 ],
             },
-            "sim": dataclasses.asdict(self.sim),
+            "sim": {**vars(self.sim), "combine": None if combine is None else dict(vars(combine))},
             "output": {"directory": self.output_dir},
         }
 
@@ -151,9 +155,10 @@ def _list(value, what: str) -> list:
     return value
 
 
-def _defaults(cls) -> dict:
-    """Field names of a settings dataclass, which are its config keys, and their defaults."""
-    return {field.name: field.default for field in dataclasses.fields(cls)}
+@functools.cache
+def _defaults(cls) -> types.MappingProxyType:
+    """Field names of a settings dataclass, which are its config keys, and their defaults; shared, so read-only."""
+    return types.MappingProxyType({field.name: field.default for field in dataclasses.fields(cls)})
 
 
 def _copy(value):
@@ -182,15 +187,17 @@ def _number(section: dict, key: str, path: str, default=None):
     return float(value)
 
 
-@contextlib.contextmanager
-def _values_under(path: str):
+class _values_under(contextlib.AbstractContextManager):
     """Report a :class:`ParameterError` raised inside as a config error at
-    ``path.<parameter>``."""
-    try:
-        yield
-    except ParameterError as exc:
-        key = f"{path}.{exc.name}" if path else exc.name
-        raise ConfigError(f"config key '{key}': {exc}") from exc
+    ``path.<parameter>``; any other exception passes through."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if isinstance(exc, ParameterError):
+            key = f"{self.path}.{exc.name}" if self.path else exc.name
+            raise ConfigError(f"config key '{key}': {exc}") from exc
 
 
 def _resolve_gain(scheme_raw: dict, key: str) -> float | None:
@@ -231,7 +238,7 @@ def _read_ports(ports_raw, losses: LossBudget) -> tuple[bool, list]:
         lo_phase = _number(channel, "lo_phase_rad", path, default.lo_phase)
         efficiency = _number(channel, "efficiency", path, default.efficiency)
         with _values_under(path):
-            ports.append(dataclasses.replace(default, lo_phase=lo_phase, efficiency=efficiency))
+            ports.append(HomodyneChannel(default.port_name, lo_phase, efficiency))
     return tap_enabled, ports
 
 
@@ -272,14 +279,17 @@ def _read_combine(combine_raw, tap_enabled: bool, frequencies: list[float]) -> C
 
 def load_config(source: str | dict) -> RunConfig:
     """Build a validated :class:`RunConfig` from a JSON file path or a dict."""
-    if isinstance(source, str):
-        try:
+    try:
+        if isinstance(source, str):
             with open(source, encoding="utf-8") as handle:
                 raw = json.load(handle)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read config file '{source}': {exc}") from exc
-    else:
-        raw = _copy(source)
+        else:
+            raw = _copy(source)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file '{source}': {exc}") from exc
+    except RecursionError as exc:
+        # JSON nested past the recursion limit, or a dict that contains itself.
+        raise ConfigError("the config nests too deeply") from exc
     _section(raw, "", {"scheme", "losses", "tones", "ports", "sim", "output"})
     scheme_raw = _section(raw.get("scheme", {}), "scheme", _SCHEME_KEYS)
     if "kind" not in scheme_raw:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -8,12 +9,22 @@ import sys
 import numpy as np
 import pytest
 
-from suisim import config, spectra, verify
+from suisim import cli, config, spectra, verify
+from suisim.bogoliubov import closed_form_snr
 from suisim.cli import cmd_snr, main
-from suisim.config import ConfigError, load_config, preset_config, set_parameter
-from suisim.schemes import find_dark_fringe
+from suisim.config import ConfigError, RunConfig, SimSettings, load_config, preset_config, set_parameter
+from suisim.schemes import (
+    LossBudget,
+    ParameterError,
+    enhancement_from_models,
+    find_dark_fringe,
+    matched_baseline,
+    measurement_model,
+    tone_at_angle,
+)
 from suisim.spectra import MAX_SAMPLES
 from suisim.verify import CheckResult
+from test_schemes import lock_case
 
 BS_CONFIG = {
     "scheme": {"kind": "bs", "probe_photon_number": 1e4},
@@ -149,6 +160,56 @@ class TestConfigLoading:
         for reloaded in (resolved, json.loads(json.dumps(resolved))):
             assert load_config(reloaded).resolved == resolved
 
+    @pytest.mark.parametrize("source", ["fig2", "fig5", "fig5-seed"])
+    def test_resolved_sections_are_the_asdict_form(self, source):
+        argv = ["snr", "--preset", source[:4]] + (["--seed", "9"] if source.endswith("seed") else [])
+        cfg = cli._load_run_config(cli.build_parser().parse_args(argv))
+        resolved = cfg.resolved
+        for key, value in (("losses", cfg.scheme.losses), ("sim", cfg.sim)):
+            assert json.dumps(resolved[key]) == json.dumps(dataclasses.asdict(value))
+        assert (resolved["sim"]["combine"] is None) == (source == "fig2")
+
+    def test_values_under_names_the_parameter_at_its_path(self):
+        cause = ParameterError("depth", "modulation depth must be nonnegative")
+        for path, key in (("tones[1]", "tones[1].depth"), ("", "depth")):
+            with pytest.raises(ConfigError) as info:
+                with config._values_under(path):
+                    raise cause
+            assert str(info.value) == f"config key '{key}': modulation depth must be nonnegative"
+            assert info.value.__cause__ is cause
+
+    @pytest.mark.parametrize("error", [ValueError("plain"), TypeError("type"), KeyError("key")], ids=repr)
+    def test_values_under_passes_other_errors_through(self, error):
+        with pytest.raises(type(error)) as info:
+            with config._values_under("sim"):
+                raise error
+        assert info.value is error
+        with config._values_under("sim"):
+            pass
+
+    def test_shared_defaults_cannot_be_poisoned(self):
+        with pytest.raises(TypeError):
+            config._defaults(LossBudget)["eta_bogus"] = 0.5
+        raw = copy.deepcopy(BS_CONFIG)
+        raw["losses"] = {"eta_bogus": 0.5}
+        with pytest.raises(ConfigError, match="unknown config key 'losses.eta_bogus'"):
+            load_config(raw)
+        assert set(config._defaults(LossBudget)) == {f.name for f in dataclasses.fields(LossBudget)}
+
+    def test_self_containing_config_is_a_config_error(self):
+        raw = preset_config("fig2")
+        raw["tones"].append(raw)
+        with pytest.raises(ConfigError, match="nests too deeply"):
+            load_config(raw)
+
+    def test_deeply_nested_config_file_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"output": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+        code, out, err = run_cli(capsys, "snr", "--config", str(path))
+        assert code == 1, err
+        assert out == ""
+        assert err == "config error: the config nests too deeply\n"
+
 
 class TestSnrCommand:
     def test_fig2_preset_report_fields(self, capsys):
@@ -215,6 +276,63 @@ class TestSnrCommand:
         code, out, _ = run_cli(capsys, "snr", "--preset", "fig5", "--out", out_dir)
         assert code == 0
         assert json.loads(out)["resolved_config"]["output"]["directory"] == out_dir
+
+
+def asdict_snr_report(cfg):
+    """``cmd_snr``'s report built as it once was, with ``dataclasses.asdict`` and
+    one ``best_port`` call per axis; the bytes ``cmd_snr`` must keep."""
+    scheme, fringe_info, model = cli._resolve_scheme(cfg)
+
+    def section(model):
+        ports = {
+            name: {"lo_phase_rad": lo, "efficiency": eff, "noise_variance_snu": model.variance(name)}
+            for name, lo, eff in zip(model.port_names, model.lo_phases, model.efficiencies)
+        }
+        snr = {
+            name: {f"{f:.10g}": model.snr(name, f) for f in model.tone_amplitudes}
+            for name in model.port_names
+        }
+        return {"ports": ports, "snr": snr}
+
+    report = {
+        "scheme_kind": scheme.kind,
+        "seed": cfg.sim.seed,
+        "dark_fringe": fringe_info,
+        "closed_form": dataclasses.asdict(closed_form_snr(scheme)),
+        **section(model),
+    }
+    axes = {"x": tone_at_angle(scheme, 0.0), "y": tone_at_angle(scheme, math.pi / 2)}
+    axes = {axis: tone.frequency_hz for axis, tone in axes.items() if tone is not None}
+    for axis, frequency in axes.items():
+        report[f"snr_{scheme.kind}_{axis}"] = model.best_port(frequency)[1]
+    if cfg.compare_with is not None:
+        baseline = matched_baseline(scheme, cfg.compare_with)
+        baseline_model = measurement_model(baseline)
+        comparison = enhancement_from_models(scheme, model, baseline_model)
+        report["baseline"] = {
+            **section(baseline_model),
+            "scheme_kind": baseline.kind,
+            "closed_form": dataclasses.asdict(closed_form_snr(baseline)),
+        }
+        report["enhancement"] = dataclasses.asdict(comparison)
+        ratios = {row.frequency_hz: row.ratio for row in comparison.per_tone}
+        report[f"ratio_vs_{cfg.compare_with}"] = {axis: ratios[f] for axis, f in axes.items()}
+    report["resolved_config"] = cfg.resolved
+    return report
+
+
+def report_configs():
+    for name in ("fig2", "fig3", "fig4", "fig5"):
+        yield pytest.param(load_config(preset_config(name)), id=name)
+    for k in range(6):
+        for compare_with in ("amp", "bs", None):
+            cfg = RunConfig(lock_case(k), True, compare_with, SimSettings(), None, {})
+            yield pytest.param(cfg, id=f"lock{k}-{compare_with}")
+
+
+@pytest.mark.parametrize("cfg", report_configs())
+def test_snr_report_bytes_are_the_asdict_report(cfg):
+    assert json.dumps(cmd_snr(cfg), indent=2) == json.dumps(asdict_snr_report(cfg), indent=2)
 
 
 # fig2 without losses on a 13 x 17 log grid of gain_g1 (10^0.2 to 10^5) and
