@@ -13,7 +13,10 @@ makes the comparison between the two routes meaningful.
 The closed-form SNRs of the three schemes live here as well.  They read a
 :class:`~suisim.schemes.SchemeInstance` (its kind, probe photon number,
 gains and the depths of its tones at angles 0 and pi/2), so a scheme's own
-checks are the only ones its closed form needs.
+checks are the only ones its closed form needs.  The exact no-tap port
+variances and axis-tone SNRs with losses (:func:`exact_port_variances`,
+:func:`exact_axis_snr`) read numbers or numpy arrays instead, so a whole
+grid of operating points is one call.
 """
 
 from __future__ import annotations
@@ -208,4 +211,65 @@ def closed_form_snr(scheme: SchemeInstance) -> ClosedFormSnr:
         4.0 * gain**2 * i_ps * eps**2 / total,
         4.0 * conj**2 * i_ps * delta**2 / total,
         False,
+    )
+
+
+def exact_port_variances(
+    kind: str, gain_g1=None, gain_g2=None, eta_internal=1.0, eta_signal_det=1.0, eta_idler_det=1.0
+):
+    """Exact (V_s, V_i) of a scheme without the tap, internal and detection losses included.
+
+    ``V_s`` is the signal port at LO 0 and ``V_i`` the idler port at LO pi/2,
+    in shot-noise units; ``sui`` is read at its dark fringe (phi = pi, pump
+    phases 0).  The arguments are numbers or numpy arrays that broadcast
+    together.  With ``G = cosh r``, ``g = sinh r`` and ``eta`` the internal
+    transmission (Marino, Corzo Trejo and Lett, Phys. Rev. A 86, 023844, 2012,
+    rewritten so that no terms of order ``(G1 G2)^2`` cancel)::
+
+        s_sum  = G1 g2 + g1 G2                  (sinh(r1 + r2))
+        s_diff = (G2 - G1)(G2 + G1) / s_sum     (sinh(r2 - r1))
+        X      = (1 - eta) / (1 + sqrt eta) s_sum + (1 + sqrt eta) s_diff
+        sui:  V_s = 1 + e_s X^2 / 2,  V_i = 1 + e_i (X^2 / 2 + 2 (1 - eta) g1^2)
+        amp:  V_s = 1 + 2 e_s g2^2,   V_i = 1 + 2 e_i g2^2
+        bs:   V_s = V_i = 1
+    """
+    e_s, e_i = eta_signal_det, eta_idler_det
+    if kind == "bs":
+        return np.ones(np.shape(e_s))[()], np.ones(np.shape(e_i))[()]
+    g2 = np.sqrt(gain_g2 * gain_g2 - 1.0)  # as in OpaParams.conjugate_gain
+    if kind == "amp":
+        return 1.0 + 2.0 * e_s * g2**2, 1.0 + 2.0 * e_i * g2**2
+    eta, g1 = eta_internal, np.sqrt(gain_g1 * gain_g1 - 1.0)
+    s_sum = gain_g1 * g2 + g1 * gain_g2
+    s_diff = (gain_g2 - gain_g1) * (gain_g2 + gain_g1) / s_sum
+    root = np.sqrt(eta)
+    half_x2 = ((1.0 - eta) / (1.0 + root) * s_sum + (1.0 + root) * s_diff) ** 2 / 2.0
+    return 1.0 + e_s * half_x2, 1.0 + e_i * (half_x2 + 2.0 * (1.0 - eta) * g1**2)
+
+
+def exact_axis_snr(
+    kind: str,
+    probe_photon_number,
+    eps,
+    delta,
+    gain_g1=None,
+    gain_g2=None,
+    eta_internal=1.0,
+    eta_signal_det=1.0,
+    eta_idler_det=1.0,
+):
+    """Exact SNRs of the tone at angle 0 (depth ``eps``) at the signal port and of the
+    tone at pi/2 (depth ``delta``) at the idler port, the ports of
+    :func:`exact_port_variances`; the arguments broadcast as there.
+
+    A tone of depth ``d`` enters as a displacement ``2 sqrt(I) d``.  The beam
+    splitter passes half its power to each port; the amplifier (OPA2 in
+    ``sui``) passes ``G2^2`` of it to the signal and ``g2^2`` to the idler.
+    """
+    v_s, v_i = exact_port_variances(kind, gain_g1, gain_g2, eta_internal, eta_signal_det, eta_idler_det)
+    power_x, power_y = (0.5, 0.5) if kind == "bs" else (gain_g2**2, gain_g2**2 - 1.0)
+    tone = 4.0 * probe_photon_number
+    return (
+        eta_signal_det * power_x * tone * eps**2 / v_s,
+        eta_idler_det * power_y * tone * delta**2 / v_i,
     )

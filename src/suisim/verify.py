@@ -20,6 +20,7 @@ from . import gaussian
 from .bogoliubov import (
     build_transfer_from_elements,
     closed_form_snr,
+    exact_port_variances,
     oracle_homodyne_mean,
     oracle_homodyne_variance,
 )
@@ -344,29 +345,41 @@ def _calibration_ratios(sui: MeasurementModel, amp: MeasurementModel):
     return ratio_x, ratio_y, floor
 
 
+def _calibration_deviation(eta_internal: np.ndarray, power_reading: bool = False) -> np.ndarray:
+    """Max normalised deviation from the calibration targets at each internal transmission.
+
+    It is read off the exact no-tap port variances, a whole grid per call.
+    The matched ``amp`` baseline shares the ``sui`` scheme's G2, probe, tones
+    and detectors, so each SNR ratio is the inverse ratio of the port
+    variances, and the noise-floor ratio is the inverse of the x ratio.
+    """
+    # The power reading takes the reference gains as intensity gains G^2.
+    g1, g2 = (math.sqrt(g) for g in _GAINS) if power_reading else _GAINS
+    losses = _reference_sui().losses
+    e_s, e_i = losses.eta_signal_det, losses.eta_idler_det
+    amp_s, amp_i = exact_port_variances("amp", gain_g2=g2, eta_signal_det=e_s, eta_idler_det=e_i)
+    sui_s, sui_i = exact_port_variances("sui", g1, g2, eta_internal, e_s, e_i)
+    ratio_x, ratio_y = amp_s / sui_s, amp_i / sui_i
+    return np.maximum.reduce(
+        [abs(ratio_x - 1.256) / 0.05, abs(ratio_y - 1.270) / 0.05, abs(1.0 / ratio_x - 0.80) / 0.03]
+    )
+
+
+# The internal transmissions the fit evaluates, at a 0.002 step.
+_ETA_GRID = np.linspace(0.3, 1.0, 351)
+
+
 def fit_eta_internal(power_reading: bool = False) -> tuple[float, float]:
     """Internal transmission minimising the joint calibration deviation.
 
     Returns (eta_internal, max normalised deviation); a deviation <= 1
-    means every target is inside its tolerance band.
+    means every target is inside its tolerance band.  The best point of
+    ``_ETA_GRID`` is refined on 81 points between its two neighbours.
     """
-    # The power reading takes the reference gains as intensity gains G^2.
-    g1, g2 = (math.sqrt(g) for g in _GAINS) if power_reading else _GAINS
-    # The amp baseline does not depend on eta_internal: one model serves the fit.
-    amp = measurement_model(matched_baseline(_reference_sui(gain_g1=g1, gain_g2=g2), "amp"))
-
-    def deviation(eta_internal: float) -> float:
-        sui = measurement_model(_reference_sui(eta_internal, gain_g1=g1, gain_g2=g2))
-        ratio_x, ratio_y, floor = _calibration_ratios(sui, amp)
-        return max(abs(ratio_x - 1.256) / 0.05, abs(ratio_y - 1.270) / 0.05, abs(floor - 0.80) / 0.03)
-
-    grid = np.linspace(0.3, 1.0, 351)
-    devs = [deviation(e) for e in grid]
-    k = int(np.argmin(devs))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    fine = np.linspace(lo, hi, 81)
-    fdevs = [deviation(e) for e in fine]
+    grid = _ETA_GRID
+    k = int(np.argmin(_calibration_deviation(grid, power_reading)))
+    fine = np.linspace(grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], 81)
+    fdevs = _calibration_deviation(fine, power_reading)
     j = int(np.argmin(fdevs))
     return float(fine[j]), float(fdevs[j])
 

@@ -7,12 +7,23 @@ the lines inline.
 """
 
 import collections
+import functools
+import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from suisim import gaussian, verify
-from suisim.schemes import Displace, Loss, PhaseShift, Splitter, TwoModeSqueeze
+from suisim.schemes import (
+    Displace,
+    Loss,
+    PhaseShift,
+    Splitter,
+    TwoModeSqueeze,
+    matched_baseline,
+    measurement_model,
+)
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +138,71 @@ def test_checks_read_all_angles_in_one_call(monkeypatch, check_id, reads):
     result = verify.run_check(check_id)
     assert result.passed, result.detail
     assert calls == reads
+
+
+@functools.cache
+def engine_deviation(eta_internal: float, power_reading: bool) -> float:
+    """The calibration deviation read off two engine models, as the fit once read it."""
+    g1, g2 = (math.sqrt(g) for g in verify._GAINS) if power_reading else verify._GAINS
+    sui = verify._reference_sui(eta_internal, gain_g1=g1, gain_g2=g2)
+    sui, amp = measurement_model(sui), measurement_model(matched_baseline(sui, "amp"))
+    ratio_x, ratio_y, floor = verify._calibration_ratios(sui, amp)
+    return max(abs(ratio_x - 1.256) / 0.05, abs(ratio_y - 1.270) / 0.05, abs(floor - 0.80) / 0.03)
+
+
+def engine_fit(grid, power_reading):
+    """The fit of ``verify.fit_eta_internal`` on ``grid``, every point read off the engine."""
+    devs = [engine_deviation(e, power_reading) for e in grid.tolist()]
+    k = int(np.argmin(devs))
+    fine = np.linspace(grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], 81)
+    fdevs = [engine_deviation(e, power_reading) for e in fine.tolist()]
+    j = int(np.argmin(fdevs))
+    return float(fine[j]), float(fdevs[j])
+
+
+@pytest.mark.parametrize("power_reading", [False, True], ids=["amplitude", "power"])
+def test_fit_reads_the_engine_deviation_at_every_point(monkeypatch, power_reading):
+    evaluated = []
+
+    def recorded(eta_internal, reading, _deviation=verify._calibration_deviation):
+        devs = _deviation(eta_internal, reading)
+        evaluated.append((eta_internal, devs))
+        return devs
+
+    monkeypatch.setattr(verify, "_calibration_deviation", recorded)
+    verify.fit_eta_internal(power_reading)
+    assert [etas.size for etas, _ in evaluated] == [verify._ETA_GRID.size, 81]
+    for etas, devs in evaluated:
+        reference = [engine_deviation(e, power_reading) for e in etas.tolist()]
+        assert_allclose(devs, reference, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "power_reading, expected",
+    [(False, (0.41014999999999996, 0.5652461618966191)), (True, (0.3, 2.7084440558534135))],
+    ids=["amplitude", "power"],
+)
+def test_fit_on_the_engine_grid_is_the_engine_fit(monkeypatch, power_reading, expected):
+    grid = np.linspace(0.3, 1.0, 351)
+    monkeypatch.setattr(verify, "_ETA_GRID", grid)
+    eta_star, dev = verify.fit_eta_internal(power_reading)
+    engine_eta, engine_dev = engine_fit(grid, power_reading)
+    assert engine_eta == expected[0] and engine_dev == expected[1]
+    assert eta_star == engine_eta
+    assert dev == pytest.approx(engine_dev, rel=1e-12)
+
+
+def test_calibration_builds_no_model_in_the_fit(monkeypatch):
+    built = []
+
+    def counted(*args, _model=verify.measurement_model, **kwargs):
+        built.append(args)
+        return _model(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "measurement_model", counted)
+    verify.fit_eta_internal()
+    verify.fit_eta_internal(power_reading=True)
+    assert not built
+    result = verify.run_check("acceptance-05-experimental-calibration")
+    assert result.passed, result.detail
+    assert len(built) <= 2

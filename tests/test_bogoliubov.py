@@ -1,3 +1,5 @@
+import decimal
+import itertools
 import json
 import math
 
@@ -9,6 +11,8 @@ from suisim.bogoliubov import (
     build_transfer,
     build_transfer_from_elements,
     closed_form_snr,
+    exact_axis_snr,
+    exact_port_variances,
     identity_transfer,
     oracle_homodyne_mean,
     oracle_homodyne_variance,
@@ -19,8 +23,10 @@ from suisim.schemes import (
     ModulationTone,
     ParameterError,
     TwoModeSqueeze,
+    LossBudget,
     build_scheme,
     compile_pipeline,
+    measurement_model,
     output_state,
     port_snr,
     vacuum_output,
@@ -171,6 +177,84 @@ def test_engine_snr_approaches_sui_closed_form():
     reference = closed_form_snr(sui)
     assert port_snr(sui, "signal", 0.8e6) / reference.snr_x == pytest.approx(1.0, abs=0.01)
     assert port_snr(sui, "idler", 1.2e6) / reference.snr_y == pytest.approx(1.0, abs=0.01)
+
+
+# The exact no-tap forms against the engine: gains inside the range where the
+# engine is accurate to 1e-9 at the dark fringe, internal transmissions from
+# lossless to heavy loss, and detector efficiencies for each port.
+EXACT_G1 = (1.1, 2.0, 5.0)
+EXACT_G2 = (1.5, 9.0, 50.0, 300.0)
+EXACT_ETA = (1.0, 1.0 - 1e-9, 0.41, 0.05)
+EXACT_DETECTORS = tuple(itertools.product((1.0, 0.72, 0.3), repeat=2))
+
+
+def exact_and_engine(kind, **gains_and_losses):
+    """(exact, engine) values of (V_s, V_i, snr_x, snr_y) for one no-tap scheme of ``kind``."""
+    eta_internal = gains_and_losses.pop("eta_internal", 1.0)
+    e_s, e_i = gains_and_losses.pop("detectors")
+    losses = LossBudget(eta_internal, eta_signal_det=e_s, eta_idler_det=e_i)
+    model = measurement_model(two_tone_scheme(kind, losses=losses, **gains_and_losses))
+    args = (gains_and_losses.get("gain_g1"), gains_and_losses.get("gain_g2"), eta_internal, e_s, e_i)
+    exact = exact_port_variances(kind, *args) + exact_axis_snr(kind, 1e4, 0.01, 0.01, *args)
+    engine = (
+        model.variance("signal"),
+        model.variance("idler"),
+        model.snr("signal", 0.8e6),
+        model.snr("idler", 1.2e6),
+    )
+    return np.array(exact), np.array(engine)
+
+
+def test_engine_is_the_exact_sui_form_at_the_dark_fringe():
+    worst = 0.0
+    for g1, g2, eta, detectors in itertools.product(EXACT_G1, EXACT_G2, EXACT_ETA, EXACT_DETECTORS):
+        exact, engine = exact_and_engine("sui", gain_g1=g1, gain_g2=g2, eta_internal=eta, detectors=detectors)
+        worst = max(worst, float(np.max(np.abs(engine / exact - 1.0))))
+    assert worst <= 1e-9
+
+
+def test_engine_is_the_exact_amp_and_bs_forms():
+    for detectors in EXACT_DETECTORS:
+        for g2 in EXACT_G2:
+            exact, engine = exact_and_engine("amp", gain_g2=g2, detectors=detectors)
+            assert_allclose(engine, exact, rtol=1e-9, atol=0)
+        exact, engine = exact_and_engine("bs", detectors=detectors)
+        assert_allclose(engine, exact, rtol=1e-9, atol=0)
+
+
+def marino_variances(g1, g2, eta, e_s, e_i):
+    """The cancelling form of Marino, Corzo Trejo and Lett, in 80-digit decimals of the float inputs."""
+    with decimal.localcontext(decimal.Context(prec=80)):
+        big_g1, big_g2, eta, e_s, e_i = map(decimal.Decimal, (g1, g2, eta, e_s, e_i))
+        small_g1, small_g2 = ((x * x - 1).sqrt() for x in (big_g1, big_g2))
+        a1 = big_g1**2 + small_g1**2
+        cross = 4 * big_g2 * small_g2 * eta.sqrt() * big_g1 * small_g1
+        bare_s = big_g2**2 * (eta * a1 + 1 - eta) + small_g2**2 * a1 - cross
+        bare_i = big_g2**2 * a1 + small_g2**2 * (eta * a1 + 1 - eta) - cross
+        return float(e_s * bare_s + 1 - e_s), float(e_i * bare_i + 1 - e_i)
+
+
+def test_exact_sui_form_is_the_marino_form_to_the_last_digits():
+    rng = np.random.default_rng(86)
+    n = 300
+    g1, g2 = 10.0 ** rng.uniform(0.0, 5.0, n), 10.0 ** rng.uniform(0.0, 8.0, n)
+    eta = rng.choice(np.array([1.0, 1.0 - 1e-9, 1.0 - 1e-4, -1.0]), n)
+    eta = np.where(eta < 0.0, rng.uniform(0.05, 1.0, n), eta)
+    e_s, e_i = rng.uniform(0.05, 1.0, (2, n))
+    exact = np.array(exact_port_variances("sui", g1, g2, eta, e_s, e_i))
+    reference = np.array([marino_variances(*point) for point in zip(g1, g2, eta, e_s, e_i)]).T
+    assert_allclose(exact, reference, rtol=1e-13, atol=0)
+
+
+def test_exact_forms_broadcast_and_read_scalars_as_scalars():
+    eta = np.linspace(0.1, 1.0, 4)
+    v_s, v_i = exact_port_variances("sui", 2.0, 9.0, eta, 0.72, 0.62)
+    assert v_s.shape == v_i.shape == (4,)
+    for k, value in enumerate(eta):
+        assert exact_port_variances("sui", 2.0, 9.0, float(value), 0.72, 0.62) == (v_s[k], v_i[k])
+    for kind in ("bs", "amp", "sui"):
+        for value in exact_axis_snr(kind, 1e4, 0.01, 0.01, 2.0, 9.0, 0.5, 0.72, 0.62):
+            assert np.ndim(value) == 0
 
 
 def test_oracle_grid_is_the_scalar_read_bit_for_bit():
