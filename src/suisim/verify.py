@@ -365,8 +365,10 @@ def _calibration_deviation(eta_internal: np.ndarray, power_reading: bool = False
     )
 
 
-# The internal transmissions the fit evaluates, at a 0.002 step.
-_ETA_GRID = np.linspace(0.3, 1.0, 351)
+# The internal transmissions the fit evaluates: all of (0, 1] at a 0.002 step.
+# The points from 0.3 up are np.linspace(0.3, 1.0, 351), kept as they round,
+# because the fitted amplitude-reading value lies one ulp from a printed digit.
+_ETA_GRID = np.concatenate([np.arange(1, 150) * 0.002, np.linspace(0.3, 1.0, 351)])
 
 
 def fit_eta_internal(power_reading: bool = False) -> tuple[float, float]:

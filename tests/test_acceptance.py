@@ -206,3 +206,18 @@ def test_calibration_builds_no_model_in_the_fit(monkeypatch):
     result = verify.run_check("acceptance-05-experimental-calibration")
     assert result.passed, result.detail
     assert len(built) <= 2
+
+
+@pytest.mark.parametrize("power_reading", [False, True], ids=["amplitude", "power"])
+def test_fit_finds_the_minimum_over_all_of_zero_to_one(power_reading):
+    eta_star, dev = verify.fit_eta_internal(power_reading)
+    scan = np.linspace(0.0, 1.0, 10**5 + 1)[1:]
+    devs = verify._calibration_deviation(scan, power_reading)
+    k = int(np.argmin(devs))
+    # The fit refines on 81 points between the neighbours of its best grid
+    # point, a step of 5e-5, so it may land that far from the kink of the
+    # deviation, and read it too high by the steepest slope there times that.
+    step = 2 * 0.002 / 80
+    slope = float(np.max(np.abs(np.diff(devs[k - 10 : k + 11])))) / 1e-5
+    assert abs(eta_star - scan[k]) <= step
+    assert abs(dev - devs[k]) <= slope * step
