@@ -33,7 +33,7 @@ from .config import (
 from .schemes import (
     MeasurementModel,
     SchemeInstance,
-    enhancement_from_models,
+    enhancement_from_tables,
     find_dark_fringe,
     matched_baseline,
     measurement_model,
@@ -82,15 +82,13 @@ def _resolve_scheme(cfg: RunConfig) -> tuple[SchemeInstance, dict | None, Measur
     return scheme, fringe_info, measurement_model(scheme, _sensing_plane=fringe.sensing_plane)
 
 
-def _scheme_snr_section(model: MeasurementModel) -> dict:
+def _scheme_snr_section(model: MeasurementModel, table: dict[str, list[float]]) -> dict:
+    """The ``ports`` and ``snr`` sections of one model, ``table`` being its :meth:`~MeasurementModel.snr_table`."""
     variances = model.noise_cov.diagonal().tolist()
     rows = zip(model.port_names, model.lo_phases, model.efficiencies, variances)
     ports = {name: {"lo_phase_rad": lo, "efficiency": eta, "noise_variance_snu": var} for name, lo, eta, var in rows}
-    snr = {
-        name: {f"{f:.10g}": amplitudes[i] ** 2 / variances[i] for f, amplitudes in model.tone_amplitudes.items()}
-        for i, name in enumerate(model.port_names)
-    }
-    return {"ports": ports, "snr": snr}
+    labels = [f"{f:.10g}" for f in model.tone_amplitudes]
+    return {"ports": ports, "snr": {name: dict(zip(labels, row)) for name, row in table.items()}}
 
 
 def cmd_snr(cfg: RunConfig) -> dict:
@@ -101,7 +99,8 @@ def cmd_snr(cfg: RunConfig) -> dict:
         "dark_fringe": fringe_info,
         "closed_form": dict(vars(closed_form_snr(scheme))),
     }
-    report.update(_scheme_snr_section(model))
+    table = model.snr_table()
+    report.update(_scheme_snr_section(model, table))
 
     # The best port's SNR for each axis tone, read off the table just built.
     axes = {"x": tone_at_angle(scheme, 0.0), "y": tone_at_angle(scheme, math.pi / 2)}
@@ -112,8 +111,9 @@ def cmd_snr(cfg: RunConfig) -> dict:
     if cfg.compare_with is not None:
         baseline = matched_baseline(scheme, cfg.compare_with)
         baseline_model = measurement_model(baseline)
-        comparison = enhancement_from_models(scheme, model, baseline_model)
-        baseline_section = _scheme_snr_section(baseline_model)
+        baseline_table = baseline_model.snr_table()
+        comparison = enhancement_from_tables(scheme, table, baseline_table)
+        baseline_section = _scheme_snr_section(baseline_model, baseline_table)
         baseline_section["scheme_kind"] = baseline.kind
         baseline_section["closed_form"] = dict(vars(closed_form_snr(baseline)))
         report["baseline"] = baseline_section

@@ -528,6 +528,12 @@ class MeasurementModel:
         """Port with the largest SNR for one tone, and that SNR."""
         return max(((p, self.snr(p, frequency_hz)) for p in self.port_names), key=lambda ps: ps[1])
 
+    def snr_table(self) -> dict[str, list[float]]:
+        """Every port's SNR for every tone: port name -> SNRs in ``tone_amplitudes`` order."""
+        variances = self.noise_cov.diagonal().tolist()
+        amplitudes = list(self.tone_amplitudes.values())
+        return {name: [a[i] ** 2 / variances[i] for a in amplitudes] for i, name in enumerate(self.port_names)}
+
 
 def measurement_model(scheme: SchemeInstance, *, _sensing_plane: tuple | None = None) -> MeasurementModel:
     """Read the ports off the scheme's compiled channel ``(S, N, D)``.
@@ -725,17 +731,22 @@ def enhancement_report(sui: SchemeInstance, baseline: SchemeInstance) -> Enhance
     if plan(sui) != plan(baseline):
         raise ValueError("schemes use different tone plans; equalise them for a fair comparison")
 
-    return enhancement_from_models(sui, measurement_model(sui), measurement_model(baseline))
+    return enhancement_from_tables(sui, measurement_model(sui).snr_table(), measurement_model(baseline).snr_table())
 
 
-def enhancement_from_models(
-    sui: SchemeInstance, sui_model: MeasurementModel, baseline_model: MeasurementModel
+def _best_port(table: dict[str, list[float]], k: int) -> tuple[str, float]:
+    """The first port, in table order, with the largest SNR of tone ``k``, and that SNR."""
+    return max(((port, row[k]) for port, row in table.items()), key=lambda ps: ps[1])
+
+
+def enhancement_from_tables(
+    sui: SchemeInstance, sui_table: dict[str, list[float]], baseline_table: dict[str, list[float]]
 ) -> EnhancementReport:
-    """:func:`enhancement_report` read off models already built for both schemes."""
+    """:func:`enhancement_report` read off the :meth:`MeasurementModel.snr_table` of both schemes' models."""
     rows = []
-    for tone in sui.tones:
-        sui_port, sui_snr = sui_model.best_port(tone.frequency_hz)
-        base_port, base_snr = baseline_model.best_port(tone.frequency_hz)
+    for k, tone in enumerate(sui.tones):
+        sui_port, sui_snr = _best_port(sui_table, k)
+        base_port, base_snr = _best_port(baseline_table, k)
         ratio = sui_snr / base_snr if base_snr > 0 else math.inf if sui_snr > 0 else 1.0
         rows.append(
             ToneEnhancement(

@@ -15,8 +15,9 @@ from suisim.cli import cmd_snr, main
 from suisim.config import ConfigError, RunConfig, SimSettings, load_config, preset_config, set_parameter
 from suisim.schemes import (
     LossBudget,
+    EnhancementReport,
     ParameterError,
-    enhancement_from_models,
+    ToneEnhancement,
     find_dark_fringe,
     matched_baseline,
     measurement_model,
@@ -278,9 +279,21 @@ class TestSnrCommand:
         assert json.loads(out)["resolved_config"]["output"]["directory"] == out_dir
 
 
+def best_port_enhancement(sui, sui_model, baseline_model):
+    """The enhancement report as it was once built, one ``best_port`` call per tone and model."""
+    rows = []
+    for tone in sui.tones:
+        sui_port, sui_snr = sui_model.best_port(tone.frequency_hz)
+        base_port, base_snr = baseline_model.best_port(tone.frequency_hz)
+        ratio = sui_snr / base_snr if base_snr > 0 else math.inf if sui_snr > 0 else 1.0
+        rows.append(ToneEnhancement(tone.frequency_hz, tone.angle, sui_port, sui_snr, base_port, base_snr, ratio))
+    gain, conj = sui.opa1.gain, sui.opa1.conjugate_gain
+    return EnhancementReport(tuple(rows), (gain + conj) ** 2, gain**2 + conj**2)
+
+
 def asdict_snr_report(cfg):
     """``cmd_snr``'s report built as it once was, with ``dataclasses.asdict`` and
-    one ``best_port`` call per axis; the bytes ``cmd_snr`` must keep."""
+    ``best_port`` calls; the bytes ``cmd_snr`` must keep."""
     scheme, fringe_info, model = cli._resolve_scheme(cfg)
 
     def section(model):
@@ -308,7 +321,7 @@ def asdict_snr_report(cfg):
     if cfg.compare_with is not None:
         baseline = matched_baseline(scheme, cfg.compare_with)
         baseline_model = measurement_model(baseline)
-        comparison = enhancement_from_models(scheme, model, baseline_model)
+        comparison = best_port_enhancement(scheme, model, baseline_model)
         report["baseline"] = {
             **section(baseline_model),
             "scheme_kind": baseline.kind,

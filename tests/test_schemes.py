@@ -390,6 +390,24 @@ class TestEnhancement:
         with pytest.raises(ValueError, match="tone plans"):
             enhancement_report(sui, baseline)
 
+    def test_snr_table_is_every_port_snr_and_ties_go_to_the_first_port(self):
+        sui = reference_sui(tap_enabled=True)
+        model = measurement_model(sui)
+        table = model.snr_table()
+        assert list(table) == list(model.port_names)
+        for port, row in table.items():
+            assert row == [model.snr(port, f) for f in model.tone_amplitudes]
+        # Every port reads the same SNR: the first port wins, as best_port has it.
+        even = dataclasses.replace(
+            model,
+            noise_cov=np.eye(3),
+            tone_amplitudes={f: (1.0, 1.0, 1.0) for f in model.tone_amplitudes},
+        )
+        report = schemes.enhancement_from_tables(sui, even.snr_table(), even.snr_table())
+        for row in report.per_tone:
+            assert (row.sui_port, row.baseline_port) == (even.port_names[0],) * 2
+            assert even.best_port(row.frequency_hz) == (row.sui_port, row.sui_snr) == ("signal", 1.0)
+
 
 class TestTap:
     def test_bs_tap_halves_snr(self):
