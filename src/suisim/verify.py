@@ -1,10 +1,11 @@
 """Built-in verification suite: engine invariants and acceptance checks.
 
 Each check is a zero-argument callable returning a :class:`CheckResult`;
-its body returns ``(passed, detail)`` and :func:`_check` names the result.
-``run_all`` executes every registered check with fixed seeds, so the whole
-suite is deterministic and doubles as the ``suisim verify`` command and as
-the acceptance test module.
+its body returns ``(passed, detail)`` and :func:`_check` names the result
+and records the check's wall time.  ``run_all`` executes every registered
+check with fixed seeds, so every result but its duration is deterministic,
+and the suite doubles as the ``suisim verify`` command and as the
+acceptance test module.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import time
 from typing import Callable
 
 import numpy as np
@@ -63,6 +65,8 @@ class CheckResult:
     check_id: str
     passed: bool
     detail: str
+    #: Wall time of the check in seconds; results that differ only in it are equal.
+    duration_s: float = dataclasses.field(default=0.0, compare=False)
 
 
 _REGISTRY: list[tuple[str, Callable[[], CheckResult]]] = []
@@ -74,8 +78,9 @@ def _check(check_id: str):
     def decorator(func):
         @functools.wraps(func)
         def check() -> CheckResult:
+            start = time.perf_counter()
             passed, detail = func()
-            return CheckResult(check_id, bool(passed), detail)
+            return CheckResult(check_id, bool(passed), detail, time.perf_counter() - start)
 
         _REGISTRY.append((check_id, check))
         return check

@@ -7,6 +7,7 @@ the lines inline.
 """
 
 import collections
+import dataclasses
 import functools
 import math
 
@@ -36,6 +37,13 @@ def test_criterion(results, check_id):
     result = results[check_id]
     print(f"{'PASS' if result.passed else 'FAIL'}  {check_id}  {result.detail}")
     assert result.passed, f"{check_id}: {result.detail}"
+
+
+def test_every_check_records_a_finite_duration(verify_results):
+    for result in verify_results:
+        assert math.isfinite(result.duration_s) and result.duration_s >= 0.0, result.check_id
+    first = verify_results[0]
+    assert first == dataclasses.replace(first, duration_s=first.duration_s + 1.0)
 
 
 def test_verify_detects_injected_squeezer_fault(monkeypatch):

@@ -972,3 +972,13 @@ class TestVerifyCommand:
         assert code == 3
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["all_passed"] is False
+
+    def test_report_records_each_check_duration(self, capsys, monkeypatch, tmp_path):
+        fake = [CheckResult("fast-check", True, "ok", 0.25), CheckResult("slow-check", True, "ok", 1.5)]
+        monkeypatch.setattr(verify, "run_all", lambda progress=None: fake)
+        code, out, _ = run_cli(capsys, "verify", "--out", str(tmp_path))
+        assert code == 0
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert [(c["check_id"], c["duration_s"]) for c in report["checks"]] == [("fast-check", 0.25), ("slow-check", 1.5)]
+        # The durations go to the report only; the lines printed stay as they were.
+        assert "0.25" not in out and "1.5" not in out
