@@ -371,24 +371,33 @@ def _calibration_deviation(eta_internal: np.ndarray, power_reading: bool = False
 
 
 # The internal transmissions the fit evaluates: all of (0, 1] at a 0.002 step.
-# The points from 0.3 up are np.linspace(0.3, 1.0, 351), kept as they round,
-# because the fitted amplitude-reading value lies one ulp from a printed digit.
-_ETA_GRID = np.concatenate([np.arange(1, 150) * 0.002, np.linspace(0.3, 1.0, 351)])
+_ETA_GRID = np.arange(1, 501) * 0.002
 
 
 def fit_eta_internal(power_reading: bool = False) -> tuple[float, float]:
     """Internal transmission minimising the joint calibration deviation.
 
     Returns (eta_internal, max normalised deviation); a deviation <= 1
-    means every target is inside its tolerance band.  The best point of
-    ``_ETA_GRID`` is refined on 81 points between its two neighbours.
+    means every target is inside its tolerance band.  A golden-section
+    search between the neighbours of the best point of ``_ETA_GRID`` narrows
+    a bracket of the minimum, a kink where two terms cross, to 1e-12.
     """
     grid = _ETA_GRID
     k = int(np.argmin(_calibration_deviation(grid, power_reading)))
-    fine = np.linspace(grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], 81)
-    fdevs = _calibration_deviation(fine, power_reading)
-    j = int(np.argmin(fdevs))
-    return float(fine[j]), float(fdevs[j])
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fc, fd = _calibration_deviation(c, power_reading), _calibration_deviation(d, power_reading)
+    while hi - lo > 1e-12:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - shrink * (hi - lo)
+            fc = _calibration_deviation(c, power_reading)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + shrink * (hi - lo)
+            fd = _calibration_deviation(d, power_reading)
+    return (float(c), float(fc)) if fc < fd else (float(d), float(fd))
 
 
 @_check("acceptance-05-experimental-calibration")

@@ -158,14 +158,18 @@ def engine_deviation(eta_internal: float, power_reading: bool) -> float:
     return max(abs(ratio_x - 1.256) / 0.05, abs(ratio_y - 1.270) / 0.05, abs(floor - 0.80) / 0.03)
 
 
-def engine_fit(grid, power_reading):
-    """The fit of ``verify.fit_eta_internal`` on ``grid``, every point read off the engine."""
-    devs = [engine_deviation(e, power_reading) for e in grid.tolist()]
-    k = int(np.argmin(devs))
-    fine = np.linspace(grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], 81)
-    fdevs = [engine_deviation(e, power_reading) for e in fine.tolist()]
-    j = int(np.argmin(fdevs))
-    return float(fine[j]), float(fdevs[j])
+def engine_deviations(eta_internal, power_reading):
+    """``verify._calibration_deviation`` read off the engine, at a point or on a grid."""
+    if np.ndim(eta_internal) == 0:
+        return engine_deviation(float(eta_internal), power_reading)
+    return np.array([engine_deviation(e, power_reading) for e in eta_internal.tolist()])
+
+
+def engine_fit(power_reading):
+    """The fit of ``verify.fit_eta_internal``, every point read off the engine."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_calibration_deviation", engine_deviations)
+        return verify.fit_eta_internal(power_reading)
 
 
 @pytest.mark.parametrize("power_reading", [False, True], ids=["amplitude", "power"])
@@ -179,22 +183,24 @@ def test_fit_reads_the_engine_deviation_at_every_point(monkeypatch, power_readin
 
     monkeypatch.setattr(verify, "_calibration_deviation", recorded)
     verify.fit_eta_internal(power_reading)
-    assert [etas.size for etas, _ in evaluated] == [verify._ETA_GRID.size, 81]
+    # The grid in one call, then the golden-section search one point at a time.
+    assert evaluated[0][0].size == verify._ETA_GRID.size
+    assert len(evaluated) > 40 and all(np.ndim(etas) == 0 for etas, _ in evaluated[1:])
     for etas, devs in evaluated:
-        reference = [engine_deviation(e, power_reading) for e in etas.tolist()]
+        reference = [engine_deviation(e, power_reading) for e in np.atleast_1d(etas).tolist()]
         assert_allclose(devs, reference, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize(
     "power_reading, expected",
-    [(False, (0.41014999999999996, 0.5652461618966191)), (True, (0.3, 2.7084440558534135))],
+    [(False, (0.4101337671955975, 0.5639558789236092)), (True, (0.300000000000301, 2.7084440558683127))],
     ids=["amplitude", "power"],
 )
 def test_fit_on_the_engine_grid_is_the_engine_fit(monkeypatch, power_reading, expected):
     grid = np.linspace(0.3, 1.0, 351)
     monkeypatch.setattr(verify, "_ETA_GRID", grid)
     eta_star, dev = verify.fit_eta_internal(power_reading)
-    engine_eta, engine_dev = engine_fit(grid, power_reading)
+    engine_eta, engine_dev = engine_fit(power_reading)
     assert engine_eta == expected[0] and engine_dev == expected[1]
     assert eta_star == engine_eta
     assert dev == pytest.approx(engine_dev, rel=1e-12)
@@ -222,10 +228,11 @@ def test_fit_finds_the_minimum_over_all_of_zero_to_one(power_reading):
     scan = np.linspace(0.0, 1.0, 10**5 + 1)[1:]
     devs = verify._calibration_deviation(scan, power_reading)
     k = int(np.argmin(devs))
-    # The fit refines on 81 points between the neighbours of its best grid
-    # point, a step of 5e-5, so it may land that far from the kink of the
-    # deviation, and read it too high by the steepest slope there times that.
-    step = 2 * 0.002 / 80
+    assert abs(eta_star - scan[k]) <= 1e-4
+    # The fit brackets the kink of the deviation, so it reads no higher than
+    # any point of the scan.  The scan's best point may lie half its 1e-5
+    # step off the kink, and read higher by the steepest slope there times that.
     slope = float(np.max(np.abs(np.diff(devs[k - 10 : k + 11])))) / 1e-5
-    assert abs(eta_star - scan[k]) <= step
-    assert abs(dev - devs[k]) <= slope * step
+    assert dev <= devs[k] <= dev + slope * 0.5e-5
+    assert dev == verify._calibration_deviation(eta_star, power_reading)
+    assert dev <= min(verify._calibration_deviation(eta_star + h, power_reading) for h in (-1e-9, 1e-9))
