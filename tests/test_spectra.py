@@ -38,7 +38,7 @@ from suisim.spectra import (
     tone_power,
     welch_psd,
 )
-from suisim.spectra import _GridPhasor, _LockIn, _segment_length, check_sampling
+from suisim.spectra import _GRID, _GridPhasor, _LockIn, _segment_length, _WelchSums, check_sampling
 
 AM = 0.8e6
 PM = 1.2e6
@@ -191,6 +191,58 @@ class TestWelch:
         assert_allclose(spec.psd_snu, density * ts.sample_rate / 2.0, rtol=1e-12, atol=0.0)
 
 
+def detrend_window_fft_sums(data, nperseg, cross):
+    """Welch sums of the record ``data`` (rows x samples) as the kernel once
+    took them: every segment has its mean removed, is windowed and
+    transformed, and ``|X|^2`` is taken through ``np.abs``."""
+    step = nperseg - nperseg // 2
+    count = (data.shape[1] - nperseg) // step + 1
+    window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(nperseg) / nperseg)
+    segments = np.lib.stride_tricks.sliding_window_view(data, nperseg, axis=1)[:, : count * step : step]
+    spectra = np.fft.rfft((segments - segments.mean(axis=2, keepdims=True)) * window, axis=2)
+    power = np.sum(np.square(np.abs(spectra)), axis=1)
+    a, b = spectra[cross[0]], spectra[cross[1]]
+    return power, np.sum(a.real * b.real + a.imag * b.imag, axis=0)
+
+
+class TestWelchKernel:
+    """``_WelchSums`` against the detrend-window-FFT kernel it replaced, which
+    removed each segment's mean before the FFT rather than from bins 0 and 1
+    after it."""
+
+    N = 5003
+    # Split points of the record: whole, even blocks, and blocks of 1 to 1200 samples.
+    BLOCKINGS = ([], list(range(1000, N, 1000)), [1, 2, 5, 338, 1338, 1339, 2539, 3000, 3001, 4200])
+
+    @pytest.mark.parametrize("nperseg", [2, 3, 333, 1000, 1001])
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("offset, rtol", [(0.0, 1e-13), (10.0, 1e-13), (1e3, 1e-11)])
+    def test_matches_the_detrend_first_kernel(self, nperseg, rows, offset, rtol):
+        rng = np.random.default_rng(1000 * rows + nperseg)
+        sigma = 2.5
+        # Each row's mean is up to offset * sigma, with both signs.
+        means = offset * sigma * np.array([1.0, -0.7, 0.3])[:rows, None]
+        data = sigma * rng.standard_normal((rows, self.N)) + means
+        cross = [rows - 1, 0]
+        power, cross_power = detrend_window_fft_sums(data, nperseg, cross)
+        runs = []
+        for splits in self.BLOCKINGS:
+            sums = _WelchSums(rows, 1e6, nperseg, cross)
+            for block in np.split(data, splits, axis=1):
+                sums.feed(block)
+            runs.append(sums)
+            assert sums.n_segments == 1 + (self.N - nperseg) // (nperseg - nperseg // 2)
+            # Relative to each row's mean power, its floor: a bin's own power
+            # can lie near zero, and the cross sum has either sign.
+            floor = power.mean(axis=1)
+            assert np.all(np.abs(sums.power - power) <= rtol * floor[:, None])
+            scale = math.sqrt(floor[cross[0]] * floor[cross[1]])
+            assert np.all(np.abs(sums.cross_power - cross_power) <= rtol * scale)
+        # Segments add in order whatever the blocking, so the sums agree bit for bit.
+        for sums in runs[1:]:
+            assert np.array_equal(sums.power, runs[0].power)
+
+
 def preset_run_config(name):
     """A preset's run config; its scheme sits at the dark fringe, which the lock puts at exactly pi."""
     cfg = load_config(preset_config(name))
@@ -310,6 +362,27 @@ class TestGridPhasor:
             angle = omega * (np.arange(start, start + m) / self.FS)
             assert np.max(np.abs(phasor.sin(start, m) - np.sin(angle))) <= bound
             assert np.max(np.abs(phasor.cos(start, m) - np.cos(angle))) <= bound
+
+    @staticmethod
+    def row_loop_join(phasor, start, m, weights):
+        """The row-by-row join the phasor once made, one grid row at a time."""
+        out = np.empty(m)
+        for row in range(start - start % _GRID, start + m, _GRID):
+            lo, hi = max(row, start), min(row + _GRID, start + m)
+            a, b = weights(phasor.omega * (row / phasor.sample_rate))
+            r = slice(lo - row, hi - row)
+            out[lo - start : hi - start] = a * phasor.cos_phi[r] + b * phasor.sin_phi[r]
+        return out
+
+    @pytest.mark.parametrize("frequency", [0.8e6, 1.0e6, 1.2e6, 4.9e6])
+    def test_join_equals_the_row_loop(self, frequency):
+        phasor = _GridPhasor(frequency, self.FS)
+        for start in (0, 1, 4095, 4096, 4097, 16000, 32005):
+            for m in (1, 4096, 16000, 40001):
+                sin = self.row_loop_join(phasor, start, m, lambda t: (math.sin(t), math.cos(t)))
+                cos = self.row_loop_join(phasor, start, m, lambda t: (math.cos(t), -math.sin(t)))
+                assert np.array_equal(phasor.sin(start, m), sin)
+                assert np.array_equal(phasor.cos(start, m), cos)
 
     def test_lock_in_balance_gain_matches_numpy_reference(self):
         cfg = preset_run_config("fig5")
