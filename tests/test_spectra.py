@@ -225,6 +225,10 @@ class TestWelchKernel:
         data = sigma * rng.standard_normal((rows, self.N)) + means
         cross = [rows - 1, 0]
         power, cross_power = detrend_window_fft_sums(data, nperseg, cross)
+        # Errors are taken relative to each row's mean power, its floor: a
+        # bin's own power can lie near zero, and the cross sum has either sign.
+        floor = power.mean(axis=1)
+        scale = math.sqrt(floor[cross[0]] * floor[cross[1]])
         runs = []
         for splits in self.BLOCKINGS:
             sums = _WelchSums(rows, 1e6, nperseg, cross)
@@ -232,11 +236,7 @@ class TestWelchKernel:
                 sums.feed(block)
             runs.append(sums)
             assert sums.n_segments == 1 + (self.N - nperseg) // (nperseg - nperseg // 2)
-            # Relative to each row's mean power, its floor: a bin's own power
-            # can lie near zero, and the cross sum has either sign.
-            floor = power.mean(axis=1)
             assert np.all(np.abs(sums.power - power) <= rtol * floor[:, None])
-            scale = math.sqrt(floor[cross[0]] * floor[cross[1]])
             assert np.all(np.abs(sums.cross_power - cross_power) <= rtol * scale)
         # Segments add in order whatever the blocking, so the sums agree bit for bit.
         for sums in runs[1:]:
