@@ -68,14 +68,16 @@ class GaussianState:
         if n_modes < 1:
             raise ValueError("a Gaussian state needs at least one mode")
         mean = np.array(self.mean, dtype=float)
-        cov = np.array(self.cov, dtype=float, order="C")
+        # Not copied: the covariance stored is the symmetrised one below.
+        cov = np.asarray(self.cov, dtype=float, order="C")
         d = 2 * n_modes
         if mean.shape != (d,):
             raise ValueError(f"mean must have shape ({d},), got {mean.shape}")
         if cov.shape != (d, d):
             raise ValueError(f"cov must have shape ({d}, {d}), got {cov.shape}")
-        # Elementwise: a sum of finite entries can overflow to inf.
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        # The largest magnitude is finite iff every entry is (max keeps a NaN; a sum
+        # could overflow), read with the abs and max the checks below use anyway.
+        if not (math.isfinite(np.abs(mean).max()) and math.isfinite(np.abs(cov).max())):
             raise ValueError("state moments must be finite")
         cov_t = cov.T
         asym = np.abs(cov - cov_t).max()

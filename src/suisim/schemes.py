@@ -136,30 +136,51 @@ def compile_pipeline(n_modes: int, elements: list[Element]) -> tuple[np.ndarray,
     ``S m + D.sum(axis=1)`` and covariance ``S V S^T + N``.  Column k of ``D``
     is the output shift of the k-th :class:`Displace` on its own.
     """
-    dim = 2 * n_modes
-    return _fold(n_modes, (np.eye(dim), np.zeros((dim, dim)), np.zeros((dim, 0))), elements)
+    return _fold(n_modes, (None, None, None), elements)
 
 
 def _fold(n_modes: int, channel: tuple, elements: list[Element]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The channel ``(S, N, D)`` followed by ``elements``, folded element by element."""
+    """The channel ``(S, N, D)`` followed by ``elements``, folded element by element.
+
+    ``S`` None stands for the identity, ``N`` None for no noise and ``D``
+    None for no columns; the returned channel holds arrays only.
+    """
     transfer, noise, shifts = channel
     dim = 2 * n_modes
+    columns = []
     for element in elements:
         if isinstance(element, Displace):
             # The new column is the displacement: (dx, dy) on its mode, zero elsewhere.
             _check_mode(n_modes, element.mode)
-            k = shifts.shape[1]
-            grown = np.zeros((dim, k + 1))
-            grown[:, :k] = shifts
+            column = [0.0] * dim
             ix, iy = xy_indices(element.mode)
-            grown[ix, k], grown[iy, k] = element.dx, element.dy
-            shifts = grown
+            column[ix], column[iy] = element.dx, element.dy
+            columns.append(column)
             continue
+        if columns:
+            shifts, columns = _joined(shifts, columns), []
         m, added = _element_channel(n_modes, element)
-        transfer, noise = m @ transfer, m @ noise @ m.T + added
-        if shifts.shape[1]:
+        # Products with the identity or zero noise only copy: m @ I is m with
+        # its signed zeros cleared, and m @ 0 @ m.T + added is added.
+        transfer = m + 0.0 if transfer is None else m @ transfer
+        if noise is not None:
+            noise = m @ noise @ m.T + added
+        elif isinstance(added, np.ndarray):
+            noise = added
+        if shifts is not None:
             shifts = m @ shifts
-    return transfer, noise, shifts
+    if columns:
+        shifts = _joined(shifts, columns)
+    transfer = np.eye(dim) if transfer is None else transfer
+    noise = np.zeros((dim, dim)) if noise is None else noise
+    return transfer, noise, np.zeros((dim, 0)) if shifts is None else shifts
+
+
+def _joined(shifts: np.ndarray | None, columns: list[list[float]]) -> np.ndarray:
+    """``shifts`` (None for no columns) with ``columns`` appended, assembled on
+    Python floats in one array call: each numpy call on so few columns costs more than its copy."""
+    rows = [[] for _ in columns[0]] if shifts is None else shifts.tolist()
+    return np.array([row + [column[i] for column in columns] for i, row in enumerate(rows)])
 
 
 def vacuum_output(n_modes: int, transfer: np.ndarray, noise: np.ndarray, shifts: np.ndarray) -> GaussianState:
@@ -427,19 +448,8 @@ def pipeline_elements(scheme: SchemeInstance) -> list[Element]:
         )
         for t in scheme.tones
     ]
-    # The tap keeps the transmitted signal on mode 0 and sends the +phase
-    # reflection to mode 2, so both outputs carry the signal mean with the
-    # same sign (needed by the post-detection combination).
-    tap = [Splitter(0, 2, 0.5, math.pi)] if scheme.tap_enabled else []
-
-    if scheme.kind == "bs":
-        probe = [Displace(0, 2.0 * math.sqrt(i_ps), 0.0)]
-        return probe + tone_elements + [Splitter(0, 1, 0.5, 0.0)] + tap
-
-    if scheme.kind == "amp":
-        probe = [Displace(0, 2.0 * math.sqrt(i_ps), 0.0)]
-        amp = TwoModeSqueeze(0, 1, scheme.opa2_or_amp.gain, scheme.opa2_or_amp.pump_phase)
-        return probe + tone_elements + [amp] + tap
+    if scheme.kind != "sui":
+        return [Displace(0, 2.0 * math.sqrt(i_ps), 0.0)] + tone_elements + _readout_elements(scheme)
 
     # SU(1,1): the seed is back-solved so the probe at the sensing plane
     # (after the internal loss, where the modulators act) carries i_ps
@@ -453,10 +463,21 @@ def pipeline_elements(scheme: SchemeInstance) -> list[Element]:
     ]
     if eta_int != 1.0:
         elements.append(Loss(0, eta_int))
-    elements += tone_elements
-    elements.append(TwoModeSqueeze(0, 1, scheme.opa2_or_amp.gain, scheme.interferometer_phase))
-    elements += tap
-    return elements
+    return elements + tone_elements + _readout_elements(scheme)
+
+
+def _readout_elements(scheme: SchemeInstance) -> list[Element]:
+    """The last elements of the pipeline: the splitter, the amplifier or OPA2
+    that mixes signal and idler, then the tap if any."""
+    if scheme.kind == "bs":
+        mixer = Splitter(0, 1, 0.5, 0.0)
+    else:
+        amp = scheme.opa2_or_amp
+        mixer = TwoModeSqueeze(0, 1, amp.gain, scheme.interferometer_phase if scheme.kind == "sui" else amp.pump_phase)
+    # The tap keeps the transmitted signal on mode 0 and sends the +phase
+    # reflection to mode 2, so both outputs carry the signal mean with the
+    # same sign (needed by the post-detection combination).
+    return [mixer, Splitter(0, 2, 0.5, math.pi)] if scheme.tap_enabled else [mixer]
 
 
 def tone_at_angle(scheme: SchemeInstance, angle: float) -> ModulationTone | None:
@@ -544,32 +565,39 @@ def measurement_model(scheme: SchemeInstance, *, _sensing_plane: tuple | None = 
     Given ``_sensing_plane``, the ``sensing_plane`` of the lock that set the phase,
     only OPA2 and the tap are folded onto it, as :func:`compile_pipeline` folds them.
     """
-    elements = pipeline_elements(scheme)
-    cut = len(elements) - (2 if scheme.tap_enabled else 1)
+    n_modes, ports = scheme.n_modes, scheme.ports
     if _sensing_plane is None:
-        _sensing_plane = compile_pipeline(scheme.n_modes, elements[:cut])
-    transfer, noise, shifts = _fold(scheme.n_modes, _sensing_plane, elements[cut:])
-    state = vacuum_output(scheme.n_modes, transfer, noise, shifts)
+        channel = compile_pipeline(n_modes, pipeline_elements(scheme))
+    else:
+        channel = _fold(n_modes, _sensing_plane, _readout_elements(scheme))
+    state = vacuum_output(n_modes, *channel)
     modes = port_modes(scheme)
-    eta = np.array([c.efficiency for c in scheme.ports])
-    readout = np.zeros((len(scheme.ports), 2 * scheme.n_modes))
-    for row, channel in zip(readout, scheme.ports):
-        ix, iy = xy_indices(modes[channel.port_name])
-        row[ix], row[iy] = math.cos(channel.lo_phase), math.sin(channel.lo_phase)
-    readout *= np.sqrt(eta)[:, None]
-    tones = shifts[:, 1:]
-    amplitudes = readout @ tones
+    eta = [c.efficiency for c in ports]
+    # Rows, tone norms and the diagonal are a few scalars each: they are read
+    # and assembled on Python floats, since each numpy call costs more than its arithmetic.
+    rows = []
+    for port, root in zip(ports, map(math.sqrt, eta)):
+        row = [0.0] * (2 * n_modes)
+        ix, iy = xy_indices(modes[port.port_name])
+        row[ix], row[iy] = math.cos(port.lo_phase) * root, math.sin(port.lo_phase) * root
+        rows.append(row)
+    readout = np.array(rows)
+    shifts = channel[2]
+    amplitudes = (readout @ shifts[:, 1:]).tolist()
     # A port orthogonal to a tone reads only the rounding of cos(pi/2), some
     # 1e-16 of the tone; zero it so that no sinusoid is synthesised for it.
-    amplitudes[np.abs(amplitudes) <= 1e-12 * np.linalg.norm(tones, axis=0)] = 0.0
+    tone_amplitudes = {}
+    for k, (tone, column) in enumerate(zip(scheme.tones, list(zip(*shifts.tolist()))[1:])):
+        bound = 1e-12 * math.sqrt(sum([x * x for x in column]))
+        tone_amplitudes[tone.frequency_hz] = tuple(0.0 if abs(a[k]) <= bound else a[k] for a in amplitudes)
+    noise_cov = readout @ state.cov @ readout.T
+    noise_cov.flat[:: len(eta) + 1] += [1.0 - e for e in eta]
     return MeasurementModel(
-        port_names=tuple(c.port_name for c in scheme.ports),
-        lo_phases=tuple(c.lo_phase for c in scheme.ports),
-        efficiencies=tuple(c.efficiency for c in scheme.ports),
-        noise_cov=readout @ state.cov @ readout.T + np.diag(1.0 - eta),
-        tone_amplitudes={
-            tone.frequency_hz: tuple(amplitudes[:, k].tolist()) for k, tone in enumerate(scheme.tones)
-        },
+        port_names=tuple(c.port_name for c in ports),
+        lo_phases=tuple(c.lo_phase for c in ports),
+        efficiencies=tuple(eta),
+        noise_cov=noise_cov,
+        tone_amplitudes=tone_amplitudes,
     )
 
 
@@ -631,14 +659,17 @@ def find_dark_fringe(scheme: SchemeInstance) -> DarkFringeResult:
     elements = pipeline_elements(scheme)
     sensing_plane = compile_pipeline(scheme.n_modes, elements[: -2 if scheme.tap_enabled else -1])
     transfer, noise, shifts = sensing_plane
-    carrier = shifts[:, 0]
-    moments = transfer @ transfer.T + noise + np.outer(carrier, carrier)
+    # The fringe reads a few moments: Python floats off one product, since each
+    # numpy call costs more than its arithmetic.
+    carrier = [row[0] for row in shifts.tolist()]
+    cov = (transfer @ transfer.T + noise).tolist()
+    moments = [[v + ci * cj for v, cj in zip(row, carrier)] for row, ci in zip(cov, carrier)]
     (xs, ys), (xi, yi) = xy_indices(0), xy_indices(1)
-    a = moments[xs, xi] - moments[ys, yi]
-    b = moments[xs, yi] + moments[ys, xi]
-    # Signal and idler are modes 0 and 1: the first four quadratures.
-    pair = float(np.trace(moments[:4, :4]))
-    rest = float(np.trace(moments[4:, 4:]))
+    a = moments[xs][xi] - moments[ys][yi]
+    b = moments[xs][yi] + moments[ys][xi]
+    # Signal and idler are modes 0 and 1: the first four quadratures, each trace summed in order.
+    diagonal = [row[i] for i, row in enumerate(moments)]
+    pair, rest = sum(diagonal[:4]), sum(diagonal[4:], 0.0)
     gain, conj = scheme.opa2_or_amp.gain, scheme.opa2_or_amp.conjugate_gain
     mean = ((gain * gain + conj * conj) * pair + rest - 2.0 * scheme.n_modes) / 4.0
     amplitude = gain * conj * math.hypot(a, b)

@@ -377,7 +377,7 @@ def test_lossless_high_gain_lock_succeeds(i, j):
     assert math.isfinite(fringe.visibility) and 0.0 <= fringe.visibility <= 1.0
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError, reason="ROADMAP item 4")
+@pytest.mark.xfail(strict=True, raises=ValueError, reason="ROADMAP item 3")
 @pytest.mark.parametrize("i, j", LOSSLESS_FAILURES)
 def test_lossless_high_gain_snr_succeeds(i, j):
     report = cmd_snr(lossless_config(i, j))

@@ -419,3 +419,99 @@ class TestStateValidation:
         mean[0], cov[0, 0] = 7.0, 7.0
         assert state.mean[0] == 0.0 and state.cov[0, 0] == 2.0
         assert state.cov.flags.c_contiguous
+
+
+def reference_state_check(n_modes, mean, cov):
+    """GaussianState's check with its finiteness test as ``np.isfinite(...).all()``:
+    the stored ``(mean, cov)``, or the ValueError it raises."""
+    mean = np.array(mean, dtype=float)
+    cov = np.array(cov, dtype=float, order="C")
+    d = 2 * n_modes
+    if mean.shape != (d,):
+        raise ValueError(f"mean must have shape ({d},), got {mean.shape}")
+    if cov.shape != (d, d):
+        raise ValueError(f"cov must have shape ({d}, {d}), got {cov.shape}")
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise ValueError("state moments must be finite")
+    cov_t = cov.T
+    asym = np.abs(cov - cov_t).max()
+    if asym > 1e-12:
+        raise ValueError(f"covariance matrix is not symmetric (defect {asym:.3e})")
+    cov = 0.5 * (cov + cov_t)
+    scale = np.abs(cov).max()
+    if scale == math.inf:
+        raise ValueError("covariance entries overflow the float range when symmetrised")
+    lowest = np.linalg.eigvalsh(cov + i_omega(n_modes))[0]
+    if lowest < -1e-12 * max(1.0, scale):
+        raise ValueError(
+            "covariance matrix violates the uncertainty relation: cov + i omega is "
+            f"not positive definite up to rounding (smallest eigenvalue {lowest:.3e})"
+        )
+    return mean, cov
+
+
+def state_outcome(check, n_modes, mean, cov):
+    """The stored moments' bits and layout, or the rejection message."""
+    try:
+        with np.errstate(over="ignore"):
+            mean, cov = check(n_modes, mean, cov)
+    except ValueError as exc:
+        return str(exc)
+    return mean.tobytes(), cov.tobytes(), mean.flags.c_contiguous, cov.flags.c_contiguous
+
+
+def state_cases():
+    """(n_modes, mean, cov): pure, mixed and near-boundary states, and each kind of rejection."""
+    rng = np.random.default_rng(41)
+    cases = []
+    for k in range(120):
+        n_modes, elements = random_pipeline(rng, with_loss=bool(k % 2), with_displacement=True)
+        state = vacuum_output(n_modes, *compile_pipeline(n_modes, elements))
+        cases.append((n_modes, state.mean, state.cov))
+        # Pure states at the edge of the uncertainty relation, either side of its tolerance.
+        cases.append((n_modes, state.mean, state.cov * (1.0 - float(10 ** rng.uniform(-14, -9)))))
+    for gain in (1.0, 3.0, 1e3, 1e6):
+        s4 = two_mode_squeezer_matrix(gain, 0.7)
+        cases += [(2, np.zeros(4), s4 @ s4.T), (2, np.zeros(4), s4 @ s4.T * (1.0 - 1e-12))]
+    cases += [(1, np.zeros(2), 0.5 * np.eye(2)), (2, np.zeros(4), 0.5 * np.eye(4))]
+    for bad in (math.nan, math.inf, -math.inf):
+        for where in range(3):
+            mean, cov = np.full(4, 1.5e308 if where == 0 else 0.0), np.eye(4)
+            if where == 0:
+                mean[3] = bad
+            elif where == 1:
+                cov[1, 1] = bad
+            else:
+                cov[0, 3] = cov[3, 0] = bad
+            cases.append((2, mean, cov))
+    asymmetric = np.eye(4)
+    asymmetric[0, 2], asymmetric[2, 0] = 0.3, 0.3 + 1e-9
+    rounding = 3.0 * np.eye(4)
+    rounding[0, 2], rounding[2, 0] = 0.5, 0.5 + 1e-15
+    cases += [(2, np.zeros(4), asymmetric), (2, np.zeros(4), rounding)]
+    cases += [(1, np.zeros(2), np.diag([1e308, 1e308])), (3, np.full(6, 1.5e308), 5e307 * np.eye(6))]
+    cases += [(2, np.zeros(4), np.asfortranarray(2.0 * np.eye(4))), (1, [0, 1], [[2, 0], [0, 2]])]
+    cases += [(2, np.zeros(3), np.eye(4)), (2, np.zeros(4), np.eye(3))]
+    return cases
+
+
+def stored_moments(n_modes, mean, cov):
+    state = GaussianState(n_modes, mean, cov)
+    return state.mean, state.cov
+
+
+def test_state_check_is_its_array_form_on_every_outcome():
+    outcomes = set()
+    for n_modes, mean, cov in state_cases():
+        state = state_outcome(stored_moments, n_modes, mean, cov)
+        assert state == state_outcome(reference_state_check, n_modes, mean, cov)
+        outcomes.add(state.split(":")[0].split(" (")[0] if isinstance(state, str) else "accepted")
+    assert outcomes == {
+        "accepted",
+        "covariance matrix violates the uncertainty relation",
+        "state moments must be finite",
+        "covariance matrix is not symmetric",
+        "covariance entries overflow the float range when symmetrised",
+        "mean must have shape",
+        "cov must have shape",
+    }

@@ -16,7 +16,7 @@ from suisim.bogoliubov import (
 )
 from suisim.cli import _resolve_scheme, cmd_snr
 from suisim.config import load_config, preset_config, set_parameter
-from suisim.conventions import normalize_angle
+from suisim.conventions import normalize_angle, xy_indices
 from suisim.gaussian import (
     GaussianState,
     OpaParams,
@@ -952,3 +952,105 @@ def test_lock_compiles_the_scheme_itself(monkeypatch):
 
 def test_pipeline_elements_takes_only_the_scheme():
     assert list(inspect.signature(pipeline_elements).parameters) == ["scheme"]
+
+
+# The port readout and the lock read their few scalars on Python floats;
+# these are the array forms they replace, copied as they were.
+
+
+def array_readout(scheme, channel):
+    """``noise_cov`` and ``tone_amplitudes`` of the channel ``(S, N, D)``, read with arrays."""
+    state = schemes.vacuum_output(scheme.n_modes, *channel)
+    modes = port_modes(scheme)
+    eta = np.array([c.efficiency for c in scheme.ports])
+    readout = np.zeros((len(scheme.ports), 2 * scheme.n_modes))
+    for row, port in zip(readout, scheme.ports):
+        ix, iy = xy_indices(modes[port.port_name])
+        row[ix], row[iy] = math.cos(port.lo_phase), math.sin(port.lo_phase)
+    readout *= np.sqrt(eta)[:, None]
+    tones = channel[2][:, 1:]
+    amplitudes = readout @ tones
+    amplitudes[np.abs(amplitudes) <= 1e-12 * np.linalg.norm(tones, axis=0)] = 0.0
+    noise_cov = readout @ state.cov @ readout.T + np.diag(1.0 - eta)
+    return noise_cov, {tone.frequency_hz: tuple(amplitudes[:, k].tolist()) for k, tone in enumerate(scheme.tones)}
+
+
+def array_lock(scheme):
+    """``(phi_star, flat, visibility)`` of the lock, its moments read with arrays."""
+    elements = pipeline_elements(scheme)
+    transfer, noise, shifts = schemes.compile_pipeline(scheme.n_modes, elements[: -2 if scheme.tap_enabled else -1])
+    carrier = shifts[:, 0]
+    moments = transfer @ transfer.T + noise + np.outer(carrier, carrier)
+    a = moments[0, 2] - moments[1, 3]
+    b = moments[0, 3] + moments[1, 2]
+    pair, rest = float(np.trace(moments[:4, :4])), float(np.trace(moments[4:, 4:]))
+    gain, conj = scheme.opa2_or_amp.gain, scheme.opa2_or_amp.conjugate_gain
+    mean = ((gain * gain + conj * conj) * pair + rest - 2.0 * scheme.n_modes) / 4.0
+    amplitude = gain * conj * math.hypot(a, b)
+    if 2.0 * amplitude <= 1e-9 * max(1.0, mean + amplitude):
+        return math.pi, True, 0.0
+    return normalize_angle(math.atan2(-b, -a)), False, amplitude / mean
+
+
+def bits(values):
+    """Float values by their bits, so that 0.0 and -0.0 differ."""
+    return [float(v).hex() for v in values]
+
+
+def readout_case(rng, kind, tap_enabled, lossy, n_tones):
+    """A random scheme: tones on and off the quadrature axes, default or
+    random LO phases, and every efficiency 1 unless ``lossy``."""
+    on_axis = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
+    angles = [float(rng.choice(on_axis)) if rng.random() < 0.5 else float(rng.uniform(0, 2 * math.pi)) for _ in range(n_tones)]
+    tones = [ModulationTone(0.8e6 + 0.2e6 * k, float(rng.uniform(0.002, 0.02)), a) for k, a in enumerate(angles)]
+    etas = [float(rng.choice([0.0, 1.0, rng.uniform(0.05, 1.0)])) if lossy else 1.0 for _ in range(4)]
+    if lossy and kind == "sui":
+        etas[0] = float(rng.uniform(0.05, 1.0))
+    losses = LossBudget(*etas)
+    ports = None
+    if rng.random() < 0.5:
+        names = ["signal", "idler"] + (["tap"] if tap_enabled else [])
+        lo = [float(rng.choice(on_axis)) if rng.random() < 0.5 else float(rng.uniform(0, 2 * math.pi)) for _ in names]
+        ports = [HomodyneChannel(name, phase, eta) for name, phase, eta in zip(names, lo, etas[1:])]
+    gains = {
+        "bs": {},
+        "amp": {"gain_g2": float(10 ** rng.uniform(0.02, 2))},
+        "sui": {"gain_g1": float(10 ** rng.uniform(0.02, 0.5)), "gain_g2": float(10 ** rng.uniform(0.02, 2))},
+    }[kind]
+    return build_scheme(
+        kind,
+        probe_photon_number=float(10 ** rng.uniform(2, 5)),
+        tones=tones,
+        losses=losses,
+        interferometer_phase=float(rng.uniform(0, 2 * math.pi)) if kind == "sui" else math.pi,
+        tap_enabled=tap_enabled,
+        ports=ports,
+        **gains,
+    )
+
+
+@pytest.mark.parametrize("kind", ["bs", "amp", "sui"])
+@pytest.mark.parametrize("tap_enabled", [False, True], ids=["notap", "tap"])
+@pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])
+def test_readout_and_lock_read_as_their_array_forms(kind, tap_enabled, lossy):
+    rng = np.random.default_rng(["bs", "amp", "sui"].index(kind) * 4 + 2 * tap_enabled + lossy + 3100)
+    zeros = 0
+    for k in range(40):
+        scheme = readout_case(rng, kind, tap_enabled, lossy, 2 + k % 2)
+        n = scheme.n_modes
+        models = [(scheme, measurement_model(scheme))]
+        if kind == "sui":
+            fringe = find_dark_fringe(scheme)
+            assert bits((fringe.phi_star, fringe.visibility)) == bits(array_lock(scheme)[::2])
+            assert fringe.flat == array_lock(scheme)[1]
+            locked = dataclasses.replace(scheme, interferometer_phase=fringe.phi_star)
+            models.append((locked, measurement_model(locked, _sensing_plane=fringe.sensing_plane)))
+        for read, model in models:
+            noise_cov, amplitudes = array_readout(read, schemes.compile_pipeline(n, pipeline_elements(read)))
+            assert np.array_equal(model.noise_cov, noise_cov)
+            assert list(model.tone_amplitudes) == list(amplitudes)
+            for frequency, row in amplitudes.items():
+                assert bits(model.tone_amplitudes[frequency]) == bits(row)
+                zeros += row.count(0.0)
+    # Some port is orthogonal to some tone, and reads exactly 0.0.
+    assert zeros > 0, zeros
