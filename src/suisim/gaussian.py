@@ -68,7 +68,7 @@ class GaussianState:
         if n_modes < 1:
             raise ValueError("a Gaussian state needs at least one mode")
         mean = np.array(self.mean, dtype=float)
-        # Not copied: the covariance stored is the symmetrised one below.
+        # Not copied: stored as given if exactly symmetric, else symmetrised below.
         cov = np.asarray(self.cov, dtype=float, order="C")
         d = 2 * n_modes
         if mean.shape != (d,):
@@ -77,18 +77,19 @@ class GaussianState:
             raise ValueError(f"cov must have shape ({d}, {d}), got {cov.shape}")
         # The largest magnitude is finite iff every entry is (max keeps a NaN; a sum
         # could overflow), read with the abs and max the checks below use anyway.
-        if not (math.isfinite(np.abs(mean).max()) and math.isfinite(np.abs(cov).max())):
+        scale = np.abs(cov).max()
+        if not (math.isfinite(np.abs(mean).max()) and math.isfinite(scale)):
             raise ValueError("state moments must be finite")
         cov_t = cov.T
         asym = np.abs(cov - cov_t).max()
         if asym > _SYMMETRY_TOL:
             raise ValueError(f"covariance matrix is not symmetric (defect {asym:.3e})")
-        # Not redundant for a covariance that is already symmetric: entries
-        # above half the float range make cov + cov.T inf, and this is where
-        # such a state is caught.
-        cov = 0.5 * (cov + cov_t)
-        scale = np.abs(cov).max()
-        if scale == math.inf:
+        if asym > 0.0:
+            cov = 0.5 * (cov + cov_t)
+            scale = np.abs(cov).max()
+        # Symmetrising gives an exactly symmetric cov back bit for bit, unless an
+        # entry above half the float range makes cov + cov.T inf: caught here.
+        if scale > (sys.float_info.max if asym > 0.0 else sys.float_info.max / 2.0):
             raise ValueError("covariance entries overflow the float range when symmetrised")
         lowest = np.linalg.eigvalsh(cov + i_omega(n_modes))[0]
         if lowest < -_UNCERTAINTY_TOL * max(1.0, scale):

@@ -14,9 +14,9 @@ Spectra are Welch periodograms (Hann window, 50% overlap, one sided, each
 segment's mean removed from bins 0 and 1 after the FFT) normalised so
 unit-variance white noise sits at 1, i.e. the shot-noise unit.
 :func:`simulate_spectra` synthesises a run of a port model and accumulates
-its spectra in blocks of a fixed number of Welch steps, so a run's memory
-does not grow with its duration.  The record-level functions
-(:func:`simulate_currents`, :func:`welch_psd`, :func:`calibrate_k`,
+its spectra in blocks of a fixed number of Welch steps, in buffers kept for
+the pass, so its memory does not grow with the duration.  The record-level
+functions (:func:`simulate_currents`, :func:`welch_psd`, :func:`calibrate_k`,
 :func:`combine_currents`) compute the same run one whole record at a time;
 they are the reference the streamed pass is tested against.
 """
@@ -66,7 +66,7 @@ def _clear_of(x: float, bin_width: float, tones) -> bool:
     return True
 
 
-def _readout_bins(n_bins: int, bin_width: float, f0: float, tones) -> tuple[list[int], list[int]]:
+def _readout_bins(n_bins: int, bin_width: float, f0: float, tones, first: bool = False) -> tuple[list[int], list[int]]:
     """``(window, floor)``, the indices of the bins that read the tone at ``f0``
     off ``n_bins`` bins at ``k * bin_width``: its +-1.5-bin peak window, and its
     +-5-bin annulus less the window and the +-5-bin neighbourhoods of the other ``tones``.
@@ -74,6 +74,7 @@ def _readout_bins(n_bins: int, bin_width: float, f0: float, tones) -> tuple[list
     The one readout rule, applied by the readers and by :func:`check_readout`.
     Raises :class:`ParameterError` named ``rbw_hz`` when ``f0`` lies outside
     the bins, another tone reaches into its window, or no floor bin is left.
+    With ``first`` it stops at the first floor bin, which decides the rule.
     """
     last = (n_bins - 1) * bin_width
     if not 0.0 <= f0 <= last:
@@ -97,6 +98,8 @@ def _readout_bins(n_bins: int, bin_width: float, f0: float, tones) -> tuple[list
             window.append(k)
         elif _near(x, bin_width, f0, _EXCLUDE_HALFWIDTH_BINS) and _clear_of(x, bin_width, others):
             floor.append(k)
+            if first:
+                break
     if not floor:
         raise ParameterError(
             "rbw_hz",
@@ -116,10 +119,11 @@ def report_band(n_bins: int, bin_width: float, tones) -> tuple[float, float]:
     return max(bin_width, min(tones) - margin), min((n_bins - 1) * bin_width, max(tones) + margin)
 
 
-# Welch steps per streamed block.  At the default settings a block is 16k
-# samples, 0.4 MB for three ports, so synthesis and FFT work in cache; 16
-# to 64 steps timed alike, 128 about 20% slower.
+# Welch steps per streamed block: 16k samples at the default settings, for
+# which the pass keeps about 0.56 MB per port.  128 steps timed 20% slower;
+# shorter blocks keep less, but would change the lock-in's last bits.
 _BLOCK_STEPS = 32
+_CHUNK = 8  # Welch segments windowed and transformed at once
 
 
 def _block_length(nperseg: int) -> int:
@@ -200,7 +204,7 @@ def check_readout(
     bin_width = 1.0 / (nperseg * (1.0 / sample_rate))
     n_bins = nperseg // 2 + 1
     for f in tone_frequencies:
-        _readout_bins(n_bins, bin_width, f, tone_frequencies)
+        _readout_bins(n_bins, bin_width, f, tone_frequencies, first=True)
     lo, hi = report_band(n_bins, bin_width, tone_frequencies)
     # Step through the band up to its first bin clear of the tones, at most
     # a neighbourhood per tone past its first bin.
@@ -296,30 +300,35 @@ class _GridPhasor:
         phi = self.omega * (np.arange(_GRID) / sample_rate)
         self.cos_phi, self.sin_phi = np.cos(phi), np.sin(phi)
 
-    def _join(self, start: int, m: int, weights) -> np.ndarray:
+    def _fill(self, start: int, m: int, out, weights) -> np.ndarray:
         """``a_q cos(phi_r) + b_q sin(phi_r)`` for the ``m`` samples from
-        ``n = start``, with ``(a_q, b_q) = weights(theta_q)``, joined over all
-        the grid rows they reach at once: two products and a sum per sample."""
-        rows = range(start - start % _GRID, start + m, _GRID)
-        a, b = np.array([weights(self.omega * (row / self.sample_rate)) for row in rows]).T
-        grid = a[:, None] * self.cos_phi + b[:, None] * self.sin_phi
-        return grid.reshape(-1)[start % _GRID : start % _GRID + m]
+        ``n = start``, with ``(a_q, b_q) = weights(theta_q)``, written into
+        ``out[:m]`` (or a new array) one grid-row segment at a time: two
+        products and a sum per sample."""
+        out = np.empty(m) if out is None else out[:m]
+        for row in range(start - start % _GRID, start + m, _GRID):
+            lo, hi = max(row, start), min(row + _GRID, start + m)
+            a, b = weights(self.omega * (row / self.sample_rate))
+            segment = np.multiply(self.cos_phi[lo - row : hi - row], a, out=out[lo - start : hi - start])
+            segment += b * self.sin_phi[lo - row : hi - row]
+        return out
 
-    def sin(self, start: int, m: int) -> np.ndarray:
-        """``sin(omega n / fs)`` for the ``m`` samples from ``n = start``."""
-        return self._join(start, m, lambda theta: (math.sin(theta), math.cos(theta)))
+    def sin(self, start: int, m: int, out: np.ndarray | None = None) -> np.ndarray:
+        """``sin(omega n / fs)`` for the ``m`` samples from ``n = start``, in ``out[:m]`` if given."""
+        return self._fill(start, m, out, lambda theta: (math.sin(theta), math.cos(theta)))
 
-    def cos(self, start: int, m: int) -> np.ndarray:
-        """``cos(omega n / fs)`` for the ``m`` samples from ``n = start``."""
-        return self._join(start, m, lambda theta: (math.cos(theta), -math.sin(theta)))
+    def cos(self, start: int, m: int, out: np.ndarray | None = None) -> np.ndarray:
+        """``cos(omega n / fs)`` for the ``m`` samples from ``n = start``, in ``out[:m]`` if given."""
+        return self._fill(start, m, out, lambda theta: (math.cos(theta), -math.sin(theta)))
 
 
 def _synthesize(model: MeasurementModel, n_samples: int, sample_rate: float, seed: int, block: int):
     """Yield ``(start, samples)``: the joint port record in blocks of ``block`` samples.
 
-    ``samples`` has one row per port.  Each block takes one normal draw
-    coloured by the port covariance, and adds each tone's sinusoid, read
-    off its :class:`_GridPhasor`, to every port at once.  Successive draws
+    ``samples`` has one row per port, in a buffer that the next block
+    overwrites.  Each block takes one normal draw coloured by the port
+    covariance, and adds each tone's sinusoid, read off its
+    :class:`_GridPhasor`, to one port after another.  Successive draws
     from one generator equal one draw of the whole record, and a tone's
     samples depend only on their index, so the blocks join into the same
     samples bit for bit whatever ``block`` is.  A tone's samples differ from
@@ -334,32 +343,38 @@ def _synthesize(model: MeasurementModel, n_samples: int, sample_rate: float, see
         factor = vecs @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
     rng = np.random.default_rng(seed)
     waves = [
-        (_GridPhasor(frequency, sample_rate), np.array(amps)[:, None])
+        (_GridPhasor(frequency, sample_rate), amps)
         for frequency, amps in model.tone_amplitudes.items()
         if any(a != 0.0 for a in amps)
     ]
+    ports, block = len(model.port_names), min(block, n_samples)
+    draw, samples, tone, scaled = np.empty((block, ports)), np.empty((ports, block)), np.empty(block), np.empty(block)
     for start in range(0, n_samples, block):
         m = min(block, n_samples - start)
-        # (ports, m) and C-contiguous; bit for bit the rows of z @ factor.T.
-        samples = factor @ rng.standard_normal((m, len(model.port_names))).T
+        # (ports, m), bit for bit the rows of z @ factor.T.
+        out = np.matmul(factor, rng.standard_normal(out=draw[:m]).T, out=samples[:, :m])
         for phasor, amps in waves:
-            samples += amps * phasor.sin(start, m)
-        yield start, samples
+            wave = phasor.sin(start, m, out=tone)
+            for row, amp in zip(out, amps):
+                row += np.multiply(wave, amp, out=scaled[:m])
+        yield start, out
 
 
 class _WelchSums:
     """Running Welch sums over a multi-row record fed in blocks of samples.
 
-    Segments are cut, Hann-windowed and transformed as the blocks arrive;
-    the last ``nperseg - step`` or more samples of each block carry over to
-    the next.  Each segment's mean ``m`` comes off after the FFT, as ``m W``
-    on bins 0 and 1, since the periodic Hann window's transform ``W`` is zero
-    past bin 1.  That rounds unlike a detrend first, by a share of the row's
-    mean power that grows with ``|m|``: 1e-13 up to 10 sigma, 1e-11 at 1e3
-    sigma.  ``power`` sums ``re^2 + im^2`` of ``X`` per row in segment order,
-    so any blocking gives the same sums bit for bit.  With ``cross = [i, j]``
-    it also sums ``Re(X_i conj X_j)``, from which the spectrum of any
-    combination ``a x_i + b x_j`` follows: detrend, window and FFT are linear.
+    Segments are cut, Hann-windowed and transformed as the blocks arrive,
+    :data:`_CHUNK` at a time in kept buffers; the last ``nperseg - step`` or
+    more samples of each block carry over to the next.  Each segment's mean
+    ``m`` comes off after the FFT, as ``m W`` on bins 0 and 1, since the
+    periodic Hann window's transform ``W`` is zero past bin 1.  That rounds
+    unlike a detrend first, by a share of the row's mean power that grows
+    with ``|m|``: 1e-13 up to 10 sigma, 1e-11 at 1e3 sigma.  ``power`` sums
+    ``re^2 + im^2`` of ``X`` per row in segment order, so any blocking gives
+    the same sums bit for bit.  With ``cross = [i, j]`` it also sums
+    ``Re(X_i conj X_j)``, a block's segments in order before the block
+    joins the total, from which the spectrum of any combination
+    ``a x_i + b x_j`` follows: detrend, window and FFT are linear.
     """
 
     def __init__(self, rows: int, sample_rate: float, nperseg: int, cross: list[int] | None = None):
@@ -372,33 +387,48 @@ class _WelchSums:
         self.cross = cross
         self.cross_power = np.zeros(nperseg // 2 + 1)
         self.n_segments = 0
-        self._carry = np.empty((rows, 0))
-        self._tapered = self._squares = np.empty(0)
+        # The carry, then the latest block; and the buffers of _CHUNK segments.
+        self._data, self._carry, self._tapered = np.empty((rows, 0)), 0, np.empty((rows, 0, nperseg))
 
     def feed(self, samples: np.ndarray) -> None:
-        data = np.concatenate((self._carry, samples), axis=1)
-        count = max(0, (data.shape[1] - self.nperseg) // self.step + 1)
-        if count:
-            strides = (data.strides[0], self.step * data.itemsize, data.itemsize)
-            segments = np.ndarray((len(data), count, self.nperseg), buffer=data, strides=strides)
-            if self._tapered.shape != segments.shape:
-                # Kept from block to block: allocating these afresh for every
-                # block made the pass about a quarter slower.
-                self._tapered = np.empty(segments.shape)
-                self._squares = np.empty((len(data), count + 1, self.power.shape[1]))
-            spectra = np.fft.rfft(np.multiply(segments, self.window, out=self._tapered), axis=2)
+        rows, end, bins = len(samples), self._carry + samples.shape[1], self.power.shape[1]
+        if self._data.shape[1] < end:
+            self._data = np.hstack((self._data[:, : self._carry], np.empty((rows, self.nperseg + end))))
+        data = self._data
+        data[:, self._carry : end] = samples
+        count = max(0, (end - self.nperseg) // self.step + 1)
+        chunk = min(count, _CHUNK)
+        if self._tapered.shape[1] < chunk:
+            self._tapered = np.empty((rows, chunk, self.nperseg))
+            self._spectra = np.empty((rows, chunk, bins), dtype=complex)
+            # Row 0 of each holds the sum so far, so adding along axis 1 keeps segment order.
+            self._squares = np.empty((rows, chunk + 1, bins))
+            if self.cross is not None:
+                self._cross = np.empty((2, chunk + 1, bins))
+        strides = (data.strides[0], self.step * data.itemsize, data.itemsize)
+        for first in range(0, count, _CHUNK):
+            n = min(_CHUNK, count - first)
+            segments = np.ndarray((rows, n, self.nperseg), buffer=data, offset=first * strides[1], strides=strides)
+            tapered = np.multiply(segments, self.window, out=self._tapered[:, :n])
+            spectra = np.fft.rfft(tapered, axis=2, out=self._spectra[:, :n])
             spectra[:, :, :2] -= np.add.reduce(segments, axis=2)[:, :, None] / self.nperseg * self._window_dft
             if self.cross is not None:
+                # Re(X_i conj X_j), summed over the block in segment order.
                 a, b = spectra[self.cross[0]], spectra[self.cross[1]]
-                self.cross_power += np.sum(a.real * b.real + a.imag * b.imag, axis=0)
-            # |X|^2 as re^2 + im^2, after the running sum, so adding along the
-            # segment axis keeps segment order.
-            self._squares[:, 0] = self.power
+                terms = np.multiply(a.real, b.real, out=self._cross[0, 1 : n + 1])
+                terms += np.multiply(a.imag, b.imag, out=self._cross[1, :n])
+                self._cross[0, 0] = np.add.reduce(self._cross[0, : n + 1] if first else terms, axis=0)
+            # |X|^2 as re^2 + im^2, after the running sum.
+            squares = self._squares[:, : n + 1]
+            squares[:, 0] = self.power
             parts = np.square(spectra.view(float), out=spectra.view(float))
-            np.add(parts[:, :, 0::2], parts[:, :, 1::2], out=self._squares[:, 1:])
-            self.power = np.add.reduce(self._squares, axis=1)
-            self.n_segments += count
-        self._carry = data[:, count * self.step :]
+            np.add(parts[:, :, 0::2], parts[:, :, 1::2], out=squares[:, 1:])
+            np.add.reduce(squares, axis=1, out=self.power)
+        if count and self.cross is not None:
+            self.cross_power += self._cross[0, 0]
+        self.n_segments += count
+        self._carry = end - count * self.step
+        data[:, : self._carry] = data[:, count * self.step : end]
 
     def spectrum(self, power: np.ndarray) -> Spectrum:
         """Shot-noise-normalised one-sided PSD from summed ``|X|^2``."""
@@ -441,11 +471,15 @@ class _LockIn:
         self.reference = _GridPhasor(frequency_hz, sample_rate)
         self.z = np.zeros(2, dtype=complex)
         self.n = 0
+        self._cos = self._sin = np.empty(0)
 
     def feed(self, start: int, pair: np.ndarray) -> None:
         """Add the block of both records that begins at sample ``start``."""
         m = pair.shape[1]
-        self.z += pair @ self.reference.cos(start, m) - 1j * (pair @ self.reference.sin(start, m))
+        if self._cos.size < m:
+            self._cos, self._sin = np.empty(m), np.empty(m)
+        cos, sin = self.reference.cos(start, m, out=self._cos), self.reference.sin(start, m, out=self._sin)
+        self.z += pair @ cos - 1j * (pair @ sin)
         self.n += m
 
     def amplitudes(self) -> list[float]:
@@ -535,11 +569,13 @@ def simulate_spectra(
             variance = model.variance(port) + sum(model.amplitude(port, t) ** 2 / 2.0 for t in model.tone_amplitudes)
             _check_visible(f, port, abs(model.amplitude(port, f)), variance, n_samples)
         lock_in = _LockIn(f, sample_rate)
+        # The pair's rows as a strided view, not a copy, when the signal port comes first.
+        rows = slice(pair[0], pair[1] + 1, pair[1] - pair[0]) if pair[0] < pair[1] else pair
     sums = _WelchSums(len(model.port_names), sample_rate, nperseg, cross=pair)
     for start, samples in _synthesize(model, n_samples, sample_rate, seed, _block_length(nperseg)):
         sums.feed(samples)
         if lock_in is not None:
-            lock_in.feed(start, samples[pair])
+            lock_in.feed(start, samples[rows])
     spectra = {name: sums.spectrum(power) for name, power in zip(model.port_names, sums.power)}
     if pair is None:
         return RunSpectra(spectra)
@@ -589,6 +625,14 @@ def shot_noise_calibration(
     return float(1.0 / np.mean(interior))
 
 
+def _median(x: np.ndarray) -> float:
+    """``float(np.median(x))`` bit for bit for a non-empty 1-D ``x``, by its own
+    arithmetic, without the NaN check that imports ``numpy.ma`` (1.2 MB, 15 ms)."""
+    n, k = x.size, x.size // 2
+    part = np.partition(x, [k - 1, k, n - 1] if n % 2 == 0 else [k, n - 1])
+    return float(part[-1] if math.isnan(part[-1]) else np.mean(part[k - 1 + n % 2 : k + 1]))
+
+
 def extract_peak_snr(spec: Spectrum, f0: float, exclude: tuple[float, ...] = ()) -> float:
     """Trace-style SNR: peak PSD near ``f0`` over the median local floor.
 
@@ -598,7 +642,7 @@ def extract_peak_snr(spec: Spectrum, f0: float, exclude: tuple[float, ...] = ())
     """
     window, floor = _readout_bins(spec.freq.size, spec.bin_width, f0, exclude)
     peak = float(np.max(spec.psd_snu[window]))
-    return peak / float(np.median(spec.psd_snu[floor]))
+    return peak / _median(spec.psd_snu[floor])
 
 
 def tone_power(spec: Spectrum, f0: float, exclude: tuple[float, ...] = ()) -> float:
@@ -609,7 +653,7 @@ def tone_power(spec: Spectrum, f0: float, exclude: tuple[float, ...] = ()) -> fl
     at the worst bin offset (Hann window).
     """
     window, floor = _readout_bins(spec.freq.size, spec.bin_width, f0, exclude)
-    excess = np.sum(spec.psd_snu[window] - float(np.median(spec.psd_snu[floor]))) * spec.bin_width
+    excess = np.sum(spec.psd_snu[window] - _median(spec.psd_snu[floor])) * spec.bin_width
     return float(excess / spec.span)
 
 
@@ -625,7 +669,7 @@ def band_floor(
         mask &= ~_near(spec.freq, spec.bin_width, f, _EXCLUDE_HALFWIDTH_BINS)
     if not np.any(mask):
         raise ValueError("no bins left in the requested band")
-    return float(np.median(spec.psd_snu[mask]))
+    return _median(spec.psd_snu[mask])
 
 
 def calibrate_k(i1: TimeSeries, i3: TimeSeries, cal_tone_hz: float) -> float:

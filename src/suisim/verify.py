@@ -57,7 +57,7 @@ from .schemes import (
     snr_vs_detection_efficiency,
     vacuum_output,
 )
-from .spectra import CombineSettings, band_floor, simulate_spectra, tone_power
+from .spectra import CombineSettings, _median, band_floor, simulate_spectra, tone_power
 
 
 @dataclasses.dataclass(frozen=True)
@@ -532,7 +532,7 @@ def check_monte_carlo_fidelity() -> tuple[bool, str]:
         spec = simulate_spectra(measurement_model(bs), seed=30 + i).spectra["signal"]
         scaled.append(tone_power(spec, 0.8e6) / depth**2)
     scaled = np.array(scaled)
-    linearity = float(np.max(np.abs(scaled / np.median(scaled) - 1.0)))
+    linearity = float(np.max(np.abs(scaled / _median(scaled) - 1.0)))
     if linearity > 0.03:
         issues.append(f"depth-squared linearity deviation {linearity:.3%}")
 

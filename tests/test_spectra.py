@@ -38,7 +38,7 @@ from suisim.spectra import (
     tone_power,
     welch_psd,
 )
-from suisim.spectra import _GRID, _GridPhasor, _LockIn, _segment_length, _WelchSums, check_sampling
+from suisim.spectra import _GRID, _GridPhasor, _LockIn, _median, _segment_length, _WelchSums, check_sampling
 
 AM = 0.8e6
 PM = 1.2e6
@@ -344,6 +344,71 @@ class TestStreamedPass:
             )
             peaks[duration] = int(result.stdout)
         assert peaks["0.8"] <= 1.25 * peaks["0.2"], peaks
+
+
+class TestWorkingSet:
+    """The streamed pass's memory is a fixed working set: buffers allocated
+    once per pass, so its traced peak is the same for a record ten times as
+    long.  The bounds sit about 10% above the measured peaks (2.29 MB for
+    fig4's three ports, 2.68 MB for fig5's with its combination); a pass
+    that allocated each block's temporaries afresh read 3.36 and 3.80 MB."""
+
+    @pytest.mark.parametrize("preset, bound", [("fig4", 2.5e6), ("fig5", 2.95e6)])
+    def test_peak_is_flat_in_duration_and_bounded(self, preset, bound):
+        cfg = preset_run_config(preset)
+        model = measurement_model(cfg.scheme)
+        sim = cfg.sim
+        # One short pass first, so one-off caches (the FFT plans) are not counted.
+        simulate_spectra(model, 0.002, sim.sample_rate_hz, sim.seed, sim.rbw_hz, sim.combine)
+        peaks = {}
+        for duration in (0.02, 0.2):
+            tracemalloc.start()
+            try:
+                simulate_spectra(model, duration, sim.sample_rate_hz, sim.seed, sim.rbw_hz, sim.combine)
+                peaks[duration] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[0.2] - peaks[0.02]) <= 64e3, peaks
+        assert max(peaks.values()) < bound, peaks
+
+
+class TestMedian:
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 10, 11, 20, 21, 99, 100, 199, 200])
+    def test_equals_numpy_median_bit_for_bit(self, size):
+        rng = np.random.default_rng(size)
+        cases = [
+            rng.standard_normal(size),
+            rng.integers(0, 3, size).astype(float),  # ties
+            np.full(size, 2.5),
+            np.exp(rng.uniform(-30.0, 30.0, size)),
+        ]
+        with_nan = rng.standard_normal(size)
+        with_nan[rng.integers(size)] = math.nan
+        cases.append(with_nan)
+        for x in cases:
+            before = x.copy()
+            got, expected = _median(x), float(np.median(x))
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (x, got, expected)
+            assert np.array_equal(x, before, equal_nan=True)
+
+    def test_a_spectrum_run_leaves_numpy_ma_unimported(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(suisim.__file__))
+        code = (
+            "import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from suisim.cli import cmd_simulate\n"
+            "from suisim.config import load_config, preset_config\n"
+            "raw = preset_config('fig5')\n"
+            "raw['sim']['duration_s'] = 0.01\n"
+            "raw['output'] = {'directory': sys.argv[2]}\n"
+            "cmd_simulate(load_config(raw))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, src, str(tmp_path / "out")], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip().splitlines()[-1] == "False"
+        assert list((tmp_path / "out").glob("*.csv"))
 
 
 class TestGridPhasor:
