@@ -15,7 +15,10 @@ segment's mean removed from bins 0 and 1 after the FFT) normalised so
 unit-variance white noise sits at 1, i.e. the shot-noise unit.
 :func:`simulate_spectra` synthesises a run of a port model and accumulates
 its spectra in blocks of a fixed number of Welch steps, in buffers kept for
-the pass, so its memory does not grow with the duration.  The record-level
+the pass, so its memory does not grow with the duration.  One worker thread
+per pass draws the noise one block ahead while the caller's thread colours,
+transforms and sums the block before; only the worker draws, in block
+order, so the output is bit for bit that of one thread.  The record-level
 functions (:func:`simulate_currents`, :func:`welch_psd`, :func:`calibrate_k`,
 :func:`combine_currents`) compute the same run one whole record at a time;
 they are the reference the streamed pass is tested against.
@@ -23,8 +26,11 @@ they are the reference the streamed pass is tested against.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -120,8 +126,10 @@ def report_band(n_bins: int, bin_width: float, tones) -> tuple[float, float]:
 
 
 # Welch steps per streamed block: 16k samples at the default settings, for
-# which the pass keeps about 0.56 MB per port.  128 steps timed 20% slower;
-# shorter blocks keep less, but would change the lock-in's last bits.
+# which the pass keeps about 0.56 MB per port: two draw buffers (one being
+# drawn by the worker), the Welch buffer and its segment buffers.  128 steps
+# timed 20% slower; shorter blocks keep less, but would change the lock-in's
+# last bits.
 _BLOCK_STEPS = 32
 _CHUNK = 8  # Welch segments windowed and transformed at once
 
@@ -322,42 +330,108 @@ class _GridPhasor:
         return self._fill(start, m, out, lambda theta: (math.cos(theta), -math.sin(theta)))
 
 
-def _synthesize(model: MeasurementModel, n_samples: int, sample_rate: float, seed: int, block: int):
-    """Yield ``(start, samples)``: the joint port record in blocks of ``block`` samples.
+def _spare_cpus() -> set[int]:
+    """The CPUs this process may run on, less the one the calling thread ran
+    on last; empty where the OS does not tell (Linux does)."""
+    if not hasattr(os, "sched_setaffinity"):
+        return set()
+    try:
+        with open("/proc/thread-self/stat", "rb") as stat:
+            # Field 39 is the CPU; field 2, the thread's name in parentheses, may hold spaces.
+            here = int(stat.read().rpartition(b")")[2].split()[36])
+    except OSError:
+        return set()
+    return os.sched_getaffinity(0) - {here}
 
-    ``samples`` has one row per port, in a buffer that the next block
-    overwrites.  Each block takes one normal draw coloured by the port
-    covariance, and adds each tone's sinusoid, read off its
-    :class:`_GridPhasor`, to one port after another.  Successive draws
-    from one generator equal one draw of the whole record, and a tone's
-    samples depend only on their index, so the blocks join into the same
-    samples bit for bit whatever ``block`` is.  A tone's samples differ from
-    ``np.sin`` of the angle by the angle's rounding: at most 1.7e-9 over
-    8M samples of a 1.2 MHz tone at 10 MHz, 6.9e-9 at 4.9 MHz.
+
+def _draw(seed: int, block: int, n_samples: int, free, drawn, cpus: set[int]) -> None:
+    """The worker thread of :func:`_synthesize`: the record's normal draw from
+    ``default_rng(seed)``, in order, one block of ``block`` samples into each
+    buffer taken off ``free`` and put on ``drawn``.  It stops at a ``None`` on
+    ``free``, or puts the exception that ended it on ``drawn``.
+
+    It first moves itself to ``cpus``, if any: a scheduler that does not
+    balance load (a cpuset with ``sched_load_balance`` off) keeps a new
+    thread on its creator's CPU, where the two threads would take turns."""
+    try:
+        if cpus:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, cpus)
+        rng = np.random.default_rng(seed)
+        for start in range(0, n_samples, block):
+            buffer = free.get()
+            if buffer is None:
+                return
+            rng.standard_normal(out=buffer[: min(block, n_samples - start)])
+            drawn.put(buffer)
+    except BaseException as exc:  # noqa: BLE001 - handed to the main thread unchanged
+        drawn.put(exc)
+
+
+def _synthesize(
+    model: MeasurementModel, n_samples: int, sample_rate: float, seed: int, block: int, target, lock_in=None
+):
+    """Yield the joint port record in blocks of ``block`` samples, each written
+    into ``target(start, m)``, the ``(ports, m)`` array the caller gives for
+    the ``m`` samples from ``start``.
+
+    Each block is one normal draw coloured by the port covariance, plus each
+    tone's sinusoid, read off its :class:`_GridPhasor`, added to one port
+    after another.  With ``lock_in`` it also forms the lock-in's reference
+    rows, and a calibration tone that is a model tone is added from their
+    ``sin`` row, which holds the same samples.  A worker thread draws one
+    block ahead, into the other of two buffers; the buffers pass between the
+    threads on two queues.  Only the worker draws, in block order, so the
+    draws equal one draw of the whole record; a tone's samples depend only
+    on their index; so the blocks join into the same samples bit for bit
+    whatever ``block`` is.  The worker is joined on every exit, and an
+    exception it raises is raised here unchanged.  A tone's samples differ
+    from ``np.sin`` of the angle by the angle's rounding: at most 1.7e-9
+    over 8M samples of a 1.2 MHz tone at 10 MHz, 6.9e-9 at 4.9 MHz.
     """
+    # Imported here, so that `import suisim.cli` loads no module for the pass.
+    from queue import SimpleQueue
+
     try:
         factor = np.linalg.cholesky(model.noise_cov)
     except np.linalg.LinAlgError:
         # Degenerate (perfectly correlated) port sets: factor via eigh.
         w, vecs = np.linalg.eigh(model.noise_cov)
         factor = vecs @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-    rng = np.random.default_rng(seed)
+    shared = lock_in.frequency_hz if lock_in is not None else None
     waves = [
-        (_GridPhasor(frequency, sample_rate), amps)
+        (None if frequency == shared else _GridPhasor(frequency, sample_rate), amps)
         for frequency, amps in model.tone_amplitudes.items()
         if any(a != 0.0 for a in amps)
     ]
     ports, block = len(model.port_names), min(block, n_samples)
-    draw, samples, tone, scaled = np.empty((block, ports)), np.empty((ports, block)), np.empty(block), np.empty(block)
-    for start in range(0, n_samples, block):
-        m = min(block, n_samples - start)
-        # (ports, m), bit for bit the rows of z @ factor.T.
-        out = np.matmul(factor, rng.standard_normal(out=draw[:m]).T, out=samples[:, :m])
-        for phasor, amps in waves:
-            wave = phasor.sin(start, m, out=tone)
-            for row, amp in zip(out, amps):
-                row += np.multiply(wave, amp, out=scaled[:m])
-        yield start, out
+    tone, scaled = np.empty(block), np.empty(block)
+    free, drawn = SimpleQueue(), SimpleQueue()
+    for _ in range(2):
+        free.put(np.empty((block, ports)))
+    worker = threading.Thread(
+        target=_draw, args=(seed, block, n_samples, free, drawn, _spare_cpus()), name="suisim-draw", daemon=True
+    )
+    worker.start()
+    try:
+        for start in range(0, n_samples, block):
+            m = min(block, n_samples - start)
+            z = drawn.get()
+            if isinstance(z, BaseException):
+                raise z
+            # (ports, m), bit for bit the rows of z @ factor.T.
+            out = np.matmul(factor, z[:m].T, out=target(start, m))
+            free.put(z)
+            if lock_in is not None:
+                lock_in.form(start, m)
+            for phasor, amps in waves:
+                wave = lock_in.sin if phasor is None else phasor.sin(start, m, out=tone)
+                for row, amp in zip(out, amps):
+                    row += np.multiply(wave, amp, out=scaled[:m])
+            yield out
+    finally:
+        free.put(None)
+        worker.join()
 
 
 class _WelchSums:
@@ -390,12 +464,22 @@ class _WelchSums:
         # The carry, then the latest block; and the buffers of _CHUNK segments.
         self._data, self._carry, self._tapered = np.empty((rows, 0)), 0, np.empty((rows, 0, nperseg))
 
-    def feed(self, samples: np.ndarray) -> None:
-        rows, end, bins = len(samples), self._carry + samples.shape[1], self.power.shape[1]
+    def slot(self, m: int) -> np.ndarray:
+        """The ``(rows, m)`` view, after the carry, that the next ``m`` samples
+        are written into before :meth:`take` adds them."""
+        end = self._carry + m
         if self._data.shape[1] < end:
-            self._data = np.hstack((self._data[:, : self._carry], np.empty((rows, self.nperseg + end))))
-        data = self._data
-        data[:, self._carry : end] = samples
+            self._data = np.hstack((self._data[:, : self._carry], np.empty((len(self._data), self.nperseg + end))))
+        return self._data[:, self._carry : end]
+
+    def feed(self, samples: np.ndarray) -> None:
+        """Add a block of samples, one row per record."""
+        self.slot(samples.shape[1])[...] = samples
+        self.take(samples.shape[1])
+
+    def take(self, m: int) -> None:
+        """Add the ``m`` samples written into :meth:`slot`; the carry then moves over them."""
+        data, rows, end, bins = self._data, len(self._data), self._carry + m, self.power.shape[1]
         count = max(0, (end - self.nperseg) // self.step + 1)
         chunk = min(count, _CHUNK)
         if self._tapered.shape[1] < chunk:
@@ -464,23 +548,32 @@ def _check_visible(frequency_hz: float, port: str, response: float, variance: fl
 class _LockIn:
     """Running lock-in sums of a pair of records at one frequency.
 
-    The reference ``exp(-i omega n / fs)`` is read off a :class:`_GridPhasor`.
+    The reference ``exp(-i omega n / fs)`` is read off a :class:`_GridPhasor`,
+    its ``cos`` and ``sin`` rows formed per block into kept buffers.
     """
 
     def __init__(self, frequency_hz: float, sample_rate: float):
+        self.frequency_hz = frequency_hz
         self.reference = _GridPhasor(frequency_hz, sample_rate)
         self.z = np.zeros(2, dtype=complex)
         self.n = 0
-        self._cos = self._sin = np.empty(0)
+        self.cos = self.sin = self._cos = self._sin = np.empty(0)
+
+    def form(self, start: int, m: int) -> None:
+        """Form the reference rows ``cos`` and ``sin`` of the ``m`` samples from ``start``."""
+        if self._cos.size < m:
+            self._cos, self._sin = np.empty(m), np.empty(m)
+        self.cos, self.sin = self.reference.cos(start, m, out=self._cos), self.reference.sin(start, m, out=self._sin)
+
+    def add(self, pair: np.ndarray) -> None:
+        """Add the block of both records at the samples of the last :meth:`form`."""
+        self.z += pair @ self.cos - 1j * (pair @ self.sin)
+        self.n += pair.shape[1]
 
     def feed(self, start: int, pair: np.ndarray) -> None:
         """Add the block of both records that begins at sample ``start``."""
-        m = pair.shape[1]
-        if self._cos.size < m:
-            self._cos, self._sin = np.empty(m), np.empty(m)
-        cos, sin = self.reference.cos(start, m, out=self._cos), self.reference.sin(start, m, out=self._sin)
-        self.z += pair @ cos - 1j * (pair @ sin)
-        self.n += m
+        self.form(start, pair.shape[1])
+        self.add(pair)
 
     def amplitudes(self) -> list[float]:
         """The tone amplitude of each record, ``|2 z / n|``."""
@@ -501,10 +594,12 @@ def simulate_currents(
     """
     n_samples = check_sampling(duration, sample_rate, tone_frequencies=[t.frequency_hz for t in scheme.tones])
     model = measurement_model(scheme)
-    records = [np.empty(n_samples) for _ in model.port_names]
-    for start, samples in _synthesize(model, n_samples, sample_rate, seed, _RECORD_BLOCK):
-        for record, row in zip(records, samples):
-            record[start : start + row.size] = row
+    records = np.empty((len(model.port_names), n_samples))
+    with contextlib.closing(
+        _synthesize(model, n_samples, sample_rate, seed, _RECORD_BLOCK, lambda start, m: records[:, start : start + m])
+    ) as blocks:
+        for _ in blocks:
+            pass
     return {
         name: TimeSeries(sample_rate, record, name, lo_phase, seed)
         for name, lo_phase, record in zip(model.port_names, model.lo_phases, records)
@@ -572,10 +667,15 @@ def simulate_spectra(
         # The pair's rows as a strided view, not a copy, when the signal port comes first.
         rows = slice(pair[0], pair[1] + 1, pair[1] - pair[0]) if pair[0] < pair[1] else pair
     sums = _WelchSums(len(model.port_names), sample_rate, nperseg, cross=pair)
-    for start, samples in _synthesize(model, n_samples, sample_rate, seed, _block_length(nperseg)):
-        sums.feed(samples)
-        if lock_in is not None:
-            lock_in.feed(start, samples[rows])
+    # Each block is synthesised into the Welch buffer, after the carry.
+    with contextlib.closing(
+        _synthesize(model, n_samples, sample_rate, seed, _block_length(nperseg), lambda _, m: sums.slot(m), lock_in)
+    ) as blocks:
+        for samples in blocks:
+            if lock_in is not None:
+                # Before take moves the carry over the block.
+                lock_in.add(samples[rows])
+            sums.take(samples.shape[1])
     spectra = {name: sums.spectrum(power) for name, power in zip(model.port_names, sums.power)}
     if pair is None:
         return RunSpectra(spectra)

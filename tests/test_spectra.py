@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ import suisim
 from suisim.config import load_config, preset_config
 from suisim.schemes import (
     HomodyneChannel,
+    MeasurementModel,
     LossBudget,
     ModulationTone,
     ParameterError,
@@ -38,7 +40,16 @@ from suisim.spectra import (
     tone_power,
     welch_psd,
 )
-from suisim.spectra import _GRID, _GridPhasor, _LockIn, _median, _segment_length, _WelchSums, check_sampling
+from suisim.spectra import (
+    _GRID,
+    _GridPhasor,
+    _LockIn,
+    _median,
+    _segment_length,
+    _synthesize,
+    _WelchSums,
+    check_sampling,
+)
 
 AM = 0.8e6
 PM = 1.2e6
@@ -346,12 +357,168 @@ class TestStreamedPass:
         assert peaks["0.8"] <= 1.25 * peaks["0.2"], peaks
 
 
+class TestDrawWorker:
+    """Each pass draws its noise on one worker thread, one block ahead of the
+    blocks it colours and transforms.  The thread ends with the pass on every
+    exit, and the samples do not depend on how the two threads interleave."""
+
+    # 40001 samples: two full 16000-sample blocks and a partial one.
+    DURATION = 4.0001e-3
+
+    def fig5(self):
+        cfg = preset_run_config("fig5")
+        return measurement_model(cfg.scheme), cfg.sim
+
+    def test_normal_end_joins_the_worker(self):
+        model, sim = self.fig5()
+        before = threading.active_count()
+        simulate_spectra(model, self.DURATION, seed=sim.seed, combine=sim.combine)
+        assert threading.active_count() == before
+
+    def test_early_close_joins_the_worker(self):
+        model, _ = self.fig5()
+        before = threading.active_count()
+        target = np.empty((len(model.port_names), 16000))
+        blocks = _synthesize(model, 40001, 10e6, 3, 16000, lambda start, m: target[:, :m])
+        next(blocks)
+        assert threading.active_count() == before + 1
+        blocks.close()
+        assert threading.active_count() == before
+
+    def test_draw_error_reaches_the_caller_unchanged(self, monkeypatch):
+        model, sim = self.fig5()
+        default_rng, threads = np.random.default_rng, []
+
+        class FailingGenerator:
+            """A generator whose second draw raises."""
+
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, out):
+                threads.append(threading.current_thread())
+                if len(threads) == 2:
+                    raise FloatingPointError("draw 2 failed")
+                return self.rng.standard_normal(out=out)
+
+        monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError) as info:
+            simulate_spectra(model, self.DURATION, seed=sim.seed, combine=sim.combine)
+        assert info.type is FloatingPointError and str(info.value) == "draw 2 failed"
+        assert threading.active_count() == before
+        # Only the worker drew.
+        assert threading.main_thread() not in threads
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="thread affinity is set on Linux only")
+    def test_worker_draws_off_the_callers_cpu(self, monkeypatch):
+        model, sim = self.fig5()
+        default_rng, placements = np.random.default_rng, []
+
+        class PlacedGenerator:
+            """A generator that notes the CPUs its drawing thread may use."""
+
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, out):
+                placements.append(os.sched_getaffinity(0))
+                return self.rng.standard_normal(out=out)
+
+        monkeypatch.setattr(np.random, "default_rng", PlacedGenerator)
+        allowed = os.sched_getaffinity(0)
+        simulate_spectra(model, self.DURATION, seed=sim.seed, combine=sim.combine)
+        assert len(placements) == 3
+        expected = len(allowed) - 1 if len(allowed) > 1 else 1
+        assert all(cpus <= allowed and len(cpus) == expected for cpus in placements), (allowed, placements)
+        # The caller's own placement is left as it was.
+        assert os.sched_getaffinity(0) == allowed
+
+    def test_feed_error_mid_pass_joins_the_worker(self, monkeypatch):
+        model, sim = self.fig5()
+        take, calls = _WelchSums.take, []
+
+        def failing_take(sums, m):
+            calls.append(m)
+            if len(calls) == 2:
+                raise ArithmeticError("take 2 failed")
+            take(sums, m)
+
+        monkeypatch.setattr(_WelchSums, "take", failing_take)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError) as info:
+            simulate_spectra(model, self.DURATION, seed=sim.seed, combine=sim.combine)
+        assert info.type is ArithmeticError and str(info.value) == "take 2 failed"
+        assert threading.active_count() == before
+
+    @staticmethod
+    def switching_fast(run):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            return run()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_port_is_bit_identical_under_fast_switching(self):
+        model = MeasurementModel(("signal",), (0.0,), (1.0,), np.array([[2.5]]), {AM: (0.3,)})
+        run = self.switching_fast(lambda: simulate_spectra(model, self.DURATION, seed=11))
+        samples = math.sqrt(2.5) * np.random.default_rng(11).standard_normal((40001, 1))[:, 0]
+        samples += 0.3 * _GridPhasor(AM, 10e6).sin(0, 40001)
+        expected = welch_psd(TimeSeries(10e6, samples, "signal", 0.0, 11))
+        assert np.array_equal(run.spectra["signal"].psd_snu, expected.psd_snu)
+
+    @pytest.mark.parametrize("preset", ["fig2", "fig4", "fig5"])
+    def test_ports_are_bit_identical_under_fast_switching(self, preset):
+        cfg = preset_run_config(preset)
+        model, combine = measurement_model(cfg.scheme), cfg.sim.combine
+        run = self.switching_fast(lambda: simulate_spectra(model, self.DURATION, seed=7, combine=combine))
+        records = simulate_currents(cfg.scheme, self.DURATION, seed=7)
+        assert len(records) == {"fig2": 2, "fig4": 3, "fig5": 3}[preset]
+        for port, record in records.items():
+            assert np.array_equal(run.spectra[port].psd_snu, welch_psd(record).psd_snu)
+        if combine is not None:
+            # The lock-in and the cross sums as at the default switch interval.
+            steady = simulate_spectra(model, self.DURATION, seed=7, combine=combine)
+            assert run.balance_gain_k == steady.balance_gain_k
+            for spec, expected in zip(run.combined, steady.combined, strict=True):
+                assert np.array_equal(spec.psd_snu, expected.psd_snu)
+
+
+    def test_concurrent_passes_are_bit_identical_under_fast_switching(self):
+        # Three passes at once: six threads on the host's CPUs, each pass with its own generator.
+        model = measurement_model(preset_run_config("fig4").scheme)
+        seeds = (1, 2, 3)
+        expected = [simulate_spectra(model, self.DURATION, seed=seed) for seed in seeds]
+        runs = {}
+
+        def run(seed):
+            runs[seed] = simulate_spectra(model, self.DURATION, seed=seed)
+
+        def concurrently():
+            threads = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            return threads
+
+        before = threading.active_count()
+        threads = self.switching_fast(concurrently)
+        assert not any(thread.is_alive() for thread in threads)
+        assert threading.active_count() == before
+        for seed, reference in zip(seeds, expected):
+            for port, spec in reference.spectra.items():
+                assert np.array_equal(runs[seed].spectra[port].psd_snu, spec.psd_snu)
+
+
 class TestWorkingSet:
     """The streamed pass's memory is a fixed working set: buffers allocated
     once per pass, so its traced peak is the same for a record ten times as
-    long.  The bounds sit about 10% above the measured peaks (2.29 MB for
-    fig4's three ports, 2.68 MB for fig5's with its combination); a pass
-    that allocated each block's temporaries afresh read 3.36 and 3.80 MB."""
+    long.  The bounds sit 10-13% above the measured peaks (2.29 MB for
+    fig4's three ports, 2.62 MB for fig5's with its combination), which
+    count the worker's second draw buffer; a pass that allocated each
+    block's temporaries afresh read 3.36 and 3.80 MB."""
 
     @pytest.mark.parametrize("preset, bound", [("fig4", 2.5e6), ("fig5", 2.95e6)])
     def test_peak_is_flat_in_duration_and_bounded(self, preset, bound):
