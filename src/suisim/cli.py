@@ -207,19 +207,14 @@ def cmd_simulate(cfg: RunConfig) -> dict:
 
 def cmd_sweep(cfg: RunConfig, parameter: str, grid: list[float]) -> dict:
     check_sweep_parameter(parameter)
-    header: list[str] = [parameter]
-    rows: list[list[float]] = []
+    header, rows = [parameter], []
     for value in grid:
-        raw = set_parameter(cfg.raw, parameter, value)
-        _, _, model = _resolve_scheme(load_config(raw))
-        row = [value]
-        columns = [parameter]
-        for port in model.port_names:
-            for frequency in model.tone_amplitudes:
-                columns.append(f"snr_{port}_{frequency:.10g}hz")
-                row.append(model.snr(port, frequency))
-        header = columns
-        rows.append(row)
+        _, _, model = _resolve_scheme(load_config(set_parameter(cfg.raw, parameter, value)))
+        table = model.snr_table()
+        rows.append([value, *(snr for snrs in table.values() for snr in snrs)])
+    if rows:
+        # No sweep parameter changes the ports or the tones, so every point has these columns.
+        header += [f"snr_{port}_{frequency:.10g}hz" for port in table for frequency in model.tone_amplitudes]
 
     lines = [",".join(header)]
     lines.extend(",".join(f"{v:.10g}" for v in row) for row in rows)

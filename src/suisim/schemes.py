@@ -439,6 +439,12 @@ def pipeline_elements(scheme: SchemeInstance) -> list[Element]:
     The carrier comes first and each tone is its own displacement after it.
     Detector efficiencies are not part of the pipeline, they belong to the ports.
     """
+    return _sensing_plane_elements(scheme) + _readout_elements(scheme)
+
+
+def _sensing_plane_elements(scheme: SchemeInstance) -> list[Element]:
+    """The first elements of the pipeline, up to the sensing plane: the
+    carrier, OPA1 and the internal loss for SU(1,1), then the tones."""
     i_ps = scheme.probe_photon_number
     tone_elements = [
         Displace(
@@ -449,7 +455,7 @@ def pipeline_elements(scheme: SchemeInstance) -> list[Element]:
         for t in scheme.tones
     ]
     if scheme.kind != "sui":
-        return [Displace(0, 2.0 * math.sqrt(i_ps), 0.0)] + tone_elements + _readout_elements(scheme)
+        return [Displace(0, 2.0 * math.sqrt(i_ps), 0.0)] + tone_elements
 
     # SU(1,1): the seed is back-solved so the probe at the sensing plane
     # (after the internal loss, where the modulators act) carries i_ps
@@ -463,7 +469,7 @@ def pipeline_elements(scheme: SchemeInstance) -> list[Element]:
     ]
     if eta_int != 1.0:
         elements.append(Loss(0, eta_int))
-    return elements + tone_elements + _readout_elements(scheme)
+    return elements + tone_elements
 
 
 def _readout_elements(scheme: SchemeInstance) -> list[Element]:
@@ -655,9 +661,8 @@ def find_dark_fringe(scheme: SchemeInstance) -> DarkFringeResult:
     """
     if scheme.kind != "sui":
         raise ValueError("the dark fringe is only defined for the SU(1,1) scheme")
-    # Drop OPA2 and the tap; the tones end the prefix, so column 0 is the carrier as if they were absent.
-    elements = pipeline_elements(scheme)
-    sensing_plane = compile_pipeline(scheme.n_modes, elements[: -2 if scheme.tap_enabled else -1])
+    # The tones end the sensing plane's elements, so column 0 is the carrier as if they were absent.
+    sensing_plane = compile_pipeline(scheme.n_modes, _sensing_plane_elements(scheme))
     transfer, noise, shifts = sensing_plane
     # The fringe reads a few moments: Python floats off one product, since each
     # numpy call costs more than its arithmetic.

@@ -15,13 +15,16 @@ segment's mean removed from bins 0 and 1 after the FFT) normalised so
 unit-variance white noise sits at 1, i.e. the shot-noise unit.
 :func:`simulate_spectra` synthesises a run of a port model and accumulates
 its spectra in blocks of a fixed number of Welch steps, in buffers kept for
-the pass, so its memory does not grow with the duration.  One worker thread
-per pass draws the noise one block ahead while the caller's thread colours,
-transforms and sums the block before; only the worker draws, in block
-order, so the output is bit for bit that of one thread.  The record-level
-functions (:func:`simulate_currents`, :func:`welch_psd`, :func:`calibrate_k`,
-:func:`combine_currents`) compute the same run one whole record at a time;
-they are the reference the streamed pass is tested against.
+the pass, so its memory does not grow with the duration.  A one-thread
+executor per pass draws the noise one block ahead while the caller's thread
+colours, transforms and sums the block before; only that thread draws, in
+block order, so the output is bit for bit that of one thread.  The
+record-level functions compute the same run one whole record at a time:
+:func:`simulate_currents`, :func:`welch_psd` and :func:`calibrate_k` run the
+same synthesis, Welch sums and lock-in as the pass, and
+:func:`combine_currents` forms a combined record.  The independent
+references are in the tests: one normal draw of the whole record, and
+scipy's Welch.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import contextlib
 import dataclasses
 import math
 import os
-import threading
 
 import numpy as np
 
@@ -127,7 +129,7 @@ def report_band(n_bins: int, bin_width: float, tones) -> tuple[float, float]:
 
 # Welch steps per streamed block: 16k samples at the default settings, for
 # which the pass keeps about 0.56 MB per port: two draw buffers (one being
-# drawn by the worker), the Welch buffer and its segment buffers.  128 steps
+# drawn by the executor), the Welch buffer and its segment buffers.  128 steps
 # timed 20% slower; shorter blocks keep less, but would change the lock-in's
 # last bits.
 _BLOCK_STEPS = 32
@@ -344,28 +346,13 @@ def _spare_cpus() -> set[int]:
     return os.sched_getaffinity(0) - {here}
 
 
-def _draw(seed: int, block: int, n_samples: int, free, drawn, cpus: set[int]) -> None:
-    """The worker thread of :func:`_synthesize`: the record's normal draw from
-    ``default_rng(seed)``, in order, one block of ``block`` samples into each
-    buffer taken off ``free`` and put on ``drawn``.  It stops at a ``None`` on
-    ``free``, or puts the exception that ended it on ``drawn``.
-
-    It first moves itself to ``cpus``, if any: a scheduler that does not
+def _leave_cpu(cpus: set[int]) -> None:
+    """Move the calling thread to ``cpus``, if any: a scheduler that does not
     balance load (a cpuset with ``sched_load_balance`` off) keeps a new
     thread on its creator's CPU, where the two threads would take turns."""
-    try:
-        if cpus:
-            with contextlib.suppress(OSError):
-                os.sched_setaffinity(0, cpus)
-        rng = np.random.default_rng(seed)
-        for start in range(0, n_samples, block):
-            buffer = free.get()
-            if buffer is None:
-                return
-            rng.standard_normal(out=buffer[: min(block, n_samples - start)])
-            drawn.put(buffer)
-    except BaseException as exc:  # noqa: BLE001 - handed to the main thread unchanged
-        drawn.put(exc)
+    if cpus:
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, cpus)
 
 
 def _synthesize(
@@ -379,18 +366,19 @@ def _synthesize(
     tone's sinusoid, read off its :class:`_GridPhasor`, added to one port
     after another.  With ``lock_in`` it also forms the lock-in's reference
     rows, and a calibration tone that is a model tone is added from their
-    ``sin`` row, which holds the same samples.  A worker thread draws one
-    block ahead, into the other of two buffers; the buffers pass between the
-    threads on two queues.  Only the worker draws, in block order, so the
-    draws equal one draw of the whole record; a tone's samples depend only
-    on their index; so the blocks join into the same samples bit for bit
-    whatever ``block`` is.  The worker is joined on every exit, and an
-    exception it raises is raised here unchanged.  A tone's samples differ
-    from ``np.sin`` of the angle by the angle's rounding: at most 1.7e-9
-    over 8M samples of a 1.2 MHz tone at 10 MHz, 6.9e-9 at 4.9 MHz.
+    ``sin`` row, which holds the same samples.  A one-thread executor, moved
+    off the caller's CPU, draws block ``k + 1`` into the other of two
+    buffers while this thread colours block ``k``.  Only that thread draws,
+    in block order, so the draws equal one draw of the whole record; a
+    tone's samples depend only on their index; so the blocks join into the
+    same samples bit for bit whatever ``block`` is.  The executor's thread
+    is joined on every exit, and an exception raised by a draw is raised
+    here unchanged.  A tone's samples differ from ``np.sin`` of the angle
+    by the angle's rounding: at most 1.7e-9 over 8M samples of a 1.2 MHz
+    tone at 10 MHz, 6.9e-9 at 4.9 MHz.
     """
     # Imported here, so that `import suisim.cli` loads no module for the pass.
-    from queue import SimpleQueue
+    from concurrent.futures import ThreadPoolExecutor
 
     try:
         factor = np.linalg.cholesky(model.noise_cov)
@@ -406,22 +394,20 @@ def _synthesize(
     ]
     ports, block = len(model.port_names), min(block, n_samples)
     tone, scaled = np.empty(block), np.empty(block)
-    free, drawn = SimpleQueue(), SimpleQueue()
-    for _ in range(2):
-        free.put(np.empty((block, ports)))
-    worker = threading.Thread(
-        target=_draw, args=(seed, block, n_samples, free, drawn, _spare_cpus()), name="suisim-draw", daemon=True
-    )
-    worker.start()
-    try:
-        for start in range(0, n_samples, block):
-            m = min(block, n_samples - start)
-            z = drawn.get()
-            if isinstance(z, BaseException):
-                raise z
+    buffers = np.empty((2, block, ports))
+    rng = np.random.default_rng(seed)
+
+    def draw(k: int) -> np.ndarray:
+        return rng.standard_normal(out=buffers[k % 2, : min(block, n_samples - k * block)])
+
+    with ThreadPoolExecutor(1, "suisim-draw", _leave_cpu, (_spare_cpus(),)) as pool:
+        pending = pool.submit(draw, 0)
+        for k, start in enumerate(range(0, n_samples, block)):
+            z, m = pending.result(), min(block, n_samples - start)
+            if start + m < n_samples:
+                pending = pool.submit(draw, k + 1)
             # (ports, m), bit for bit the rows of z @ factor.T.
-            out = np.matmul(factor, z[:m].T, out=target(start, m))
-            free.put(z)
+            out = np.matmul(factor, z.T, out=target(start, m))
             if lock_in is not None:
                 lock_in.form(start, m)
             for phasor, amps in waves:
@@ -429,9 +415,6 @@ def _synthesize(
                 for row, amp in zip(out, amps):
                     row += np.multiply(wave, amp, out=scaled[:m])
             yield out
-    finally:
-        free.put(None)
-        worker.join()
 
 
 class _WelchSums:

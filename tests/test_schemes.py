@@ -937,13 +937,13 @@ def test_tone_subsets_read_as_the_old_element_filter(case):
 
 
 def test_lock_compiles_the_scheme_itself(monkeypatch):
-    seen, build = [], schemes.pipeline_elements
+    seen, build = [], schemes._sensing_plane_elements
 
     def recorded(scheme):
         seen.append(scheme)
         return build(scheme)
 
-    monkeypatch.setattr(schemes, "pipeline_elements", recorded)
+    monkeypatch.setattr(schemes, "_sensing_plane_elements", recorded)
     for scheme in (lock_case(2), lock_case(3), load_config(preset_config("fig5")).scheme):
         seen.clear()
         find_dark_fringe(scheme)

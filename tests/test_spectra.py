@@ -286,12 +286,14 @@ class TestStreamedPass:
     @pytest.mark.parametrize("preset", ["fig4", "fig5"])
     def test_blocked_synthesis_equals_single_draw(self, preset):
         scheme = preset_run_config(preset).scheme
-        records = simulate_currents(scheme, self.DURATION, seed=3)
-        reference = single_draw_records(scheme, self.DURATION, 10e6, seed=3)
-        assert records.keys() == reference.keys()
-        for port, samples in reference.items():
-            assert samples.size == 40001
-            assert np.array_equal(records[port].samples, samples)
+        # One sample short of a 16000-sample block, one block, two blocks, and DURATION.
+        for n in (15999, 16000, 32000, 40001):
+            records = simulate_currents(scheme, n / 10e6, seed=3)
+            reference = single_draw_records(scheme, n / 10e6, 10e6, seed=3)
+            assert records.keys() == reference.keys()
+            for port, samples in reference.items():
+                assert samples.size == n
+                assert np.array_equal(records[port].samples, samples), (n, port)
 
     @pytest.mark.parametrize("rbw", [10e3, 10e6 / 333])
     def test_port_spectra_equal_welch_of_records(self, rbw):
@@ -385,27 +387,30 @@ class TestDrawWorker:
         blocks.close()
         assert threading.active_count() == before
 
-    def test_draw_error_reaches_the_caller_unchanged(self, monkeypatch):
+    # The pass draws three blocks: block 0, block 1 while block 0 is read, and the partial last one.
+    @pytest.mark.parametrize("failing", [1, 2, 3], ids=["first", "second", "last"])
+    def test_draw_error_reaches_the_caller_unchanged(self, monkeypatch, failing):
         model, sim = self.fig5()
         default_rng, threads = np.random.default_rng, []
 
         class FailingGenerator:
-            """A generator whose second draw raises."""
+            """A generator whose draw number ``failing`` raises."""
 
             def __init__(self, seed):
                 self.rng = default_rng(seed)
 
             def standard_normal(self, out):
                 threads.append(threading.current_thread())
-                if len(threads) == 2:
-                    raise FloatingPointError("draw 2 failed")
+                if len(threads) == failing:
+                    raise FloatingPointError(f"draw {failing} failed")
                 return self.rng.standard_normal(out=out)
 
         monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
         before = threading.active_count()
         with pytest.raises(FloatingPointError) as info:
             simulate_spectra(model, self.DURATION, seed=sim.seed, combine=sim.combine)
-        assert info.type is FloatingPointError and str(info.value) == "draw 2 failed"
+        assert info.type is FloatingPointError and str(info.value) == f"draw {failing} failed"
+        assert len(threads) == failing
         assert threading.active_count() == before
         # Only the worker drew.
         assert threading.main_thread() not in threads
@@ -655,6 +660,18 @@ def test_package_import_does_not_load_scipy():
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import suisim, suisim.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_does_not_load_the_draw_executor():
+    """The spectral pass imports its executor when it runs, so the CLI's set-up
+    does not pay for ``concurrent.futures`` and the ``queue`` it brings."""
+    src = os.path.dirname(os.path.dirname(suisim.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import suisim.cli; "
+        "print(sorted(m for m in sys.modules if m == 'queue' or m.split('.')[0] == 'concurrent'))"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
