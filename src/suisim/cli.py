@@ -117,8 +117,12 @@ def cmd_snr(cfg: RunConfig) -> dict:
         baseline_section["scheme_kind"] = baseline.kind
         baseline_section["closed_form"] = dict(vars(closed_form_snr(baseline)))
         report["baseline"] = baseline_section
-        report["enhancement"] = {**vars(comparison), "per_tone": [dict(vars(row)) for row in comparison.per_tone]}
-        ratios = {row.frequency_hz: row.ratio for row in comparison.per_tone}
+        # An unbounded ratio (a baseline SNR of 0) is written as null.
+        per_tone = [
+            {**vars(row), "ratio": None if row.ratio == math.inf else row.ratio} for row in comparison.per_tone
+        ]
+        report["enhancement"] = {**vars(comparison), "per_tone": per_tone}
+        ratios = {row["frequency_hz"]: row["ratio"] for row in per_tone}
         report[f"ratio_vs_{cfg.compare_with}"] = {axis: ratios[f] for axis, f in axes.items()}
 
     report["resolved_config"] = cfg.resolved
@@ -131,8 +135,23 @@ def _spectrum_rows(spec: Spectrum, seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json(report: dict) -> str:
+    """``report`` as one JSON document; a NaN or an infinity in it raises rather than
+    being written as ``NaN`` or ``Infinity``, which are not JSON."""
+    return json.dumps(report, indent=2, allow_nan=False)
+
+
+def _check_output_dir(path: str, name: str) -> None:
+    """Reject an output directory that is empty or names something other than a
+    directory, before any work; ``name`` is its config key or option."""
+    if not path or (os.path.lexists(path) and not os.path.isdir(path)):
+        raise ConfigError(f"{name} must name a directory, not {path!r}")
+
+
 def _write_text(path: str, content: str) -> None:
+    """Write ``path``, making its directory first: a run makes it only once it has a file to write."""
     try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(content)
     except OSError as exc:
@@ -177,7 +196,6 @@ def cmd_simulate(cfg: RunConfig) -> dict:
             run = simulate_spectra(
                 model, cfg.sim.duration_s, cfg.sim.sample_rate_hz, seed, cfg.sim.rbw_hz, combine
             )
-        os.makedirs(out_dir, exist_ok=True)
         run_report = {"seed": seed, "ports": {}}
         for port, spec in run.spectra.items():
             path = os.path.join(out_dir, f"spectrum_{label}_{port}.csv")
@@ -198,10 +216,7 @@ def cmd_simulate(cfg: RunConfig) -> dict:
             report["combined"] = combined_report
 
     report["resolved_config"] = cfg.resolved
-    _write_text(
-        os.path.join(out_dir, "simulate_report.json"),
-        json.dumps(report, indent=2) + "\n",
-    )
+    _write_text(os.path.join(out_dir, "simulate_report.json"), _json(report) + "\n")
     return report
 
 
@@ -218,11 +233,9 @@ def cmd_sweep(cfg: RunConfig, parameter: str, grid: list[float]) -> dict:
 
     lines = [",".join(header)]
     lines.extend(",".join(f"{v:.10g}" for v in row) for row in rows)
-    # Made only once every point has succeeded, so a rejected sweep writes nothing.
-    out_dir = cfg.output_dir or "out"
-    os.makedirs(out_dir, exist_ok=True)
+    # Written only once every point has succeeded, so a rejected sweep writes nothing.
     safe = parameter.replace(".", "_")
-    path = os.path.join(out_dir, f"sweep_{safe}.csv")
+    path = os.path.join(cfg.output_dir or "out", f"sweep_{safe}.csv")
     _write_text(path, "\n".join(lines) + "\n")
     return {
         "parameter": parameter,
@@ -245,7 +258,7 @@ def cmd_verify(out_path: str | None = None) -> int:
             "all_passed": not failed,
             "checks": [dataclasses.asdict(r) for r in results],
         }
-        _write_text(out_path, json.dumps(payload, indent=2) + "\n")
+        _write_text(out_path, _json(payload) + "\n")
     return EXIT_VERIFY if failed else EXIT_OK
 
 
@@ -305,28 +318,23 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":
-            out_path = None
-            if args.out == "":
-                raise ConfigError("--out must name a directory")
-            if args.out is not None:
-                os.makedirs(args.out, exist_ok=True)
-                out_path = os.path.join(args.out, "verify_report.json")
-            return cmd_verify(out_path)
+            if args.out is None:
+                return cmd_verify()
+            _check_output_dir(args.out, "--out")
+            return cmd_verify(os.path.join(args.out, "verify_report.json"))
 
         cfg = _load_run_config(args)
+        if cfg.output_dir is not None:
+            _check_output_dir(cfg.output_dir, "config key 'output.directory'")
         if args.command == "snr":
             report = cmd_snr(cfg)
             if cfg.output_dir is not None:
-                os.makedirs(cfg.output_dir, exist_ok=True)
-                _write_text(
-                    os.path.join(cfg.output_dir, "snr_report.json"),
-                    json.dumps(report, indent=2) + "\n",
-                )
+                _write_text(os.path.join(cfg.output_dir, "snr_report.json"), _json(report) + "\n")
         elif args.command == "simulate":
             report = cmd_simulate(cfg)
         else:
             report = cmd_sweep(cfg, args.param, _parse_grid(args.grid))
-        print(json.dumps(report, indent=2))
+        print(_json(report))
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from .bogoliubov import (
     oracle_homodyne_mean,
     oracle_homodyne_variance,
 )
-from .config import CALIBRATED_ETA_INTERNAL
+from .config import load_config, preset_config
 from .conventions import omega
 from .gaussian import (
     apply_loss,
@@ -43,7 +43,6 @@ from .schemes import (
     Loss,
     LossBudget,
     MeasurementModel,
-    ModulationTone,
     PhaseShift,
     SchemeInstance,
     Splitter,
@@ -57,7 +56,7 @@ from .schemes import (
     snr_vs_detection_efficiency,
     vacuum_output,
 )
-from .spectra import CombineSettings, _median, band_floor, simulate_spectra, tone_power
+from .spectra import CombineSettings, _median, band_floor, report_band, simulate_spectra, tone_power
 
 
 @dataclasses.dataclass(frozen=True)
@@ -162,23 +161,30 @@ def random_pipeline(
     return n_modes, elements
 
 
-# The reference operating point: the fig2 preset locked at the dark fringe,
-# phi = pi.  The three-port checks put a pi/4 tone between its two tones.
-_PROBE_PHOTONS = 1e4
-_GAINS = (2.0, 9.0)
-_TONES = (ModulationTone(0.8e6, 0.01, 0.0), ModulationTone(1.2e6, 0.01, math.pi / 2))
-_THREE_TONES = (_TONES[0], ModulationTone(1.0e6, 0.01, math.pi / 4), _TONES[1])
+# The reference operating point: the fig2 preset's scheme at the dark fringe, phi = pi.
+# The three-port checks take fig4's tones, which put a pi/4 tone between fig2's two.
+_FIG2 = load_config(preset_config("fig2")).scheme
+_PROBE_PHOTONS = _FIG2.probe_photon_number
+_GAINS = (_FIG2.opa1.gain, _FIG2.opa2_or_amp.gain)
+_TONES = _FIG2.tones
+_THREE_TONES = load_config(preset_config("fig4")).scheme.tones
+_X_HZ, _Y_HZ = (t.frequency_hz for t in _TONES)  # the tones at angles 0 and pi/2
+_THREE_HZ = tuple(t.frequency_hz for t in _THREE_TONES)  # the tones at angles 0, pi/4 and pi/2
+
+#: The paper's sui/amp ratios at that point, "target+-tolerance": the x and y tones' SNRs and the noise floor.
+_TARGETS = {"ratio_x": "1.256+-0.05", "ratio_y": "1.270+-0.05", "noise-floor ratio": "0.80+-0.03"}
+_TARGET_VALUES = [tuple(map(float, target.split("+-"))) for target in _TARGETS.values()]  # (target, tolerance)
 
 
-def _reference_sui(eta_internal: float = CALIBRATED_ETA_INTERNAL, **changes) -> SchemeInstance:
-    """The reference SU(1,1) scheme, with ``changes`` to its :func:`build_scheme` arguments."""
+def _reference_sui(eta_internal: float = _FIG2.losses.eta_internal, **changes) -> SchemeInstance:
+    """The fig2 scheme at ``eta_internal``, with ``changes`` to its :func:`build_scheme` arguments."""
     arguments = {
         "probe_photon_number": _PROBE_PHOTONS,
         "tones": _TONES,
-        "losses": LossBudget(eta_internal, eta_signal_det=0.72, eta_idler_det=0.62, eta_tap_det=0.80),
+        "losses": dataclasses.replace(_FIG2.losses, eta_internal=eta_internal),
         "gain_g1": _GAINS[0],
         "gain_g2": _GAINS[1],
-        "interferometer_phase": math.pi,
+        "interferometer_phase": _FIG2.interferometer_phase,
     }
     return build_scheme("sui", **(arguments | changes))
 
@@ -298,8 +304,8 @@ def check_formula_regression() -> tuple[bool, str]:
                 model, ref = measurement_model(scheme), closed_form_snr(scheme)
                 worst = max(
                     worst,
-                    abs(model.snr("signal", 0.8e6) / ref.snr_x - 1.0),
-                    abs(model.snr("idler", 1.2e6) / ref.snr_y - 1.0),
+                    abs(model.snr("signal", _X_HZ) / ref.snr_x - 1.0),
+                    abs(model.snr("idler", _Y_HZ) / ref.snr_y - 1.0),
                 )
     return worst < 1e-3, f"max relative deviation {worst:.3e}"
 
@@ -308,8 +314,8 @@ def check_formula_regression() -> tuple[bool, str]:
 def check_sui_asymptote() -> tuple[bool, str]:
     scheme = _reference_sui(losses=LossBudget(), gain_g2=50.0)
     sui, ref = measurement_model(scheme), closed_form_snr(scheme)
-    dev_x = abs(sui.snr("signal", 0.8e6) / ref.snr_x - 1.0)
-    dev_y = abs(sui.snr("idler", 1.2e6) / ref.snr_y - 1.0)
+    dev_x = abs(sui.snr("signal", _X_HZ) / ref.snr_x - 1.0)
+    dev_y = abs(sui.snr("idler", _Y_HZ) / ref.snr_y - 1.0)
     return (
         max(dev_x, dev_y) < 0.01,
         f"signal-X dev {dev_x:.2%}, idler-Y dev {dev_y:.2%} from 2(G1+g1)^2 I eps^2 = {ref.snr_x:.4f}",
@@ -344,8 +350,8 @@ def check_dark_fringe() -> tuple[bool, str]:
 
 
 def _calibration_ratios(sui: MeasurementModel, amp: MeasurementModel):
-    ratio_x = sui.snr("signal", 0.8e6) / amp.snr("signal", 0.8e6)
-    ratio_y = sui.snr("idler", 1.2e6) / amp.snr("idler", 1.2e6)
+    ratio_x = sui.snr("signal", _X_HZ) / amp.snr("signal", _X_HZ)
+    ratio_y = sui.snr("idler", _Y_HZ) / amp.snr("idler", _Y_HZ)
     floor = sui.variance("signal") / amp.variance("signal")
     return ratio_x, ratio_y, floor
 
@@ -360,14 +366,12 @@ def _calibration_deviation(eta_internal: np.ndarray, power_reading: bool = False
     """
     # The power reading takes the reference gains as intensity gains G^2.
     g1, g2 = (math.sqrt(g) for g in _GAINS) if power_reading else _GAINS
-    losses = _reference_sui().losses
-    e_s, e_i = losses.eta_signal_det, losses.eta_idler_det
+    e_s, e_i = _FIG2.losses.eta_signal_det, _FIG2.losses.eta_idler_det
     amp_s, amp_i = exact_port_variances("amp", gain_g2=g2, eta_signal_det=e_s, eta_idler_det=e_i)
     sui_s, sui_i = exact_port_variances("sui", g1, g2, eta_internal, e_s, e_i)
     ratio_x, ratio_y = amp_s / sui_s, amp_i / sui_i
-    return np.maximum.reduce(
-        [abs(ratio_x - 1.256) / 0.05, abs(ratio_y - 1.270) / 0.05, abs(1.0 / ratio_x - 0.80) / 0.03]
-    )
+    readings = (ratio_x, ratio_y, 1.0 / ratio_x)
+    return np.maximum.reduce([abs(r - target) / tol for r, (target, tol) in zip(readings, _TARGET_VALUES)])
 
 
 # The internal transmissions the fit evaluates: all of (0, 1] at a 0.002 step.
@@ -405,20 +409,16 @@ def check_experimental_calibration() -> tuple[bool, str]:
     eta_star, dev = fit_eta_internal()
     sui = _reference_sui(eta_star)
     sui, amp = measurement_model(sui), measurement_model(matched_baseline(sui, "amp"))
-    ratio_x, ratio_y, floor = _calibration_ratios(sui, amp)
+    readings = _calibration_ratios(sui, amp)
     _, dev_power = fit_eta_internal(power_reading=True)
-    passed = (
-        dev <= 1.0
-        and dev_power > 1.0
-        and abs(ratio_x - 1.256) <= 0.05
-        and abs(ratio_y - 1.270) <= 0.05
-        and abs(floor - 0.80) <= 0.03
-    )
+    # The shipped transmission fits too, so a preset edit that moves the fit off it fails.
+    shipped_dev = _calibration_deviation(_FIG2.losses.eta_internal)
+    in_bounds = all(abs(r - target) <= tol for r, (target, tol) in zip(readings, _TARGET_VALUES))
+    passed = dev <= 1.0 and shipped_dev <= 1.0 and dev_power > 1.0 and in_bounds
+    targets = ", ".join(f"{name} {r:.4f} (target {t})" for (name, t), r in zip(_TARGETS.items(), readings))
     detail = (
-        f"fitted eta_internal = {eta_star:.4f}: ratio_x {ratio_x:.4f} (target 1.256+-0.05), "
-        f"ratio_y {ratio_y:.4f} (target 1.270+-0.05), noise-floor ratio {floor:.4f} "
-        f"(target 0.80+-0.03); amplitude-gain reading fits (max dev {dev:.2f}), "
-        f"power-gain reading does not (best dev {dev_power:.2f})"
+        f"fitted eta_internal = {eta_star:.4f}: {targets}; amplitude-gain reading fits "
+        f"(max dev {dev:.2f}), power-gain reading does not (best dev {dev_power:.2f})"
     )
     return passed, detail
 
@@ -427,12 +427,12 @@ def check_experimental_calibration() -> tuple[bool, str]:
 def check_loss_sensitivity() -> tuple[bool, str]:
     bs = build_scheme("bs", probe_photon_number=_PROBE_PHOTONS, tones=_TONES)
     grid = np.linspace(0.1, 1.0, 10)
-    bs_points = snr_vs_detection_efficiency(bs, "signal", 0.8e6, grid)
+    bs_points = snr_vs_detection_efficiency(bs, "signal", _X_HZ, grid)
     bs_dev = max(abs(p.ratio - p.eta) for p in bs_points)
 
-    amp = build_scheme("amp", probe_photon_number=_PROBE_PHOTONS, tones=_TONES, gain_g2=9.0)
-    [point] = snr_vs_detection_efficiency(amp, "signal", 0.8e6, [0.5])
-    variance = 161.0
+    amp = build_scheme("amp", probe_photon_number=_PROBE_PHOTONS, tones=_TONES, gain_g2=_GAINS[1])
+    [point] = snr_vs_detection_efficiency(amp, "signal", _X_HZ, [0.5])
+    variance = 2.0 * _GAINS[1] ** 2 - 1.0  # the amplifier's output variance, 2 G2^2 - 1
     law = 0.5 * variance / (0.5 * variance + 0.5)
     amp_dev = abs(point.ratio - law)
     passed = bs_dev < 1e-9 and point.ratio >= 0.99 and amp_dev < 1e-9
@@ -446,20 +446,20 @@ def check_loss_sensitivity() -> tuple[bool, str]:
 @_check("acceptance-07-tap-robustness")
 def check_tap_robustness() -> tuple[bool, str]:
     sui_plain = _reference_sui(tap_enabled=False)
-    snr_plain = measurement_model(sui_plain).snr("signal", 0.8e6)
-    snr_tap = measurement_model(_reference_sui(tap_enabled=True)).snr("signal", 0.8e6)
+    snr_plain = measurement_model(sui_plain).snr("signal", _X_HZ)
+    snr_tap = measurement_model(_reference_sui(tap_enabled=True)).snr("signal", _X_HZ)
     sui_change = 1.0 - snr_tap / snr_plain
 
     # A 50/50 tap followed by a detector of efficiency eta is exactly a
     # detector of efficiency eta/2 on the untapped port.
     eta_s = sui_plain.port("signal").efficiency
-    [half] = snr_vs_detection_efficiency(sui_plain, "signal", 0.8e6, [eta_s / 2.0])
+    [half] = snr_vs_detection_efficiency(sui_plain, "signal", _X_HZ, [eta_s / 2.0])
     law_dev = abs(snr_tap - half.snr)
 
     bs_snr = [
         measurement_model(
             build_scheme("bs", probe_photon_number=_PROBE_PHOTONS, tones=_TONES, tap_enabled=tap)
-        ).snr("signal", 0.8e6)
+        ).snr("signal", _X_HZ)
         for tap in (False, True)
     ]
     bs_ratio = bs_snr[1] / bs_snr[0]
@@ -509,7 +509,7 @@ def check_monte_carlo_fidelity() -> tuple[bool, str]:
             spec = spectra[port]
             if spec.n_averages < 200:
                 issues.append(f"{label}/{port}: only {spec.n_averages} averages")
-            measured = band_floor(spec, 0.5e6, 1.5e6, exclude=exclude)
+            measured = band_floor(spec, *report_band(spec.freq.size, spec.bin_width, exclude), exclude=exclude)
             analytic = model.variance(port)
             floors[(label, port)] = measured
             if abs(measured / analytic - 1.0) > 0.02:
@@ -520,8 +520,9 @@ def check_monte_carlo_fidelity() -> tuple[bool, str]:
     analytic_ratio = models["sui"].variance("signal") / models["amp"].variance("signal")
     if abs(ratio / analytic_ratio - 1.0) > 0.03:
         issues.append(f"floor ratio {ratio:.4f} vs analytic {analytic_ratio:.4f}")
-    if abs(ratio - 0.80) > 0.03:
-        issues.append(f"floor ratio {ratio:.4f} outside 0.80 +- 0.03")
+    target, tol = _TARGET_VALUES[2]
+    if abs(ratio - target) > tol:
+        issues.append(f"floor ratio {ratio:.4f} outside {_TARGETS['noise-floor ratio']}")
 
     # Tone power scales as depth^2.
     depths = (0.002, 0.005, 0.01, 0.02, 0.05)
@@ -530,7 +531,7 @@ def check_monte_carlo_fidelity() -> tuple[bool, str]:
         tones = (dataclasses.replace(_TONES[0], depth=depth),)
         bs = build_scheme("bs", probe_photon_number=_PROBE_PHOTONS, tones=tones)
         spec = simulate_spectra(measurement_model(bs), seed=30 + i).spectra["signal"]
-        scaled.append(tone_power(spec, 0.8e6) / depth**2)
+        scaled.append(tone_power(spec, _X_HZ) / depth**2)
     scaled = np.array(scaled)
     linearity = float(np.max(np.abs(scaled / _median(scaled) - 1.0)))
     if linearity > 0.03:
@@ -539,10 +540,9 @@ def check_monte_carlo_fidelity() -> tuple[bool, str]:
     # Three-tone projection pattern: relative powers follow cos^2.
     model = measurement_model(_reference_sui(tap_enabled=True, tones=_THREE_TONES))
     spectra = simulate_spectra(model, seed=40).spectra
-    freqs = tuple(t.frequency_hz for t in _THREE_TONES)
     worst_projection = 0.0
     for port, lo_phase in zip(model.port_names, model.lo_phases):
-        powers = np.array([tone_power(spectra[port], f, exclude=freqs) for f in freqs])
+        powers = np.array([tone_power(spectra[port], f, exclude=_THREE_HZ) for f in _THREE_HZ])
         measured = powers / powers.max()
         expected = np.array([math.cos(t.angle - lo_phase) ** 2 for t in _THREE_TONES])
         expected = expected / expected.max()
@@ -577,19 +577,18 @@ def check_post_detection_combination() -> tuple[bool, str]:
     # Symmetric tap channels, with channel 1 deliberately running at 0.84x
     # gain so the balance calibration has something to recover.
     scheme = _reference_sui(tap_enabled=True, tones=_THREE_TONES)
-    tap = HomodyneChannel(PORT_TAP, math.pi / 2, 0.72)
+    tap = HomodyneChannel(PORT_TAP, math.pi / 2, scheme.port("signal").efficiency)
     scheme = dataclasses.replace(scheme, ports=scheme.ports[:2] + (tap,))
     model = _with_channel_gain(measurement_model(scheme), "signal", 0.84)
     thetas = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
-    run = simulate_spectra(model, seed=50, combine=CombineSettings(thetas, 1.0e6))
+    run = simulate_spectra(model, seed=50, combine=CombineSettings(thetas, _THREE_HZ[1]))
     k = run.balance_gain_k
 
-    freqs = tuple(t.frequency_hz for t in _THREE_TONES)
     powers = {}
     floors = {}
     for theta, spec in zip(thetas, run.combined):
-        powers[theta] = tone_power(spec, 1.0e6, exclude=freqs)
-        floors[theta] = band_floor(spec, 0.5e6, 1.5e6, exclude=freqs)
+        powers[theta] = tone_power(spec, _THREE_HZ[1], exclude=_THREE_HZ)
+        floors[theta] = band_floor(spec, *report_band(spec.freq.size, spec.bin_width, _THREE_HZ), exclude=_THREE_HZ)
     suppression = powers[math.pi / 4] / max(powers[3 * math.pi / 4], 1e-30)
     floor_values = np.array(list(floors.values()))
     floor_spread = float(floor_values.max() / floor_values.min() - 1.0)

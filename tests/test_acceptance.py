@@ -16,6 +16,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from suisim import gaussian, verify
+from suisim.config import load_config, preset_config
 from suisim.schemes import (
     Displace,
     Loss,
@@ -25,6 +26,7 @@ from suisim.schemes import (
     matched_baseline,
     measurement_model,
 )
+from suisim.spectra import report_band
 
 
 @pytest.fixture(scope="module")
@@ -236,3 +238,43 @@ def test_fit_finds_the_minimum_over_all_of_zero_to_one(power_reading):
     assert dev <= devs[k] <= dev + slope * 0.5e-5
     assert dev == verify._calibration_deviation(eta_star, power_reading)
     assert dev <= min(verify._calibration_deviation(eta_star + h, power_reading) for h in (-1e-9, 1e-9))
+
+
+def test_reference_point_is_the_shipped_fig2_scheme():
+    assert verify._reference_sui() == load_config(preset_config("fig2")).scheme
+
+
+def test_three_tones_are_the_shipped_fig4_tones():
+    assert verify._THREE_TONES == load_config(preset_config("fig4")).scheme.tones
+
+
+@pytest.mark.parametrize(
+    "check_id, preset",
+    [("acceptance-09-monte-carlo-fidelity", "fig2"), ("acceptance-10-post-detection-combination", "fig4")],
+)
+def test_floors_are_read_over_the_band_a_report_gives(monkeypatch, check_id, preset):
+    tones = tuple(t.frequency_hz for t in load_config(preset_config(preset)).scheme.tones)
+    bands = []
+
+    def recorded(spec, f_lo, f_hi, exclude=(), _floor=verify.band_floor):
+        bands.append(((f_lo, f_hi), report_band(spec.freq.size, spec.bin_width, tones), exclude))
+        return _floor(spec, f_lo, f_hi, exclude)
+
+    monkeypatch.setattr(verify, "band_floor", recorded)
+    result = verify.run_check(check_id)
+    assert result.passed, result.detail
+    assert bands
+    # The band the checks read before they took it from the tones.
+    assert all(band == reported == (0.5e6, 1.5e6) and exclude == tones for band, reported, exclude in bands)
+
+
+def test_calibration_fails_when_the_shipped_transmission_is_off_its_targets(results, monkeypatch):
+    check_id = "acceptance-05-experimental-calibration"
+    assert verify._calibration_deviation(verify._FIG2.losses.eta_internal) == pytest.approx(0.574, abs=1e-3)
+    assert verify._calibration_deviation(0.38) == pytest.approx(2.705, abs=1e-3)
+    losses = dataclasses.replace(verify._FIG2.losses, eta_internal=0.38)
+    monkeypatch.setattr(verify, "_FIG2", dataclasses.replace(verify._FIG2, losses=losses))
+    result = verify.run_check(check_id)
+    # The fit itself does not move, so the detail reads as at the shipped value.
+    assert not result.passed
+    assert result.detail == results[check_id].detail

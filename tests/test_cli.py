@@ -18,6 +18,7 @@ from suisim.schemes import (
     EnhancementReport,
     ParameterError,
     ToneEnhancement,
+    enhancement_report,
     find_dark_fringe,
     matched_baseline,
     measurement_model,
@@ -346,6 +347,42 @@ def report_configs():
 @pytest.mark.parametrize("cfg", report_configs())
 def test_snr_report_bytes_are_the_asdict_report(cfg):
     assert json.dumps(cmd_snr(cfg), indent=2) == json.dumps(asdict_snr_report(cfg), indent=2)
+
+
+def strict_json(text):
+    """``text`` parsed as JSON, rejecting the non-JSON constants ``NaN`` and ``Infinity``."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_unbounded_ratio_is_written_as_null(tmp_path, capsys):
+    # Both ports' LOs at 3pi/4 read nothing of the pi/4 tone in the bs
+    # baseline, while the sui idler, phase conjugated, does: the ratio is
+    # unbounded.  The report once printed "ratio": Infinity, which is not JSON.
+    raw = preset_config("fig2")
+    raw["scheme"]["compare_with"] = "bs"
+    raw["tones"] = [{"frequency_hz": 1.0e6, "depth": 0.01, "angle_rad": math.pi / 4}]
+    raw["ports"]["channels"] = [{"name": name, "lo_phase_rad": 3 * math.pi / 4} for name in ("signal", "idler")]
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "snr", "--config", write_config(tmp_path, raw), "--out", str(out_dir))
+    assert code == 0, err
+    for text in (out, (out_dir / "snr_report.json").read_text()):
+        [row] = strict_json(text)["enhancement"]["per_tone"]
+        assert row["ratio"] is None and row["baseline_snr"] == 0.0 and row["sui_snr"] > 0.0
+    # The report in Python keeps the infinity.
+    scheme, _, _ = cli._resolve_scheme(load_config(raw))
+    [row] = enhancement_report(scheme, matched_baseline(scheme, "bs")).per_tone
+    assert row.ratio == math.inf
+
+
+def test_non_finite_report_value_is_an_error_not_a_document(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cmd_snr", lambda cfg: {"value": math.nan})
+    code, out, err = run_cli(capsys, "snr", "--preset", "fig2")
+    assert code == 2 and out == ""
+    assert "JSON" in err
 
 
 # fig2 without losses on a 13 x 17 log grid of gain_g1 (10^0.2 to 10^5) and
@@ -697,6 +734,34 @@ class TestConfigRejections:
         assert code == 1, err
         assert "--out" in err and out == ""
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["snr", "simulate", "sweep"])
+    @pytest.mark.parametrize("where", ["config", "--out"])
+    def test_output_directory_naming_a_file_fails_before_any_work(self, tmp_path, capsys, monkeypatch, command, where):
+        # This once exited 2 with "[Errno 17] File exists", snr and simulate
+        # only after computing their reports.
+        monkeypatch.setattr(cli, "_resolve_scheme", lambda cfg: pytest.fail("the run computed"))
+        taken = tmp_path / "taken"
+        taken.write_text("kept", encoding="utf-8")
+        raw = preset_config("fig2")
+        argv = [command, "--config", write_config(tmp_path, raw | {"output": {"directory": str(taken)}})]
+        if where == "--out":
+            argv = [command, "--config", write_config(tmp_path, raw), "--out", str(taken)]
+        if command == "sweep":
+            argv += ["--param", "scheme.gain_g2", "--grid", "2:3:2"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, err
+        assert "'output.directory'" in err and out == ""
+        assert taken.read_text(encoding="utf-8") == "kept"
+
+    def test_verify_directory_naming_a_file_fails_before_any_check(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "run_all", lambda progress=None: pytest.fail("verify ran"))
+        taken = tmp_path / "taken"
+        taken.write_text("kept", encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", "--out", str(taken))
+        assert code == 1, err
+        assert "--out" in err and out == ""
+        assert taken.read_text(encoding="utf-8") == "kept"
 
     @pytest.mark.parametrize("gains", [{}, {"gain_g2": 4.0}], ids=["bs", "amp"])
     def test_gain_convention_is_checked_with_or_without_a_gain(self, tmp_path, capsys, gains):
