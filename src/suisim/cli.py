@@ -4,8 +4,8 @@ Every run embeds its fully resolved configuration and seed in the emitted
 JSON, and spectrum CSVs carry a reproducibility header line, so any output
 file identifies the exact run that produced it.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime/numerical error,
-3 verification failure.
+Exit codes: 0 success, 1 configuration or usage error, 2 runtime/numerical
+error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -52,6 +52,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_VERIFY = 3
+
+# Where simulate and sweep write without --out or output.directory; snr then writes nothing.
+_DEFAULT_OUT = "out"
 
 
 def _load_run_config(args) -> RunConfig:
@@ -142,9 +145,13 @@ def _json(report: dict) -> str:
 
 
 def _check_output_dir(path: str, name: str) -> None:
-    """Reject an output directory that is empty or names something other than a
-    directory, before any work; ``name`` is its config key or option."""
-    if not path or (os.path.lexists(path) and not os.path.isdir(path)):
+    """Reject an output directory that is empty or whose nearest existing
+    ancestor, the path itself if it exists, is not a directory, before any
+    work; ``name`` is its config key or option."""
+    existing = path
+    while existing and not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not path or not os.path.isdir(existing or os.curdir):
         raise ConfigError(f"{name} must name a directory, not {path!r}")
 
 
@@ -179,7 +186,7 @@ def cmd_simulate(cfg: RunConfig) -> dict:
     if cfg.compare_with is not None:
         baseline = matched_baseline(scheme, cfg.compare_with)
         runs.append((cfg.compare_with, baseline, measurement_model(baseline)))
-    out_dir = cfg.output_dir or "out"
+    out_dir = cfg.output_dir or _DEFAULT_OUT
 
     report = {
         "seed": cfg.sim.seed,
@@ -235,7 +242,7 @@ def cmd_sweep(cfg: RunConfig, parameter: str, grid: list[float]) -> dict:
     lines.extend(",".join(f"{v:.10g}" for v in row) for row in rows)
     # Written only once every point has succeeded, so a rejected sweep writes nothing.
     safe = parameter.replace(".", "_")
-    path = os.path.join(cfg.output_dir or "out", f"sweep_{safe}.csv")
+    path = os.path.join(cfg.output_dir or _DEFAULT_OUT, f"sweep_{safe}.csv")
     _write_text(path, "\n".join(lines) + "\n")
     return {
         "parameter": parameter,
@@ -315,7 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, printed to stderr; --help still exits 0.
+        if exc.code:
+            return EXIT_CONFIG
+        raise
     try:
         if args.command == "verify":
             if args.out is None:
@@ -324,8 +337,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_verify(os.path.join(args.out, "verify_report.json"))
 
         cfg = _load_run_config(args)
-        if cfg.output_dir is not None:
-            _check_output_dir(cfg.output_dir, "config key 'output.directory'")
+        if cfg.output_dir is not None or args.command != "snr":
+            _check_output_dir(cfg.output_dir or _DEFAULT_OUT, "config key 'output.directory'")
         if args.command == "snr":
             report = cmd_snr(cfg)
             if cfg.output_dir is not None:

@@ -18,7 +18,8 @@ its spectra in blocks of a fixed number of Welch steps, in buffers kept for
 the pass, so its memory does not grow with the duration.  A one-thread
 executor per pass draws the noise one block ahead while the caller's thread
 colours, transforms and sums the block before; only that thread draws, in
-block order, so the output is bit for bit that of one thread.  The
+block order, so the output is bit for bit that of one thread.  A
+combination feeds each block to the lock-in, unseen by the synthesis.  The
 record-level functions compute the same run one whole record at a time:
 :func:`simulate_currents`, :func:`welch_psd` and :func:`calibrate_k` run the
 same synthesis, Welch sums and lock-in as the pass, and
@@ -74,7 +75,7 @@ def _clear_of(x: float, bin_width: float, tones) -> bool:
     return True
 
 
-def _readout_bins(n_bins: int, bin_width: float, f0: float, tones, first: bool = False) -> tuple[list[int], list[int]]:
+def _readout_bins(n_bins: int, bin_width: float, f0: float, tones) -> tuple[list[int], list[int]]:
     """``(window, floor)``, the indices of the bins that read the tone at ``f0``
     off ``n_bins`` bins at ``k * bin_width``: its +-1.5-bin peak window, and its
     +-5-bin annulus less the window and the +-5-bin neighbourhoods of the other ``tones``.
@@ -82,7 +83,6 @@ def _readout_bins(n_bins: int, bin_width: float, f0: float, tones, first: bool =
     The one readout rule, applied by the readers and by :func:`check_readout`.
     Raises :class:`ParameterError` named ``rbw_hz`` when ``f0`` lies outside
     the bins, another tone reaches into its window, or no floor bin is left.
-    With ``first`` it stops at the first floor bin, which decides the rule.
     """
     last = (n_bins - 1) * bin_width
     if not 0.0 <= f0 <= last:
@@ -106,8 +106,6 @@ def _readout_bins(n_bins: int, bin_width: float, f0: float, tones, first: bool =
             window.append(k)
         elif _near(x, bin_width, f0, _EXCLUDE_HALFWIDTH_BINS) and _clear_of(x, bin_width, others):
             floor.append(k)
-            if first:
-                break
     if not floor:
         raise ParameterError(
             "rbw_hz",
@@ -201,9 +199,9 @@ def check_readout(
     one Welch segment, and every tone and the :func:`report_band` floor can
     be read off the spectrum.
 
-    It runs the readers' own rule, :func:`_readout_bins`, in plain float
-    arithmetic on the few bins that decide it, so it builds no spectrum and
-    rejects exactly the plans the readers cannot read: a tone above the last bin
+    It makes the readers' own call to :func:`_readout_bins` for each tone, on
+    the bins the spectrum will have, so it builds no spectrum and rejects
+    exactly the plans the readers cannot read: a tone above the last bin
     (short of Nyquist when the segment length is odd), two tones within each
     other's readout window, a floor annulus or a report band that the tones'
     neighbourhoods cover.  Raises :class:`ParameterError` named ``rbw_hz``.
@@ -214,7 +212,7 @@ def check_readout(
     bin_width = 1.0 / (nperseg * (1.0 / sample_rate))
     n_bins = nperseg // 2 + 1
     for f in tone_frequencies:
-        _readout_bins(n_bins, bin_width, f, tone_frequencies, first=True)
+        _readout_bins(n_bins, bin_width, f, tone_frequencies)
     lo, hi = report_band(n_bins, bin_width, tone_frequencies)
     # Step through the band up to its first bin clear of the tones, at most
     # a neighbourhood per tone past its first bin.
@@ -355,27 +353,23 @@ def _leave_cpu(cpus: set[int]) -> None:
             os.sched_setaffinity(0, cpus)
 
 
-def _synthesize(
-    model: MeasurementModel, n_samples: int, sample_rate: float, seed: int, block: int, target, lock_in=None
-):
+def _synthesize(model: MeasurementModel, n_samples: int, sample_rate: float, seed: int, block: int, target):
     """Yield the joint port record in blocks of ``block`` samples, each written
     into ``target(start, m)``, the ``(ports, m)`` array the caller gives for
     the ``m`` samples from ``start``.
 
-    Each block is one normal draw coloured by the port covariance, plus each
-    tone's sinusoid, read off its :class:`_GridPhasor`, added to one port
-    after another.  With ``lock_in`` it also forms the lock-in's reference
-    rows, and a calibration tone that is a model tone is added from their
-    ``sin`` row, which holds the same samples.  A one-thread executor, moved
-    off the caller's CPU, draws block ``k + 1`` into the other of two
-    buffers while this thread colours block ``k``.  Only that thread draws,
-    in block order, so the draws equal one draw of the whole record; a
-    tone's samples depend only on their index; so the blocks join into the
-    same samples bit for bit whatever ``block`` is.  The executor's thread
-    is joined on every exit, and an exception raised by a draw is raised
-    here unchanged.  A tone's samples differ from ``np.sin`` of the angle
-    by the angle's rounding: at most 1.7e-9 over 8M samples of a 1.2 MHz
-    tone at 10 MHz, 6.9e-9 at 4.9 MHz.
+    Each block is one normal draw coloured by the port covariance, plus every
+    tone's sinusoid, the calibration tone's too, read off the tone's own
+    :class:`_GridPhasor` and added to one port after another.  A one-thread
+    executor, moved off the caller's CPU, draws block ``k + 1`` into the
+    other of two buffers while this thread colours block ``k``.  Only that
+    thread draws, in block order, so the draws equal one draw of the whole
+    record; a tone's samples depend only on their index; so the blocks join
+    into the same samples bit for bit whatever ``block`` is.  The executor's
+    thread is joined on every exit, and an exception raised by a draw is
+    raised here unchanged.  A tone's samples differ from ``np.sin`` of the
+    angle by the angle's rounding: at most 1.7e-9 over 8M samples of a
+    1.2 MHz tone at 10 MHz, 6.9e-9 at 4.9 MHz.
     """
     # Imported here, so that `import suisim.cli` loads no module for the pass.
     from concurrent.futures import ThreadPoolExecutor
@@ -386,9 +380,8 @@ def _synthesize(
         # Degenerate (perfectly correlated) port sets: factor via eigh.
         w, vecs = np.linalg.eigh(model.noise_cov)
         factor = vecs @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-    shared = lock_in.frequency_hz if lock_in is not None else None
     waves = [
-        (None if frequency == shared else _GridPhasor(frequency, sample_rate), amps)
+        (_GridPhasor(frequency, sample_rate), amps)
         for frequency, amps in model.tone_amplitudes.items()
         if any(a != 0.0 for a in amps)
     ]
@@ -408,10 +401,8 @@ def _synthesize(
                 pending = pool.submit(draw, k + 1)
             # (ports, m), bit for bit the rows of z @ factor.T.
             out = np.matmul(factor, z.T, out=target(start, m))
-            if lock_in is not None:
-                lock_in.form(start, m)
             for phasor, amps in waves:
-                wave = lock_in.sin if phasor is None else phasor.sin(start, m, out=tone)
+                wave = phasor.sin(start, m, out=tone)
                 for row, amp in zip(out, amps):
                     row += np.multiply(wave, amp, out=scaled[:m])
             yield out
@@ -536,27 +527,19 @@ class _LockIn:
     """
 
     def __init__(self, frequency_hz: float, sample_rate: float):
-        self.frequency_hz = frequency_hz
         self.reference = _GridPhasor(frequency_hz, sample_rate)
         self.z = np.zeros(2, dtype=complex)
         self.n = 0
-        self.cos = self.sin = self._cos = self._sin = np.empty(0)
-
-    def form(self, start: int, m: int) -> None:
-        """Form the reference rows ``cos`` and ``sin`` of the ``m`` samples from ``start``."""
-        if self._cos.size < m:
-            self._cos, self._sin = np.empty(m), np.empty(m)
-        self.cos, self.sin = self.reference.cos(start, m, out=self._cos), self.reference.sin(start, m, out=self._sin)
-
-    def add(self, pair: np.ndarray) -> None:
-        """Add the block of both records at the samples of the last :meth:`form`."""
-        self.z += pair @ self.cos - 1j * (pair @ self.sin)
-        self.n += pair.shape[1]
+        self._cos = self._sin = np.empty(0)
 
     def feed(self, start: int, pair: np.ndarray) -> None:
         """Add the block of both records that begins at sample ``start``."""
-        self.form(start, pair.shape[1])
-        self.add(pair)
+        m = pair.shape[1]
+        if self._cos.size < m:
+            self._cos, self._sin = np.empty(m), np.empty(m)
+        cos, sin = self.reference.cos(start, m, out=self._cos), self.reference.sin(start, m, out=self._sin)
+        self.z += pair @ cos - 1j * (pair @ sin)
+        self.n += m
 
     def amplitudes(self) -> list[float]:
         """The tone amplitude of each record, ``|2 z / n|``."""
@@ -650,14 +633,15 @@ def simulate_spectra(
         # The pair's rows as a strided view, not a copy, when the signal port comes first.
         rows = slice(pair[0], pair[1] + 1, pair[1] - pair[0]) if pair[0] < pair[1] else pair
     sums = _WelchSums(len(model.port_names), sample_rate, nperseg, cross=pair)
+    block = _block_length(nperseg)
     # Each block is synthesised into the Welch buffer, after the carry.
     with contextlib.closing(
-        _synthesize(model, n_samples, sample_rate, seed, _block_length(nperseg), lambda _, m: sums.slot(m), lock_in)
+        _synthesize(model, n_samples, sample_rate, seed, block, lambda _, m: sums.slot(m))
     ) as blocks:
-        for samples in blocks:
+        for start, samples in zip(range(0, n_samples, block), blocks):
             if lock_in is not None:
                 # Before take moves the carry over the block.
-                lock_in.add(samples[rows])
+                lock_in.feed(start, samples[rows])
             sums.take(samples.shape[1])
     spectra = {name: sums.spectrum(power) for name, power in zip(model.port_names, sums.power)}
     if pair is None:

@@ -739,29 +739,57 @@ class TestConfigRejections:
     @pytest.mark.parametrize("where", ["config", "--out"])
     def test_output_directory_naming_a_file_fails_before_any_work(self, tmp_path, capsys, monkeypatch, command, where):
         # This once exited 2 with "[Errno 17] File exists", snr and simulate
-        # only after computing their reports.
+        # only after computing their reports; a directory below the file
+        # once exited 2 with "[Errno 20] Not a directory" after computing.
         monkeypatch.setattr(cli, "_resolve_scheme", lambda cfg: pytest.fail("the run computed"))
         taken = tmp_path / "taken"
         taken.write_text("kept", encoding="utf-8")
         raw = preset_config("fig2")
-        argv = [command, "--config", write_config(tmp_path, raw | {"output": {"directory": str(taken)}})]
-        if where == "--out":
-            argv = [command, "--config", write_config(tmp_path, raw), "--out", str(taken)]
-        if command == "sweep":
-            argv += ["--param", "scheme.gain_g2", "--grid", "2:3:2"]
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 1, err
-        assert "'output.directory'" in err and out == ""
-        assert taken.read_text(encoding="utf-8") == "kept"
+        for directory in (str(taken), str(taken / "sub")):
+            argv = [command, "--config", write_config(tmp_path, raw | {"output": {"directory": directory}})]
+            if where == "--out":
+                argv = [command, "--config", write_config(tmp_path, raw), "--out", directory]
+            if command == "sweep":
+                argv += ["--param", "scheme.gain_g2", "--grid", "2:3:2"]
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1, (directory, err)
+            assert "'output.directory'" in err and out == ""
+            assert taken.read_text(encoding="utf-8") == "kept"
 
     def test_verify_directory_naming_a_file_fails_before_any_check(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(verify, "run_all", lambda progress=None: pytest.fail("verify ran"))
         taken = tmp_path / "taken"
         taken.write_text("kept", encoding="utf-8")
-        code, out, err = run_cli(capsys, "verify", "--out", str(taken))
+        for directory in (taken, taken / "sub"):
+            code, out, err = run_cli(capsys, "verify", "--out", str(directory))
+            assert code == 1, (directory, err)
+            assert "--out" in err and out == ""
+            assert taken.read_text(encoding="utf-8") == "kept"
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_default_output_directory_is_checked_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        # Without --out or output.directory both write into "out"; with a
+        # file of that name they once exited 2 with "[Errno 17] File exists"
+        # after computing.
+        monkeypatch.setattr(cli, "_resolve_scheme", lambda cfg: pytest.fail("the run computed"))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").write_text("kept", encoding="utf-8")
+        argv = [command, "--preset", "fig2"]
+        if command == "sweep":
+            argv += ["--param", "scheme.gain_g2", "--grid", "2:3:2"]
+        code, out, err = run_cli(capsys, *argv)
         assert code == 1, err
-        assert "--out" in err and out == ""
-        assert taken.read_text(encoding="utf-8") == "kept"
+        assert "'output.directory'" in err and "'out'" in err and out == ""
+        assert (tmp_path / "out").read_text(encoding="utf-8") == "kept"
+
+    def test_snr_without_an_output_directory_ignores_out(self, tmp_path, capsys, monkeypatch):
+        # snr writes nothing unless told where, so a file named out is no error.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").write_text("kept", encoding="utf-8")
+        code, out, err = run_cli(capsys, "snr", "--preset", "fig2")
+        assert code == 0, err
+        assert json.loads(out)["scheme_kind"] == "sui"
+        assert os.listdir(tmp_path) == ["out"]
 
     @pytest.mark.parametrize("gains", [{}, {"gain_g2": 4.0}], ids=["bs", "amp"])
     def test_gain_convention_is_checked_with_or_without_a_gain(self, tmp_path, capsys, gains):
@@ -1020,6 +1048,33 @@ class TestConfigRejections:
         code, _, err = run_cli(capsys, "snr", "--config", write_config(tmp_path, raw))
         assert code == 1, err
         assert f"'{path}'" in err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", "--preset", "fig2", "--bogus", "1"], "--bogus"),
+            (["snr", "--seed", "abc"], "--seed"),
+            (["snr", "--preset", "fig9"], "--preset"),
+            ([], "command"),
+        ],
+        ids=["unknown-option", "seed-not-int", "unknown-preset", "no-command"],
+    )
+    def test_usage_error_exits_one(self, tmp_path, capsys, monkeypatch, argv, flag):
+        # These once exited 2, the code of a runtime error, through argparse.
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert flag in err and "error" in err and out == ""
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["snr", "--help"]], ids=["suisim", "snr"])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert "usage: suisim" in capsys.readouterr().out
 
 
 class TestVerifyCommand:

@@ -330,6 +330,19 @@ class TestStreamedPass:
             assert_allclose(spec.psd_snu, expected.psd_snu, rtol=1e-11, atol=0.0)
             assert spec.n_averages == expected.n_averages
 
+    def test_combination_leaves_the_port_spectra_unchanged(self):
+        # The lock-in reads each synthesised block; the synthesis does not see it.
+        cfg = preset_run_config("fig5")
+        model = measurement_model(cfg.scheme)
+        assert cfg.sim.combine.calibration_tone_hz in model.tone_amplitudes
+        plain = simulate_spectra(model, 0.0123457, seed=cfg.sim.seed)
+        combined = simulate_spectra(model, 0.0123457, seed=cfg.sim.seed, combine=cfg.sim.combine)
+        assert plain.balance_gain_k is None and combined.balance_gain_k is not None
+        assert list(combined.spectra) == list(plain.spectra) == list(model.port_names)
+        for port, spec in plain.spectra.items():
+            assert np.array_equal(combined.spectra[port].psd_snu, spec.psd_snu), port
+            assert np.array_equal(combined.spectra[port].freq, spec.freq), port
+
     def test_combination_needs_tap_port(self):
         with pytest.raises(ValueError, match="tap"):
             simulate_spectra(measurement_model(bs_scheme()), 0.01, combine=CombineSettings((0.0,), AM))
@@ -520,8 +533,8 @@ class TestDrawWorker:
 class TestWorkingSet:
     """The streamed pass's memory is a fixed working set: buffers allocated
     once per pass, so its traced peak is the same for a record ten times as
-    long.  The bounds sit 10-13% above the measured peaks (2.29 MB for
-    fig4's three ports, 2.62 MB for fig5's with its combination), which
+    long.  The bounds sit 9-10% above the measured peaks (2.30 MB for
+    fig4's three ports, 2.69 MB for fig5's with its combination), which
     count the worker's second draw buffer; a pass that allocated each
     block's temporaries afresh read 3.36 and 3.80 MB."""
 
