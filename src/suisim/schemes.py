@@ -34,7 +34,6 @@ import warnings
 
 import numpy as np
 
-from .conventions import normalize_angle, xy_indices
 from .gaussian import (
     GaussianState,
     OpaParams,
@@ -42,14 +41,23 @@ from .gaussian import (
     _embed,
     beam_splitter_matrix,
     loss_channel,
+    normalize_angle,
     phase_shift_matrix,
     two_mode_squeezer_matrix,
+    xy_indices,
 )
 
 SCHEME_KINDS = ("bs", "sui", "amp")
 PORT_SIGNAL = "signal"
 PORT_IDLER = "idler"
 PORT_TAP = "tap"
+# The homodyne ports in mode order: name, default LO phase and the LossBudget
+# field holding the detector efficiency.  The tap, on mode 2, is optional.
+_PORTS = (
+    (PORT_SIGNAL, 0.0, "eta_signal_det"),
+    (PORT_IDLER, math.pi / 2, "eta_idler_det"),
+    (PORT_TAP, math.pi / 4, "eta_tap_det"),
+)
 
 # Depths beyond this strain the first-order (pure displacement) modulation model.
 WEAK_MODULATION_BOUND = 0.05
@@ -251,7 +259,7 @@ class HomodyneChannel:
     efficiency: float = 1.0
 
     def __post_init__(self):
-        if self.port_name not in (PORT_SIGNAL, PORT_IDLER, PORT_TAP):
+        if self.port_name not in [name for name, _, _ in _PORTS]:
             raise ValueError(f"unknown port name {self.port_name!r}")
         if not 0.0 <= self.efficiency <= 1.0:
             raise ParameterError("efficiency", f"port efficiency must lie in [0, 1], got {self.efficiency}")
@@ -306,7 +314,7 @@ class SchemeInstance:
         names = [p.port_name for p in self.ports]
         if len(set(names)) != len(names):
             raise ValueError("port names must be unique")
-        expected = {PORT_SIGNAL, PORT_IDLER, PORT_TAP} if self.tap_enabled else {PORT_SIGNAL, PORT_IDLER}
+        expected = {name for name, _, _ in _PORTS[: self.n_modes]}
         if set(names) != expected:
             raise ValueError(
                 f"a scheme with tap_enabled={self.tap_enabled} needs exactly the ports "
@@ -375,13 +383,8 @@ class SchemeInstance:
 
 
 def _default_ports(losses: LossBudget, tap_enabled: bool) -> tuple[HomodyneChannel, ...]:
-    ports = [
-        HomodyneChannel(PORT_SIGNAL, 0.0, losses.eta_signal_det),
-        HomodyneChannel(PORT_IDLER, math.pi / 2, losses.eta_idler_det),
-    ]
-    if tap_enabled:
-        ports.append(HomodyneChannel(PORT_TAP, math.pi / 4, losses.eta_tap_det))
-    return tuple(ports)
+    ports = _PORTS if tap_enabled else _PORTS[:2]
+    return tuple(HomodyneChannel(name, lo_phase, getattr(losses, field)) for name, lo_phase, field in ports)
 
 
 def _amplifier(key: str, gain: float | None) -> OpaParams | None:
@@ -495,10 +498,7 @@ def tone_at_angle(scheme: SchemeInstance, angle: float) -> ModulationTone | None
 
 
 def port_modes(scheme: SchemeInstance) -> dict[str, int]:
-    modes = {PORT_SIGNAL: 0, PORT_IDLER: 1}
-    if scheme.tap_enabled:
-        modes[PORT_TAP] = 2
-    return modes
+    return {name: mode for mode, (name, _, _) in enumerate(_PORTS[: scheme.n_modes])}
 
 
 def _with_tones(scheme: SchemeInstance, active_tones: frozenset[float] | None) -> SchemeInstance:

@@ -27,12 +27,12 @@ from .bogoliubov import (
     oracle_homodyne_variance,
 )
 from .config import load_config, preset_config
-from .conventions import omega
 from .gaussian import (
     apply_loss,
     apply_phase_shift,
     homodyne_stats,
     mean_photon_number,
+    omega,
     symplectic_eigenvalues,
 )
 from .schemes import (

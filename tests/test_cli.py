@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -551,6 +552,20 @@ class TestSweepCommand:
         lines = open(report["file"], encoding="utf-8").read().splitlines()
         assert len(lines) == 1
 
+    def test_grid_of_one_point_gives_one_row(self, tmp_path, capsys):
+        path = write_config(tmp_path, copy.deepcopy(BS_CONFIG))
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--config", path, "--out", str(tmp_path / "out"),
+            "--param", "losses.eta_signal_det", "--grid", "0.5:0.9:1",
+        )
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["points"] == 1
+        lines = open(report["file"], encoding="utf-8").read().splitlines()
+        assert len(lines) == 2
+        assert float(lines[1].split(",")[0]) == 0.5
+
     def test_unknown_parameter_lists_valid_paths(self, tmp_path, capsys):
         path = write_config(tmp_path, copy.deepcopy(BS_CONFIG))
         out_dir = tmp_path / "out"
@@ -625,16 +640,17 @@ class TestConfigRejections:
         assert code == 1, err
         assert err.startswith(f"config error: cannot read config file '{path}'")
 
-    @pytest.mark.parametrize("grid", ["0:1:x", "0.5,foo"])
+    @pytest.mark.parametrize("grid", ["0:1:x", "0.5,foo", "0:1:-1"])
     def test_bad_grid_is_a_config_error(self, tmp_path, capsys, grid):
         out_dir = tmp_path / "out"
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys,
             "sweep", "--preset", "fig2", "--out", str(out_dir),
             "--param", "scheme.gain_g2", "--grid", grid,
         )
         assert code == 1, err
         assert err.startswith("config error: --grid")
+        assert out == ""
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
@@ -675,6 +691,30 @@ class TestConfigRejections:
         code, _, err = run_cli(capsys, "snr", "--config", write_config(tmp_path, raw))
         assert code == 1, err
         assert err.startswith(f"config error: config key '{path}': ")
+
+    @pytest.mark.parametrize(
+        "preset, changes, path",
+        [
+            ("fig2", {"scheme.gain_convention": "power", "scheme.gain_g2": 0.5}, "scheme.gain_g2"),
+            ("fig5", {"sim.combine.thetas": 0.5}, "sim.combine.thetas"),
+            ("fig2", {"scheme.compare_with": "mzi"}, "scheme.compare_with"),
+            ("fig2", {"scheme.kind": "amp", "scheme.gain_g1": None}, "scheme.compare_with"),
+        ],
+        ids=["power-gain-below-one", "thetas-not-a-list", "unknown-compare_with", "compare_with-on-amp"],
+    )
+    def test_load_rejection_names_its_key(self, tmp_path, capsys, preset, changes, path):
+        raw = preset_config(preset)
+        for dotted, value in changes.items():
+            *sections, key = dotted.split(".")
+            target = functools.reduce(dict.__getitem__, sections, raw)
+            if value is None:
+                del target[key]
+            else:
+                target[key] = value
+        code, out, err = run_cli(capsys, "snr", "--config", write_config(tmp_path, raw))
+        assert code == 1, err
+        assert out == ""
+        assert f"'{path}'" in err
 
     @pytest.mark.parametrize(
         "changes, path",
@@ -1057,9 +1097,10 @@ class TestUsageErrors:
             (["simulate", "--preset", "fig2", "--bogus", "1"], "--bogus"),
             (["snr", "--seed", "abc"], "--seed"),
             (["snr", "--preset", "fig9"], "--preset"),
+            (["snr", "--preset", "fig2", "--config", "config.json"], "--config"),
             ([], "command"),
         ],
-        ids=["unknown-option", "seed-not-int", "unknown-preset", "no-command"],
+        ids=["unknown-option", "seed-not-int", "unknown-preset", "preset-and-config", "no-command"],
     )
     def test_usage_error_exits_one(self, tmp_path, capsys, monkeypatch, argv, flag):
         # These once exited 2, the code of a runtime error, through argparse.

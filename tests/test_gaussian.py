@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from suisim.conventions import omega
 from suisim.gaussian import (
     GaussianState,
     OpaParams,
@@ -16,6 +15,7 @@ from suisim.gaussian import (
     displace,
     homodyne_stats,
     mean_photon_number,
+    omega,
     phase_shift_matrix,
     symplectic_eigenvalues,
     two_mode_squeezer_matrix,

@@ -12,7 +12,6 @@ import threading
 import numpy as np
 import pytest
 
-from suisim.conventions import i_omega, omega, rotation_block, xy_indices
 from suisim.gaussian import (
     GaussianState,
     OpaParams,
@@ -20,9 +19,12 @@ from suisim.gaussian import (
     beam_splitter_matrix,
     displacement,
     homodyne_stats,
+    i_omega,
     loss_channel,
+    omega,
     phase_shift_matrix,
     two_mode_squeezer_matrix,
+    xy_indices,
 )
 from suisim import schemes
 from suisim.schemes import (
@@ -45,14 +47,19 @@ def reference_two_mode_squeezer(gain, pump_phase):
     return np.block([[a, b], [b, a]])
 
 
+def reference_rotation(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
 def reference_beam_splitter(transmissivity, phase):
     t = math.sqrt(transmissivity)
     r = math.sqrt(1.0 - transmissivity)
     eye = np.eye(2)
     return np.block(
         [
-            [t * eye, r * rotation_block(phase)],
-            [-r * rotation_block(-phase), t * eye],
+            [t * eye, r * reference_rotation(phase)],
+            [-r * reference_rotation(-phase), t * eye],
         ]
     )
 
@@ -86,7 +93,7 @@ def reference_compile(n_modes, elements):
             s4 = reference_beam_splitter(element.transmissivity, element.phase)
             m = reference_embed(s4, n_modes, element.mode_a, element.mode_b)
         elif isinstance(element, PhaseShift):
-            m = reference_embed(rotation_block(element.theta), n_modes, element.mode)
+            m = reference_embed(reference_rotation(element.theta), n_modes, element.mode)
         else:
             m, added = reference_loss_channel(n_modes, element.mode, element.eta)
         transfer, noise, shifts = m @ transfer, m @ noise @ m.T + added, m @ shifts

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from suisim.conventions import omega
 from suisim.gaussian import (
     OpaParams,
     apply_beam_splitter,
@@ -18,6 +17,7 @@ from suisim.gaussian import (
     displace,
     homodyne_stats,
     mean_photon_number,
+    omega,
     phase_shift_matrix,
     symplectic_eigenvalues,
     two_mode_squeezer_matrix,

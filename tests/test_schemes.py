@@ -16,7 +16,6 @@ from suisim.bogoliubov import (
 )
 from suisim.cli import _resolve_scheme, cmd_snr
 from suisim.config import load_config, preset_config, set_parameter
-from suisim.conventions import normalize_angle, xy_indices
 from suisim.gaussian import (
     GaussianState,
     OpaParams,
@@ -24,7 +23,9 @@ from suisim.gaussian import (
     displace,
     homodyne_stats,
     mean_photon_number,
+    normalize_angle,
     vacuum_state,
+    xy_indices,
 )
 from suisim.schemes import (
     Displace,
@@ -880,32 +881,14 @@ def test_vacuum_output_is_the_old_route_bit_for_bit(case, monkeypatch):
 
 def test_lock_reads_the_carrier_column_of_the_schemes_own_pipeline():
     """The lock compiles the scheme's pipeline, tones included, and reads
-    column 0 of D; it must equal the lock on the tone-free prefix exactly."""
-
-    def tone_free_lock(scheme):
-        elements = [e for i, e in enumerate(pipeline_elements(scheme)) if i == 0 or not isinstance(e, Displace)]
-        transfer, noise, shifts = schemes.compile_pipeline(
-            scheme.n_modes, elements[: -2 if scheme.tap_enabled else -1]
-        )
-        carrier = shifts.sum(axis=1)
-        moments = transfer @ transfer.T + noise + np.outer(carrier, carrier)
-        a = moments[0, 2] - moments[1, 3]
-        b = moments[0, 3] + moments[1, 2]
-        pair, rest = float(np.trace(moments[:4, :4])), float(np.trace(moments[4:, 4:]))
-        gain, conj = scheme.opa2_or_amp.gain, scheme.opa2_or_amp.conjugate_gain
-        mean = ((gain * gain + conj * conj) * pair + rest - 2.0 * scheme.n_modes) / 4.0
-        amplitude = gain * conj * math.hypot(a, b)
-        if 2.0 * amplitude <= 1e-9 * max(1.0, mean + amplitude):
-            return math.pi, True, 0.0
-        return normalize_angle(math.atan2(-b, -a)), False, amplitude / mean
-
+    column 0 of D; it must equal the array-form lock of the tone-free scheme exactly."""
     rng = np.random.default_rng(2024)
     cases = [preset_or_lock_case(c) for c in ("fig2", "fig3", "fig4", "fig5", *(f"lock{k}" for k in range(6)))]
     cases += [oracle_lock_scheme(rng) for _ in range(60)]
     assert any(s.tones for s in cases) and any(s.tap_enabled for s in cases)
     for scheme in cases:
         fringe = find_dark_fringe(scheme)
-        assert (fringe.phi_star, fringe.flat, fringe.visibility) == tone_free_lock(scheme)
+        assert (fringe.phi_star, fringe.flat, fringe.visibility) == array_lock(dataclasses.replace(scheme, tones=()))
 
 
 @pytest.mark.parametrize("case", ["fig2", "fig3", "fig4", "fig5", *(f"lock{k}" for k in range(6))])

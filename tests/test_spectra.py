@@ -343,6 +343,18 @@ class TestStreamedPass:
             assert np.array_equal(combined.spectra[port].psd_snu, spec.psd_snu), port
             assert np.array_equal(combined.spectra[port].freq, spec.freq), port
 
+    def test_perfectly_correlated_ports_draw_one_record(self):
+        # Cholesky rejects this covariance, so the synthesis factors it through eigh.
+        cov = np.array([[1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(cov)
+        model = MeasurementModel(("signal", "idler"), (0.0, math.pi / 2), (1.0, 1.0), cov, {})
+        run = simulate_spectra(model, 0.02)
+        signal, idler = run.spectra["signal"], run.spectra["idler"]
+        assert np.array_equal(signal.psd_snu, idler.psd_snu)
+        floor = band_floor(signal, *report_band(signal.freq.size, signal.bin_width, ()))
+        assert floor == pytest.approx(1.0, rel=0.02)
+
     def test_combination_needs_tap_port(self):
         with pytest.raises(ValueError, match="tap"):
             simulate_spectra(measurement_model(bs_scheme()), 0.01, combine=CombineSettings((0.0,), AM))
