@@ -58,11 +58,6 @@ class TransferMap:
     def n_modes(self) -> int:
         return self.u.shape[0]
 
-    def commutator_defect(self) -> np.ndarray:
-        """|sum |u|^2 - sum |v|^2 - 1| per output mode; zero when physical."""
-        norm = np.sum(np.abs(self.u) ** 2, axis=1) - np.sum(np.abs(self.v) ** 2, axis=1)
-        return np.abs(norm - 1.0)
-
 
 def identity_transfer(n_modes: int) -> TransferMap:
     if n_modes < 1:

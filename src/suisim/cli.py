@@ -313,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="analytic SNRs over a parameter grid")
     add_common(p_sweep)
     p_sweep.add_argument("--param", required=True, help="config path, e.g. losses.eta_signal_det")
-    p_sweep.add_argument("--grid", required=True, help="start:stop:count or v1,v2,...")
+    p_sweep.add_argument(
+        "--grid", required=True, help="start:stop:count or v1,v2,...; a leading minus needs '=', as in --grid=-1:1:3"
+    )
 
     p_verify = sub.add_parser("verify", help="run the invariant and acceptance suite")
     p_verify.add_argument("--out", help="write verify_report.json into this directory")
@@ -330,14 +332,13 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_CONFIG
         raise
     try:
-        if args.command == "verify":
-            if args.out is None:
-                return cmd_verify()
+        if args.out is not None:
             _check_output_dir(args.out, "--out")
-            return cmd_verify(os.path.join(args.out, "verify_report.json"))
+        if args.command == "verify":
+            return cmd_verify(None if args.out is None else os.path.join(args.out, "verify_report.json"))
 
         cfg = _load_run_config(args)
-        if cfg.output_dir is not None or args.command != "snr":
+        if args.out is None and (cfg.output_dir is not None or args.command != "snr"):
             _check_output_dir(cfg.output_dir or _DEFAULT_OUT, "config key 'output.directory'")
         if args.command == "snr":
             report = cmd_snr(cfg)

@@ -177,17 +177,11 @@ def vacuum_state(n_modes: int) -> GaussianState:
     return GaussianState(n_modes, np.zeros(2 * n_modes), np.eye(2 * n_modes))
 
 
-def displacement(n_modes: int, mode: int, dx: float, dy: float) -> np.ndarray:
-    """Mean shift of (dx, dy) on one of ``n_modes`` modes."""
-    _check_mode(n_modes, mode)
-    shift = np.zeros(2 * n_modes)
-    shift[list(xy_indices(mode))] = dx, dy
-    return shift
-
-
 def displace(state: GaussianState, mode: int, dx: float, dy: float) -> GaussianState:
     """Shift the mean of one mode by (dx, dy); the covariance is untouched."""
-    shift = displacement(state.n_modes, mode, dx, dy)
+    _check_mode(state.n_modes, mode)
+    shift = np.zeros(2 * state.n_modes)
+    shift[list(xy_indices(mode))] = dx, dy
     return apply_channel(state, np.eye(2 * state.n_modes), shift=shift)
 
 

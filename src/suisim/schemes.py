@@ -311,14 +311,11 @@ class SchemeInstance:
                     f"tones[{i}].frequency_hz",
                     f"tone frequencies must be unique within a scheme; {frequency} Hz repeats",
                 )
-        names = [p.port_name for p in self.ports]
-        if len(set(names)) != len(names):
-            raise ValueError("port names must be unique")
-        expected = {name for name, _, _ in _PORTS[: self.n_modes]}
-        if set(names) != expected:
+        names = sorted(p.port_name for p in self.ports)
+        expected = sorted(name for name, _, _ in _PORTS[: self.n_modes])
+        if names != expected:
             raise ValueError(
-                f"a scheme with tap_enabled={self.tap_enabled} needs exactly the ports "
-                f"{sorted(expected)}, got {sorted(names)}"
+                f"a scheme with tap_enabled={self.tap_enabled} needs exactly the ports {expected}, got {names}"
             )
         object.__setattr__(
             self, "interferometer_phase", normalize_angle(self.interferometer_phase)
@@ -551,10 +548,6 @@ class MeasurementModel:
         """Single-shot SNR of one tone at one port: squared mean shift over noise."""
         return self.amplitude(port_name, frequency_hz) ** 2 / self.variance(port_name)
 
-    def best_port(self, frequency_hz: float) -> tuple[str, float]:
-        """Port with the largest SNR for one tone, and that SNR."""
-        return max(((p, self.snr(p, frequency_hz)) for p in self.port_names), key=lambda ps: ps[1])
-
     def snr_table(self) -> dict[str, list[float]]:
         """Every port's SNR for every tone: port name -> SNRs in ``tone_amplitudes`` order."""
         variances = self.noise_cov.diagonal().tolist()
@@ -724,8 +717,11 @@ def snr_vs_detection_efficiency(
 
 
 def best_port_snr(scheme: SchemeInstance, frequency_hz: float) -> tuple[str, float]:
-    """:meth:`MeasurementModel.best_port` of the scheme's model."""
-    return measurement_model(scheme).best_port(frequency_hz)
+    """:func:`_best_port` of the tone at ``frequency_hz`` in the scheme model's SNR table."""
+    model = measurement_model(scheme)
+    if frequency_hz not in model.tone_amplitudes:
+        raise ValueError(f"no tone at {frequency_hz} Hz; available: {list(model.tone_amplitudes)}")
+    return _best_port(model.snr_table(), list(model.tone_amplitudes).index(frequency_hz))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -235,8 +235,6 @@ class TimeSeries:
     sample_rate: float
     samples: np.ndarray
     port_name: str
-    lo_phase: float
-    seed: int
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
@@ -270,18 +268,6 @@ class Spectrum:
     def span(self) -> float:
         """Nyquist span covered by the one-sided spectrum."""
         return float(self.freq[-1])
-
-
-@dataclasses.dataclass(frozen=True)
-class CombineParams:
-    """Readout angle and channel-balance gain of a post-detection combination."""
-
-    theta: float
-    balance_gain_k: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.balance_gain_k) and self.balance_gain_k > 0):
-            raise ValueError("balance gain k must be finite and positive")
 
 
 # Samples per row of the grid that tones and the lock-in reference are read
@@ -566,10 +552,7 @@ def simulate_currents(
     ) as blocks:
         for _ in blocks:
             pass
-    return {
-        name: TimeSeries(sample_rate, record, name, lo_phase, seed)
-        for name, lo_phase, record in zip(model.port_names, model.lo_phases, records)
-    }
+    return {name: TimeSeries(sample_rate, record, name) for name, record in zip(model.port_names, records)}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -759,7 +742,7 @@ def calibrate_k(i1: TimeSeries, i3: TimeSeries, cal_tone_hz: float) -> float:
     return amplitudes[0] / amplitudes[1]
 
 
-def combine_currents(i1: TimeSeries, i3: TimeSeries, params: CombineParams) -> TimeSeries:
+def combine_currents(i1: TimeSeries, i3: TimeSeries, theta: float, balance_gain_k: float) -> TimeSeries:
     """Samplewise ``i1 cos(theta) + k i3 sin(theta)``.
 
     With i1 recorded at LO phase 0, i3 at pi/2 and k balancing the channel
@@ -771,12 +754,8 @@ def combine_currents(i1: TimeSeries, i3: TimeSeries, params: CombineParams) -> T
         raise ValueError("records must share a sample rate")
     if i1.samples.size != i3.samples.size:
         raise ValueError("records must have equal length")
-    c, s = math.cos(params.theta), math.sin(params.theta)
-    samples = i1.samples * c + params.balance_gain_k * i3.samples * s
-    return TimeSeries(
-        sample_rate=i1.sample_rate,
-        samples=samples,
-        port_name="combined",
-        lo_phase=params.theta,
-        seed=i1.seed,
-    )
+    if not (math.isfinite(balance_gain_k) and balance_gain_k > 0):
+        raise ValueError("balance gain k must be finite and positive")
+    c, s = math.cos(theta), math.sin(theta)
+    samples = i1.samples * c + balance_gain_k * i3.samples * s
+    return TimeSeries(sample_rate=i1.sample_rate, samples=samples, port_name="combined")

@@ -69,6 +69,8 @@ def test_check_registry_is_complete():
     assert len(ids) == len(set(ids))
     for n in range(1, 11):
         assert any(f"acceptance-{n:02d}" in check_id for check_id in ids), n
+    with pytest.raises(ValueError, match="unknown check 'acceptance-11'"):
+        verify.run_check("acceptance-11")
 
 
 def test_random_pipeline_is_reproducible():
@@ -266,6 +268,18 @@ def test_floors_are_read_over_the_band_a_report_gives(monkeypatch, check_id, pre
     assert bands
     # The band the checks read before they took it from the tones.
     assert all(band == reported == (0.5e6, 1.5e6) and exclude == tones for band, reported, exclude in bands)
+
+
+def test_monte_carlo_check_names_a_floor_off_its_variance(monkeypatch):
+    # Every floor read 5% high: each port's floor is off, the ratio of floors is not.
+    def high(*args, _floor=verify.band_floor, **kwargs):
+        return 1.05 * _floor(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "band_floor", high)
+    result = verify.run_check("acceptance-09-monte-carlo-fidelity")
+    assert not result.passed
+    issues = result.detail.split("; issues: ")[1].split("; ")
+    assert [issue.split(" floor ")[0] for issue in issues] == ["sui/signal", "sui/idler", "amp/signal", "amp/idler"]
 
 
 def test_calibration_fails_when_the_shipped_transmission_is_off_its_targets(results, monkeypatch):

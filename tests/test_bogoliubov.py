@@ -36,12 +36,23 @@ from suisim.verify import random_pipeline
 SQRT3 = math.sqrt(3.0)
 
 
+def commutator_defect(tm):
+    """|sum |u|^2 - sum |v|^2 - 1| per output mode; zero when physical."""
+    norm = np.sum(np.abs(tm.u) ** 2, axis=1) - np.sum(np.abs(tm.v) ** 2, axis=1)
+    return np.abs(norm - 1.0)
+
+
 def test_identity_transfer_coefficients():
     tm = identity_transfer(3)
     assert_allclose(tm.u, np.eye(3))
     assert_allclose(tm.v, 0.0)
     for theta in (0.0, 0.7, math.pi / 2):
         assert oracle_homodyne_variance(tm, 1, theta) == pytest.approx(1.0)
+
+
+def test_identity_transfer_rejects_zero_modes():
+    with pytest.raises(ValueError, match="positive integer"):
+        identity_transfer(0)
 
 
 def test_single_opa_gives_bogoliubov_relation():
@@ -51,14 +62,14 @@ def test_single_opa_gives_bogoliubov_relation():
     assert tm.v[0, 1] == pytest.approx(SQRT3)
     assert tm.u[0, 1] == 0.0
     assert tm.v[0, 0] == 0.0
-    assert tm.commutator_defect().max() < 1e-10
+    assert commutator_defect(tm).max() < 1e-10
 
 
 def test_loss_appends_vacuum_column():
     tm = build_transfer_from_elements(2, [Loss(0, 0.64)])
     assert tm.u[0, 0] == pytest.approx(0.8)
     assert tm.u[0, 2] == pytest.approx(0.6)
-    assert tm.commutator_defect().max() < 1e-10
+    assert commutator_defect(tm).max() < 1e-10
 
 
 def test_squeezed_arm_variance_is_seven_for_all_angles():
@@ -79,7 +90,7 @@ def test_oracle_matches_engine_on_random_pipelines():
         n_modes, elements = random_pipeline(rng, with_displacement=True)
         state = vacuum_output(n_modes, *compile_pipeline(n_modes, elements))
         tm = build_transfer_from_elements(n_modes, elements)
-        assert tm.commutator_defect().max() < 1e-10
+        assert commutator_defect(tm).max() < 1e-10
         for mode in range(n_modes):
             for theta in angles:
                 mean_e, var_e = homodyne_stats(state, mode, theta)

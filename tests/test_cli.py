@@ -66,6 +66,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def names_output_option(err, where):
+    """Whether the error names the output directory where it was set: ``--out``
+    on the command line, else the config key."""
+    named, other = ("--out", "'output.directory'") if where == "--out" else ("'output.directory'", "--out")
+    return named in err and other not in err
+
+
 def mutate_every_container(value):
     """Add a key to every dict and an item to every list nested in ``value``."""
     stack = [value]
@@ -274,6 +281,12 @@ class TestSnrCommand:
         assert code == 0
         assert os.path.exists(os.path.join(out_dir, "snr_report.json"))
 
+    def test_failed_write_is_a_runtime_error(self, tmp_path, capsys):
+        (tmp_path / "snr_report.json").mkdir()
+        code, out, err = run_cli(capsys, "snr", "--preset", "fig2", "--out", str(tmp_path))
+        assert code == 2
+        assert "cannot write output file" in err and out == ""
+
     def test_out_override_lands_in_report(self, tmp_path, capsys):
         out_dir = str(tmp_path / "results")
         code, out, _ = run_cli(capsys, "snr", "--preset", "fig5", "--out", out_dir)
@@ -281,12 +294,17 @@ class TestSnrCommand:
         assert json.loads(out)["resolved_config"]["output"]["directory"] == out_dir
 
 
+def first_best_port(model, frequency):
+    """The first port, in port order, with the largest SNR of the tone at ``frequency``, and that SNR."""
+    return max(((p, model.snr(p, frequency)) for p in model.port_names), key=lambda ps: ps[1])
+
+
 def best_port_enhancement(sui, sui_model, baseline_model):
-    """The enhancement report as it was once built, one ``best_port`` call per tone and model."""
+    """The enhancement report as it was once built, one best-port reading per tone and model."""
     rows = []
     for tone in sui.tones:
-        sui_port, sui_snr = sui_model.best_port(tone.frequency_hz)
-        base_port, base_snr = baseline_model.best_port(tone.frequency_hz)
+        sui_port, sui_snr = first_best_port(sui_model, tone.frequency_hz)
+        base_port, base_snr = first_best_port(baseline_model, tone.frequency_hz)
         ratio = sui_snr / base_snr if base_snr > 0 else math.inf if sui_snr > 0 else 1.0
         rows.append(ToneEnhancement(tone.frequency_hz, tone.angle, sui_port, sui_snr, base_port, base_snr, ratio))
     gain, conj = sui.opa1.gain, sui.opa1.conjugate_gain
@@ -295,7 +313,7 @@ def best_port_enhancement(sui, sui_model, baseline_model):
 
 def asdict_snr_report(cfg):
     """``cmd_snr``'s report built as it once was, with ``dataclasses.asdict`` and
-    ``best_port`` calls; the bytes ``cmd_snr`` must keep."""
+    per-port maxima; the bytes ``cmd_snr`` must keep."""
     scheme, fringe_info, model = cli._resolve_scheme(cfg)
 
     def section(model):
@@ -319,7 +337,7 @@ def asdict_snr_report(cfg):
     axes = {"x": tone_at_angle(scheme, 0.0), "y": tone_at_angle(scheme, math.pi / 2)}
     axes = {axis: tone.frequency_hz for axis, tone in axes.items() if tone is not None}
     for axis, frequency in axes.items():
-        report[f"snr_{scheme.kind}_{axis}"] = model.best_port(frequency)[1]
+        report[f"snr_{scheme.kind}_{axis}"] = first_best_port(model, frequency)[1]
     if cfg.compare_with is not None:
         baseline = matched_baseline(scheme, cfg.compare_with)
         baseline_model = measurement_model(baseline)
@@ -566,6 +584,19 @@ class TestSweepCommand:
         assert len(lines) == 2
         assert float(lines[1].split(",")[0]) == 0.5
 
+    def test_grid_with_a_leading_minus_is_given_with_equals(self, tmp_path, capsys):
+        # argparse takes "--grid -1:1:3" for an option; "--grid=-1:1:3" passes the value.
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--preset", "fig2", "--out", str(tmp_path / "out"),
+            "--param", "scheme.interferometer_phase", "--grid=-1:1:3",
+        )
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["points"] == 3
+        lines = open(report["file"], encoding="utf-8").read().splitlines()
+        assert [float(line.split(",")[0]) for line in lines[1:]] == [-1.0, 0.0, 1.0]
+
     def test_unknown_parameter_lists_valid_paths(self, tmp_path, capsys):
         path = write_config(tmp_path, copy.deepcopy(BS_CONFIG))
         out_dir = tmp_path / "out"
@@ -764,7 +795,7 @@ class TestConfigRejections:
         monkeypatch.chdir(run_dir)
         code, out, err = run_cli(capsys, *argv)
         assert code == 1, err
-        assert "'output.directory'" in err and out == ""
+        assert names_output_option(err, where) and out == ""
         assert os.listdir(run_dir) == []
 
     def test_empty_verify_directory_is_rejected(self, tmp_path, capsys, monkeypatch):
@@ -793,7 +824,7 @@ class TestConfigRejections:
                 argv += ["--param", "scheme.gain_g2", "--grid", "2:3:2"]
             code, out, err = run_cli(capsys, *argv)
             assert code == 1, (directory, err)
-            assert "'output.directory'" in err and out == ""
+            assert names_output_option(err, where) and out == ""
             assert taken.read_text(encoding="utf-8") == "kept"
 
     def test_verify_directory_naming_a_file_fails_before_any_check(self, tmp_path, capsys, monkeypatch):
@@ -1127,10 +1158,17 @@ class TestVerifyCommand:
         assert "1/1 checks passed" in out
 
     def test_exit_three_on_failure(self, capsys, monkeypatch, tmp_path):
-        fake = [CheckResult("fake-check", False, "broken")]
-        monkeypatch.setattr(verify, "run_all", lambda progress=None: fake)
+        fake = [CheckResult("good-check", True, "ok"), CheckResult("fake-check", False, "broken")]
+
+        def run_all(progress=None):
+            for result in fake:
+                progress(result)
+            return fake
+
+        monkeypatch.setattr(verify, "run_all", run_all)
         code, out, _ = run_cli(capsys, "verify", "--out", str(tmp_path))
         assert code == 3
+        assert out.splitlines() == ["PASS  good-check  ok", "FAIL  fake-check  broken", "1/2 checks passed"]
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["all_passed"] is False
 

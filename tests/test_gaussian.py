@@ -53,6 +53,8 @@ class TestVacuum:
     def test_rejects_zero_modes(self):
         with pytest.raises(ValueError):
             vacuum_state(0)
+        with pytest.raises(ValueError, match="at least one mode"):
+            GaussianState(0, np.zeros(0), np.zeros((0, 0)))
 
 
 class TestDisplace:

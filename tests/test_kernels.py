@@ -17,7 +17,6 @@ from suisim.gaussian import (
     OpaParams,
     _embed,
     beam_splitter_matrix,
-    displacement,
     homodyne_stats,
     i_omega,
     loss_channel,
@@ -82,7 +81,8 @@ def reference_compile(n_modes, elements):
     transfer, noise, shifts = np.eye(dim), np.zeros((dim, dim)), np.zeros((dim, 0))
     for element in elements:
         if isinstance(element, Displace):
-            shift = displacement(n_modes, element.mode, element.dx, element.dy)
+            shift = np.zeros(dim)
+            shift[2 * element.mode], shift[2 * element.mode + 1] = element.dx, element.dy
             shifts = np.column_stack([shifts, shift])
             continue
         added = 0.0

@@ -114,14 +114,28 @@ class TestBuilders:
             build_scheme("mzi", probe_photon_number=1.0)
 
     def test_port_count_must_match_tap_flag(self):
-        with pytest.raises(ValueError, match="ports"):
-            SchemeInstance(
-                kind="bs",
-                probe_photon_number=1.0,
-                losses=LossBudget(),
-                tones=(),
-                ports=(HomodyneChannel("signal", 0.0),),
-            )
+        cases = [
+            (False, ("signal",)),
+            (False, ("signal", "signal")),
+            (False, ("signal", "idler", "tap")),
+            (True, ("signal", "idler")),
+            (True, ("signal", "idler", "idler")),
+        ]
+        for tap_enabled, names in cases:
+            with pytest.raises(ValueError, match="needs exactly the ports"):
+                SchemeInstance(
+                    kind="bs",
+                    probe_photon_number=1.0,
+                    losses=LossBudget(),
+                    tones=(),
+                    ports=tuple(HomodyneChannel(name, 0.0) for name in names),
+                    tap_enabled=tap_enabled,
+                )
+
+    def test_amp_needs_gain_g2(self):
+        with pytest.raises(ParameterError) as info:
+            build_scheme("amp", probe_photon_number=1.0)
+        assert info.value.name == "scheme.gain_g2"
 
     def test_zero_internal_transmission_rejected_for_sui(self):
         with pytest.raises(ValueError, match="eta_internal"):
@@ -398,7 +412,7 @@ class TestEnhancement:
         assert list(table) == list(model.port_names)
         for port, row in table.items():
             assert row == [model.snr(port, f) for f in model.tone_amplitudes]
-        # Every port reads the same SNR: the first port wins, as best_port has it.
+        # Every port reads the same SNR: the first port wins.
         even = dataclasses.replace(
             model,
             noise_cov=np.eye(3),
@@ -407,7 +421,30 @@ class TestEnhancement:
         report = schemes.enhancement_from_tables(sui, even.snr_table(), even.snr_table())
         for row in report.per_tone:
             assert (row.sui_port, row.baseline_port) == (even.port_names[0],) * 2
-            assert even.best_port(row.frequency_hz) == (row.sui_port, row.sui_snr) == ("signal", 1.0)
+            assert (row.sui_port, row.sui_snr) == ("signal", 1.0)
+
+    def test_best_port_snr_is_the_first_maximum_of_the_snr_table(self):
+        sui = reference_sui(tap_enabled=True)
+        table = measurement_model(sui).snr_table()
+        for k, tone in enumerate(sui.tones):
+            snrs = [(port, row[k]) for port, row in table.items()]
+            first = next(ps for ps in snrs if ps[1] == max(snr for _, snr in snrs))
+            assert schemes.best_port_snr(sui, tone.frequency_hz) == first
+        with pytest.raises(ValueError, match="no tone"):
+            schemes.best_port_snr(sui, 1.0)
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda sui: enhancement_report(matched_baseline(sui, "bs"), sui), "first scheme"),
+            (lambda sui: enhancement_report(sui, sui), "baseline must be"),
+            (lambda sui: matched_baseline(matched_baseline(sui, "bs"), "amp"), "derived from an SU"),
+            (lambda sui: matched_baseline(sui, "mzi"), "unknown baseline kind"),
+        ],
+    )
+    def test_kinds_are_checked(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call(reference_sui())
 
 
 class TestTap:

@@ -24,7 +24,6 @@ from suisim.schemes import (
     port_noise_variance,
 )
 from suisim.spectra import (
-    CombineParams,
     CombineSettings,
     Spectrum,
     TimeSeries,
@@ -65,7 +64,7 @@ def bs_scheme(i_ps=1e4, depth=0.01):
 
 def white_series(n=200_000, fs=1e6, seed=0, sigma=1.0):
     rng = np.random.default_rng(seed)
-    return TimeSeries(fs, sigma * rng.standard_normal(n), "test", 0.0, seed)
+    return TimeSeries(fs, sigma * rng.standard_normal(n), "test")
 
 
 class TestSimulateCurrents:
@@ -148,14 +147,14 @@ class TestWelch:
     def test_on_bin_tone_integrates_to_half_amplitude_squared(self):
         fs, n, amp = 1e6, 200_000, 0.8
         t = np.arange(n) / fs
-        ts = TimeSeries(fs, amp * np.sin(2 * math.pi * 1e5 * t), "tone", 0.0, 0)
+        ts = TimeSeries(fs, amp * np.sin(2 * math.pi * 1e5 * t), "tone")
         spec = welch_psd(ts, rbw=5e3)
         assert tone_power(spec, 1e5) == pytest.approx(amp**2 / 2.0, rel=1e-6)
 
     def test_off_bin_tone_within_scalloping_bound(self):
         fs, n, amp = 1e6, 200_000, 0.8
         t = np.arange(n) / fs
-        ts = TimeSeries(fs, amp * np.sin(2 * math.pi * 102_500 * t), "tone", 0.0, 0)
+        ts = TimeSeries(fs, amp * np.sin(2 * math.pi * 102_500 * t), "tone")
         spec = welch_psd(ts, rbw=5e3)
         assert tone_power(spec, 102_500) == pytest.approx(amp**2 / 2.0, rel=0.01)
 
@@ -168,11 +167,20 @@ class TestWelch:
         assert spec.rbw == pytest.approx(5e3)
         assert spec.bin_width == pytest.approx(5e3)
 
+    @pytest.mark.parametrize("samples", [np.zeros(1), np.zeros((2, 2))])
+    def test_record_needs_two_samples_in_one_dimension(self, samples):
+        with pytest.raises(ValueError, match="at least two samples"):
+            TimeSeries(1e6, samples, "test")
+
+    def test_spectrum_shapes_must_match(self):
+        with pytest.raises(ValueError, match="matching shapes"):
+            Spectrum(np.arange(4.0), np.ones(3), rbw=1.0, n_averages=1)
+
     @pytest.mark.parametrize("rbw", [5e3, 1e6 / 999])
     def test_matches_scipy_reference(self, rbw):
         signal = pytest.importorskip("scipy.signal")
         base = white_series(n=100_001)
-        ts = TimeSeries(base.sample_rate, base.samples + 0.3, "test", 0.0, 0)
+        ts = TimeSeries(base.sample_rate, base.samples + 0.3, "test")
         nperseg = int(round(ts.sample_rate / rbw))
         freq, density = signal.welch(
             ts.samples,
@@ -326,7 +334,7 @@ class TestStreamedPass:
         assert run.balance_gain_k == pytest.approx(k, rel=1e-12, abs=0.0)
         assert len(run.combined) == len(combine.thetas) == 4
         for theta, spec in zip(combine.thetas, run.combined):
-            expected = welch_psd(combine_currents(i1, i3, CombineParams(theta, k)))
+            expected = welch_psd(combine_currents(i1, i3, theta, k))
             assert_allclose(spec.psd_snu, expected.psd_snu, rtol=1e-11, atol=0.0)
             assert spec.n_averages == expected.n_averages
 
@@ -495,7 +503,7 @@ class TestDrawWorker:
         run = self.switching_fast(lambda: simulate_spectra(model, self.DURATION, seed=11))
         samples = math.sqrt(2.5) * np.random.default_rng(11).standard_normal((40001, 1))[:, 0]
         samples += 0.3 * _GridPhasor(AM, 10e6).sin(0, 40001)
-        expected = welch_psd(TimeSeries(10e6, samples, "signal", 0.0, 11))
+        expected = welch_psd(TimeSeries(10e6, samples, "signal"))
         assert np.array_equal(run.spectra["signal"].psd_snu, expected.psd_snu)
 
     @pytest.mark.parametrize("preset", ["fig2", "fig4", "fig5"])
@@ -756,7 +764,7 @@ class TestPeakExtraction:
         amp = math.sqrt(9.0 * 4.0 * enbw / fs)
         t = np.arange(n) / fs
         rng = np.random.default_rng(8)
-        ts = TimeSeries(fs, rng.standard_normal(n) + amp * np.sin(2 * math.pi * 1e5 * t), "x", 0.0, 8)
+        ts = TimeSeries(fs, rng.standard_normal(n) + amp * np.sin(2 * math.pi * 1e5 * t), "x")
         spec = welch_psd(ts, rbw=rbw)
         assert extract_peak_snr(spec, 1e5) == pytest.approx(10.0, rel=0.05)
 
@@ -1031,16 +1039,21 @@ class TestCombineCurrents:
     def test_theta_zero_returns_first_channel(self):
         records = simulate_currents(bs_scheme(), duration=0.01, seed=16)
         i1, i3 = records["signal"], records["idler"]
-        combined = combine_currents(i1, i3, CombineParams(0.0, 0.84))
+        combined = combine_currents(i1, i3, 0.0, 0.84)
         assert_allclose(combined.samples, i1.samples)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError, match="length"):
-            combine_currents(white_series(n=1000), white_series(n=1200), CombineParams(0.1, 1.0))
+            combine_currents(white_series(n=1000), white_series(n=1200), 0.1, 1.0)
+
+    def test_mismatched_sample_rates_rejected(self):
+        with pytest.raises(ValueError, match="sample rate"):
+            combine_currents(white_series(n=1000), white_series(n=1000, fs=2e6), 0.1, 1.0)
 
     def test_invalid_balance_gain(self):
-        with pytest.raises(ValueError, match="balance gain"):
-            CombineParams(0.0, 0.0)
+        for k in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="balance gain"):
+                combine_currents(white_series(n=1000), white_series(n=1000), 0.0, k)
 
     def test_combination_matches_direct_readout(self):
         # i(theta) from records at 0 and pi/2 reproduces, statistically, a
@@ -1070,7 +1083,7 @@ class TestCombineCurrents:
         theta = math.pi / 4
         records = simulate_currents(scheme, duration=0.1, seed=17)
         k = calibrate_k(records["signal"], records["tap"], 1.0e6)
-        combined = combine_currents(records["signal"], records["tap"], CombineParams(theta, k))
+        combined = combine_currents(records["signal"], records["tap"], theta, k)
         spec_combined = welch_psd(combined)
 
         direct_ports = tuple(
