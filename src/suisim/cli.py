@@ -24,6 +24,7 @@ from .config import (
     PRESET_NAMES,
     RunConfig,
     _values_under,
+    check_seed,
     check_sweep_parameter,
     load_config,
     preset_config,
@@ -32,7 +33,6 @@ from .config import (
 )
 from .schemes import (
     MeasurementModel,
-    SchemeInstance,
     enhancement_from_tables,
     find_dark_fringe,
     matched_baseline,
@@ -56,33 +56,27 @@ EXIT_VERIFY = 3
 # Where simulate and sweep write without --out or output.directory; snr then writes nothing.
 _DEFAULT_OUT = "out"
 
+#: The most points a ``--grid start:stop:count`` may ask for, checked before any is built.
+MAX_GRID_POINTS = 100_000
+
 
 def _load_run_config(args) -> RunConfig:
-    if args.preset is not None and args.config is not None:
-        raise ConfigError("give either --preset or --config, not both")
-    if args.preset is not None:
-        raw = preset_config(args.preset)
-    elif args.config is not None:
-        raw = args.config
-    else:
-        raise ConfigError("a run needs --config <path> or --preset <name>")
-    cfg = load_config(raw)
+    cfg = load_config(args.config if args.preset is None else preset_config(args.preset))
     if args.seed is not None:
+        check_seed(args.seed, "--seed")
         cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seed=args.seed))
     if args.out is not None:
         cfg = dataclasses.replace(cfg, output_dir=args.out)
     return cfg
 
 
-def _resolve_scheme(cfg: RunConfig) -> tuple[SchemeInstance, dict | None, MeasurementModel]:
-    """Scheme with the interferometer phase locked when requested, and its model."""
-    scheme = cfg.scheme
-    if not (cfg.auto_dark_fringe and scheme.kind == "sui"):
-        return scheme, None, measurement_model(scheme)
-    fringe = find_dark_fringe(scheme)
-    scheme = dataclasses.replace(scheme, interferometer_phase=fringe.phi_star)
+def _resolve_scheme(cfg: RunConfig) -> tuple[dict | None, MeasurementModel]:
+    """The ``dark_fringe`` report section, None unless the config locks the phase, and the scheme's model."""
+    if not (cfg.auto_dark_fringe and cfg.scheme.kind == "sui"):
+        return None, measurement_model(cfg.scheme)
+    fringe = find_dark_fringe(cfg.scheme)
     fringe_info = {"phi_star": fringe.phi_star, "flat": fringe.flat, "visibility": fringe.visibility}
-    return scheme, fringe_info, measurement_model(scheme, _sensing_plane=fringe.sensing_plane)
+    return fringe_info, measurement_model(cfg.scheme, lock=fringe)
 
 
 def _scheme_snr_section(model: MeasurementModel, table: dict[str, list[float]]) -> dict:
@@ -95,7 +89,8 @@ def _scheme_snr_section(model: MeasurementModel, table: dict[str, list[float]]) 
 
 
 def cmd_snr(cfg: RunConfig) -> dict:
-    scheme, fringe_info, model = _resolve_scheme(cfg)
+    scheme = cfg.scheme
+    fringe_info, model = _resolve_scheme(cfg)
     report = {
         "scheme_kind": scheme.kind,
         "seed": cfg.sim.seed,
@@ -165,27 +160,25 @@ def _write_text(path: str, content: str) -> None:
         raise RuntimeError(f"cannot write output file {path}: {exc}") from exc
 
 
-def _peak_section(scheme: SchemeInstance, spec: Spectrum) -> dict:
-    exclude = tuple(t.frequency_hz for t in scheme.tones)
-    lo, hi = report_band(spec.freq.size, spec.bin_width, exclude)
+def _peak_section(spec: Spectrum, tones: tuple[float, ...]) -> dict:
+    lo, hi = report_band(spec.freq.size, spec.bin_width, tones)
     section = {
-        "floor_snu": band_floor(spec, lo, hi, exclude=exclude),
+        "floor_snu": band_floor(spec, lo, hi, exclude=tones),
         "tones": {},
     }
-    for tone in scheme.tones:
-        section["tones"][f"{tone.frequency_hz:.10g}"] = {
-            "peak_snr": extract_peak_snr(spec, tone.frequency_hz, exclude=exclude),
-            "tone_power_snu": tone_power(spec, tone.frequency_hz, exclude=exclude),
+    for frequency in tones:
+        section["tones"][f"{frequency:.10g}"] = {
+            "peak_snr": extract_peak_snr(spec, frequency, exclude=tones),
+            "tone_power_snu": tone_power(spec, frequency, exclude=tones),
         }
     return section
 
 
 def cmd_simulate(cfg: RunConfig) -> dict:
-    scheme, fringe_info, model = _resolve_scheme(cfg)
-    runs: list[tuple[str, SchemeInstance, MeasurementModel]] = [(scheme.kind, scheme, model)]
+    fringe_info, model = _resolve_scheme(cfg)
+    runs: list[tuple[str, MeasurementModel]] = [(cfg.scheme.kind, model)]
     if cfg.compare_with is not None:
-        baseline = matched_baseline(scheme, cfg.compare_with)
-        runs.append((cfg.compare_with, baseline, measurement_model(baseline)))
+        runs.append((cfg.compare_with, measurement_model(matched_baseline(cfg.scheme, cfg.compare_with))))
     out_dir = cfg.output_dir or _DEFAULT_OUT
 
     report = {
@@ -194,7 +187,8 @@ def cmd_simulate(cfg: RunConfig) -> dict:
         "runs": {},
         "files": [],
     }
-    for index, (label, run_scheme, model) in enumerate(runs):
+    for index, (label, model) in enumerate(runs):
+        tones = tuple(model.tone_amplitudes)
         seed = cfg.sim.seed + index
         # Only the main scheme's signal and tap ports are combined.
         combine = cfg.sim.combine if index == 0 else None
@@ -208,7 +202,7 @@ def cmd_simulate(cfg: RunConfig) -> dict:
             path = os.path.join(out_dir, f"spectrum_{label}_{port}.csv")
             _write_text(path, _spectrum_rows(spec, seed))
             report["files"].append(path)
-            section = _peak_section(run_scheme, spec)
+            section = _peak_section(spec, tones)
             section["analytic_variance_snu"] = model.variance(port)
             section["floor_over_analytic"] = section["floor_snu"] / section["analytic_variance_snu"]
             run_report["ports"][port] = section
@@ -219,7 +213,7 @@ def cmd_simulate(cfg: RunConfig) -> dict:
                 path = os.path.join(out_dir, f"spectrum_{label}_combined_theta_{theta_label(theta)}.csv")
                 _write_text(path, _spectrum_rows(spec, seed))
                 report["files"].append(path)
-                combined_report["thetas"][theta_label(theta)] = _peak_section(run_scheme, spec)
+                combined_report["thetas"][theta_label(theta)] = _peak_section(spec, tones)
             report["combined"] = combined_report
 
     report["resolved_config"] = cfg.resolved
@@ -231,7 +225,7 @@ def cmd_sweep(cfg: RunConfig, parameter: str, grid: list[float]) -> dict:
     check_sweep_parameter(parameter)
     header, rows = [parameter], []
     for value in grid:
-        _, _, model = _resolve_scheme(load_config(set_parameter(cfg.raw, parameter, value)))
+        _, model = _resolve_scheme(load_config(set_parameter(cfg.raw, parameter, value)))
         table = model.snr_table()
         rows.append([value, *(snr for snrs in table.values() for snr in snrs)])
     if rows:
@@ -282,6 +276,8 @@ def _parse_grid(text: str) -> list[float]:
         raise ConfigError(f"--grid expects start:stop:count or a comma-separated list ({exc})") from exc
     if count < 0:
         raise ConfigError("--grid count must be nonnegative")
+    if count > MAX_GRID_POINTS:
+        raise ConfigError(f"--grid count must be at most {MAX_GRID_POINTS}, got {count}")
     if count == 0:
         return []
     if count == 1:
@@ -299,8 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--config", help="path to a JSON run configuration")
-        p.add_argument("--preset", choices=PRESET_NAMES, help="bundled operating point")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--config", help="path to a JSON run configuration")
+        source.add_argument("--preset", choices=PRESET_NAMES, help="bundled operating point")
         p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int, help="override the run seed")
 

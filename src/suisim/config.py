@@ -81,12 +81,6 @@ class SimSettings:
     seed: int = 0
     combine: CombineSettings | None = None
 
-    def __post_init__(self):
-        # Checked here rather than in load_config so that the CLI's --seed
-        # override, applied with dataclasses.replace, is checked as well.
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError("config key 'sim.seed' must be a nonnegative integer")
-
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
@@ -358,6 +352,7 @@ def load_config(source: str | dict) -> RunConfig:
         seed=sim_raw.get("seed", 0),
         combine=_read_combine(sim_raw.get("combine"), tap_enabled, frequencies),
     )
+    check_seed(sim.seed, "config key 'sim.seed'")
     with _values_under("sim"):
         check_readout(sim.duration_s, sim.sample_rate_hz, sim.rbw_hz, frequencies)
     return RunConfig(
@@ -368,6 +363,12 @@ def load_config(source: str | dict) -> RunConfig:
         output_dir=_section(raw.get("output", {}), "output", {"directory"}).get("directory"),
         raw=raw,
     )
+
+
+def check_seed(seed, name: str) -> None:
+    """Raise :class:`ConfigError` unless ``seed`` is a nonnegative integer; ``name`` is its config key or option."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"{name} must be a nonnegative integer")
 
 
 def check_sweep_parameter(path: str) -> None:

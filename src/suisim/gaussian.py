@@ -40,8 +40,9 @@ _UNCERTAINTY_TOL = 1e-12
 
 
 def normalize_angle(theta: float) -> float:
-    """Map an angle in radians into [0, 2*pi)."""
-    return float(theta) % (2.0 * math.pi)
+    """Map an angle in radians into [0, 2*pi); a tiny negative angle, whose remainder rounds to 2*pi, maps to 0."""
+    angle = float(theta) % (2.0 * math.pi)
+    return 0.0 if angle == 2.0 * math.pi else angle
 
 
 def xy_indices(mode: int) -> tuple[int, int]:

@@ -439,7 +439,7 @@ def pipeline_elements(scheme: SchemeInstance) -> list[Element]:
     The carrier comes first and each tone is its own displacement after it.
     Detector efficiencies are not part of the pipeline, they belong to the ports.
     """
-    return _sensing_plane_elements(scheme) + _readout_elements(scheme)
+    return _sensing_plane_elements(scheme) + _readout_elements(scheme, scheme.interferometer_phase)
 
 
 def _sensing_plane_elements(scheme: SchemeInstance) -> list[Element]:
@@ -472,14 +472,14 @@ def _sensing_plane_elements(scheme: SchemeInstance) -> list[Element]:
     return elements + tone_elements
 
 
-def _readout_elements(scheme: SchemeInstance) -> list[Element]:
+def _readout_elements(scheme: SchemeInstance, phase: float) -> list[Element]:
     """The last elements of the pipeline: the splitter, the amplifier or OPA2
-    that mixes signal and idler, then the tap if any."""
+    (pumped at ``phase``) that mixes signal and idler, then the tap if any."""
     if scheme.kind == "bs":
         mixer = Splitter(0, 1, 0.5, 0.0)
     else:
         amp = scheme.opa2_or_amp
-        mixer = TwoModeSqueeze(0, 1, amp.gain, scheme.interferometer_phase if scheme.kind == "sui" else amp.pump_phase)
+        mixer = TwoModeSqueeze(0, 1, amp.gain, phase if scheme.kind == "sui" else amp.pump_phase)
     # The tap keeps the transmitted signal on mode 0 and sends the +phase
     # reflection to mode 2, so both outputs carry the signal mean with the
     # same sign (needed by the post-detection combination).
@@ -555,20 +555,20 @@ class MeasurementModel:
         return {name: [a[i] ** 2 / variances[i] for a in amplitudes] for i, name in enumerate(self.port_names)}
 
 
-def measurement_model(scheme: SchemeInstance, *, _sensing_plane: tuple | None = None) -> MeasurementModel:
+def measurement_model(scheme: SchemeInstance, *, lock: DarkFringeResult | None = None) -> MeasurementModel:
     """Read the ports off the scheme's compiled channel ``(S, N, D)``.
 
     With LO projections ``P`` and ``E = diag(sqrt(eta))`` for the detectors,
     ``noise_cov = E P V P^T E + diag(1 - eta)`` for the output covariance
     ``V = S S^T + N``; the tone amplitudes are ``E P D`` past the carrier column.
-    Given ``_sensing_plane``, the ``sensing_plane`` of the lock that set the phase,
-    only OPA2 and the tap are folded onto it, as :func:`compile_pipeline` folds them.
+    Given ``lock``, :func:`find_dark_fringe` of ``scheme``, the scheme is read at ``lock.phi_star``:
+    only OPA2 and the tap are folded onto ``lock.sensing_plane``, as :func:`compile_pipeline` folds them.
     """
     n_modes, ports = scheme.n_modes, scheme.ports
-    if _sensing_plane is None:
+    if lock is None:
         channel = compile_pipeline(n_modes, pipeline_elements(scheme))
     else:
-        channel = _fold(n_modes, _sensing_plane, _readout_elements(scheme))
+        channel = _fold(n_modes, lock.sensing_plane, _readout_elements(scheme, lock.phi_star))
     state = vacuum_output(n_modes, *channel)
     modes = port_modes(scheme)
     eta = [c.efficiency for c in ports]

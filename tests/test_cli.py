@@ -18,6 +18,7 @@ from suisim.schemes import (
     LossBudget,
     EnhancementReport,
     ParameterError,
+    SchemeInstance,
     ToneEnhancement,
     enhancement_report,
     find_dark_fringe,
@@ -314,7 +315,8 @@ def best_port_enhancement(sui, sui_model, baseline_model):
 def asdict_snr_report(cfg):
     """``cmd_snr``'s report built as it once was, with ``dataclasses.asdict`` and
     per-port maxima; the bytes ``cmd_snr`` must keep."""
-    scheme, fringe_info, model = cli._resolve_scheme(cfg)
+    scheme = cfg.scheme
+    fringe_info, model = cli._resolve_scheme(cfg)
 
     def section(model):
         ports = {
@@ -392,9 +394,68 @@ def test_unbounded_ratio_is_written_as_null(tmp_path, capsys):
         [row] = strict_json(text)["enhancement"]["per_tone"]
         assert row["ratio"] is None and row["baseline_snr"] == 0.0 and row["sui_snr"] > 0.0
     # The report in Python keeps the infinity.
-    scheme, _, _ = cli._resolve_scheme(load_config(raw))
+    cfg = load_config(raw)
+    fringe_info, _ = cli._resolve_scheme(cfg)
+    scheme = dataclasses.replace(cfg.scheme, interferometer_phase=fringe_info["phi_star"])
     [row] = enhancement_report(scheme, matched_baseline(scheme, "bs")).per_tone
     assert row.ratio == math.inf
+
+
+def test_an_angle_just_below_zero_reads_as_zero():
+    # x % 2pi rounds a tiny negative x up to 2pi itself: a tone at -1e-17 rad was
+    # once not found at angle 0, so snr_sui_x left the report and closed_form's snr_x read 0.
+    reports = []
+    for angle in (0.0, -1e-17):
+        raw = preset_config("fig2")
+        raw["tones"][0]["angle_rad"] = angle
+        reports.append(cmd_snr(load_config(raw)))
+    assert reports[1] == reports[0] and "snr_sui_x" in reports[1]
+
+
+def test_grid_takes_up_to_max_grid_points():
+    assert cli.MAX_GRID_POINTS == 100_000
+    grid = cli._parse_grid(f"0:1:{cli.MAX_GRID_POINTS}")
+    assert len(grid) == cli.MAX_GRID_POINTS and grid[0] == 0.0 and grid[-1] == 1.0
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [("snr", ["matched_baseline"]), ("simulate", ["matched_baseline"]), ("sweep", 3 * ["load_config"])],
+)
+def test_no_command_copies_a_scheme(tmp_path, monkeypatch, command, expected):
+    # A locked run reads its scheme at the lock's phase without a locked copy:
+    # the only schemes a command builds are its sweep points' and its baseline.
+    monkeypatch.chdir(tmp_path)
+    raw = preset_config("fig2")
+    raw["sim"]["duration_s"] = 0.02
+    cfg = load_config(raw)
+    made, built, check = [], [], SchemeInstance.__post_init__
+
+    def counted(scheme):
+        check(scheme)
+        built.append(scheme)
+
+    def recorded(name):
+        original = getattr(cli, name)
+
+        def call(*args):
+            result = original(*args)
+            made.append((name, getattr(result, "scheme", result)))
+            return result
+
+        return call
+
+    monkeypatch.setattr(SchemeInstance, "__post_init__", counted)
+    for name in ("load_config", "matched_baseline"):
+        monkeypatch.setattr(cli, name, recorded(name))
+    if command == "snr":
+        cmd_snr(cfg)
+    elif command == "simulate":
+        cli.cmd_simulate(cfg)
+    else:
+        cli.cmd_sweep(cfg, "scheme.gain_g2", [5.0, 9.0, 12.0])
+    assert [name for name, _ in made] == expected
+    assert len(built) == len(made) and all(a is b for a, (_, b) in zip(built, made))
 
 
 def test_non_finite_report_value_is_an_error_not_a_document(capsys, monkeypatch):
@@ -671,8 +732,9 @@ class TestConfigRejections:
         assert code == 1, err
         assert err.startswith(f"config error: cannot read config file '{path}'")
 
-    @pytest.mark.parametrize("grid", ["0:1:x", "0.5,foo", "0:1:-1"])
+    @pytest.mark.parametrize("grid", ["0:1:x", "0.5,foo", "0:1:-1", "0:1:100001", "1:2:1000000000000"])
     def test_bad_grid_is_a_config_error(self, tmp_path, capsys, grid):
+        # A count above MAX_GRID_POINTS is rejected before any point is built.
         out_dir = tmp_path / "out"
         code, out, err = run_cli(
             capsys,
@@ -877,7 +939,7 @@ class TestConfigRejections:
     def test_negative_seed_override_rejected(self, capsys):
         code, _, err = run_cli(capsys, "snr", "--preset", "fig2", "--seed", "-1")
         assert code == 1
-        assert "sim.seed" in err
+        assert "--seed" in err and "sim.seed" not in err
 
     def test_combine_without_tap_fails_before_simulating(self, tmp_path, capsys):
         raw = preset_config("fig5")
@@ -1129,9 +1191,10 @@ class TestUsageErrors:
             (["snr", "--seed", "abc"], "--seed"),
             (["snr", "--preset", "fig9"], "--preset"),
             (["snr", "--preset", "fig2", "--config", "config.json"], "--config"),
+            (["snr"], "--preset"),
             ([], "command"),
         ],
-        ids=["unknown-option", "seed-not-int", "unknown-preset", "preset-and-config", "no-command"],
+        ids=["unknown-option", "seed-not-int", "unknown-preset", "preset-and-config", "no-source", "no-command"],
     )
     def test_usage_error_exits_one(self, tmp_path, capsys, monkeypatch, argv, flag):
         # These once exited 2, the code of a runtime error, through argparse.

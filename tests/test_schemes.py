@@ -828,8 +828,8 @@ def assert_full_compile(channel, scheme):
 def test_locked_model_folds_the_rest_onto_the_locks_prefix(built, channels, k):
     scheme = lock_case(k)
     fringe = find_dark_fringe(scheme)
+    model = measurement_model(scheme, lock=fringe)
     locked = dataclasses.replace(scheme, interferometer_phase=fringe.phi_star)
-    model = measurement_model(locked, _sensing_plane=fringe.sensing_plane)
     assert built == channel_elements(locked)
     unlocked = measurement_model(locked)
     for channel in channels:
@@ -840,9 +840,10 @@ def test_locked_model_folds_the_rest_onto_the_locks_prefix(built, channels, k):
 
 @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig4", "fig5"])
 def test_cli_model_is_read_off_the_full_compile(channels, preset):
-    scheme, _, _ = _resolve_scheme(load_config(preset_config(preset)))
+    cfg = load_config(preset_config(preset))
+    fringe_info, _ = _resolve_scheme(cfg)
     assert len(channels) == 1
-    assert_full_compile(channels[0], scheme)
+    assert_full_compile(channels[0], dataclasses.replace(cfg.scheme, interferometer_phase=fringe_info["phi_star"]))
 
 
 @pytest.mark.parametrize("preset", ["fig2", "fig4"])
@@ -1064,7 +1065,7 @@ def test_readout_and_lock_read_as_their_array_forms(kind, tap_enabled, lossy):
             assert bits((fringe.phi_star, fringe.visibility)) == bits(array_lock(scheme)[::2])
             assert fringe.flat == array_lock(scheme)[1]
             locked = dataclasses.replace(scheme, interferometer_phase=fringe.phi_star)
-            models.append((locked, measurement_model(locked, _sensing_plane=fringe.sensing_plane)))
+            models.append((locked, measurement_model(scheme, lock=fringe)))
         for read, model in models:
             noise_cov, amplitudes = array_readout(read, schemes.compile_pipeline(n, pipeline_elements(read)))
             assert np.array_equal(model.noise_cov, noise_cov)
