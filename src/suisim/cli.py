@@ -128,7 +128,7 @@ def cmd_snr(cfg: RunConfig) -> dict:
 
 
 def _spectrum_rows(spec: Spectrum, seed: int) -> str:
-    lines = [f"# rbw_hz={spec.rbw:g},n_avg={spec.n_averages},seed={seed}", "freq_hz,psd_snu"]
+    lines = [f"# rbw_hz={spec.bin_width:g},n_avg={spec.n_averages},seed={seed}", "freq_hz,psd_snu"]
     lines.extend(f"{f:.10g},{p:.10g}" for f, p in zip(spec.freq, spec.psd_snu))
     return "\n".join(lines) + "\n"
 
@@ -161,7 +161,7 @@ def _write_text(path: str, content: str) -> None:
 
 
 def _peak_section(spec: Spectrum, tones: tuple[float, ...]) -> dict:
-    lo, hi = report_band(spec.freq.size, spec.bin_width, tones)
+    lo, hi = report_band(spec.psd_snu.size, spec.bin_width, tones)
     section = {
         "floor_snu": band_floor(spec, lo, hi, exclude=tones),
         "tones": {},

@@ -229,7 +229,7 @@ class ModulationTone:
                 f"modulation depth {self.depth} exceeds the weak-modulation "
                 f"bound {WEAK_MODULATION_BOUND}; the linearised displacement "
                 "model loses accuracy",
-                stacklevel=2,
+                stacklevel=3,
             )
         object.__setattr__(self, "angle", normalize_angle(self.angle))
 

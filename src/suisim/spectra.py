@@ -12,20 +12,22 @@ equal ``np.sin(omega * (n / fs))`` up to the rounding of the angle.
 
 Spectra are Welch periodograms (Hann window, 50% overlap, one sided, each
 segment's mean removed from bins 0 and 1 after the FFT) normalised so
-unit-variance white noise sits at 1, i.e. the shot-noise unit.
-:func:`simulate_spectra` synthesises a run of a port model and accumulates
-its spectra in blocks of a fixed number of Welch steps, in buffers kept for
-the pass, so its memory does not grow with the duration.  A one-thread
-executor per pass draws the noise one block ahead while the caller's thread
-colours, transforms and sums the block before; only that thread draws, in
-block order, so the output is bit for bit that of one thread.  A
-combination feeds each block to the lock-in, unseen by the synthesis.  The
-record-level functions compute the same run one whole record at a time:
-:func:`simulate_currents`, :func:`welch_psd` and :func:`calibrate_k` run the
-same synthesis, Welch sums and lock-in as the pass, and
-:func:`combine_currents` forms a combined record.  The independent
-references are in the tests: one normal draw of the whole record, and
-scipy's Welch.
+unit-variance white noise sits at 1, i.e. the shot-noise unit.  A
+:class:`Spectrum` is its PSD, bin width and average count, bin ``k`` at
+``k * bin_width``: the one spacing, :func:`_bin_width`, that
+:func:`check_readout` reads too.  :func:`simulate_spectra` synthesises a run
+of a port model and accumulates its spectra in blocks of a fixed number of
+Welch steps, in buffers kept for the pass, so its memory does not grow with
+the duration.  A one-thread executor per pass draws the noise one block ahead
+while the caller's thread colours, transforms and sums the block before; only
+that thread draws, in block order, so the output is bit for bit that of one
+thread.  A combination feeds each block to the lock-in, unseen by the
+synthesis.  The record-level functions compute the same run one whole record
+at a time: :func:`simulate_currents`, :func:`welch_psd` and
+:func:`calibrate_k` run the same synthesis, Welch sums (each block written
+through ``slot`` and ``take``) and lock-in as the pass, and
+:func:`combine_currents` forms a combined record.  The independent references
+are in the tests: one normal draw of the whole record, and scipy's Welch.
 """
 
 from __future__ import annotations
@@ -143,6 +145,11 @@ def _block_length(nperseg: int) -> int:
 _RECORD_BLOCK = _block_length(round(DEFAULT_SAMPLE_RATE / DEFAULT_RBW))
 
 
+def _bin_width(sample_rate: float, nperseg: int) -> float:
+    """The spacing of the Welch bins, bit for bit as ``np.fft.rfftfreq`` puts it."""
+    return 1.0 / (nperseg * (1.0 / sample_rate))
+
+
 def _segment_length(sample_rate: float, rbw: float, n_samples: int) -> int:
     """Welch segment length for ``rbw``, checked against the record length."""
     if not rbw > 0:
@@ -208,8 +215,7 @@ def check_readout(
     """
     n_samples = check_sampling(duration, sample_rate, tone_frequencies)
     nperseg = _segment_length(sample_rate, rbw, n_samples)
-    # Bin k lies at k * bin_width, bit for bit as np.fft.rfftfreq puts it.
-    bin_width = 1.0 / (nperseg * (1.0 / sample_rate))
+    bin_width = _bin_width(sample_rate, nperseg)
     n_bins = nperseg // 2 + 1
     for f in tone_frequencies:
         _readout_bins(n_bins, bin_width, f, tone_frequencies)
@@ -245,29 +251,16 @@ class TimeSeries:
 
 @dataclasses.dataclass(frozen=True)
 class Spectrum:
-    """One-sided PSD in shot-noise units with resolution-bandwidth metadata."""
+    """One-sided PSD in shot-noise units, bin ``k`` at ``k * bin_width``, averaged over ``n_averages`` segments."""
 
-    freq: np.ndarray
     psd_snu: np.ndarray
-    rbw: float
+    bin_width: float
     n_averages: int
 
-    def __post_init__(self):
-        freq = np.asarray(self.freq, dtype=float)
-        psd = np.asarray(self.psd_snu, dtype=float)
-        if freq.shape != psd.shape:
-            raise ValueError("freq and psd_snu must have matching shapes")
-        object.__setattr__(self, "freq", freq)
-        object.__setattr__(self, "psd_snu", psd)
-
     @property
-    def bin_width(self) -> float:
-        return float(self.freq[1] - self.freq[0])
-
-    @property
-    def span(self) -> float:
-        """Nyquist span covered by the one-sided spectrum."""
-        return float(self.freq[-1])
+    def freq(self) -> np.ndarray:
+        """The bin frequencies, ``np.fft.rfftfreq`` of the segment length bit for bit."""
+        return np.arange(self.psd_snu.size) * self.bin_width
 
 
 # Samples per row of the grid that tones and the lock-in reference are read
@@ -395,7 +388,7 @@ def _synthesize(model: MeasurementModel, n_samples: int, sample_rate: float, see
 
 
 class _WelchSums:
-    """Running Welch sums over a multi-row record fed in blocks of samples.
+    """Running Welch sums over a multi-row record, each block written into :meth:`slot` and added by :meth:`take`.
 
     Segments are cut, Hann-windowed and transformed as the blocks arrive,
     :data:`_CHUNK` at a time in kept buffers; the last ``nperseg - step`` or
@@ -431,11 +424,6 @@ class _WelchSums:
         if self._data.shape[1] < end:
             self._data = np.hstack((self._data[:, : self._carry], np.empty((len(self._data), self.nperseg + end))))
         return self._data[:, self._carry : end]
-
-    def feed(self, samples: np.ndarray) -> None:
-        """Add a block of samples, one row per record."""
-        self.slot(samples.shape[1])[...] = samples
-        self.take(samples.shape[1])
 
     def take(self, m: int) -> None:
         """Add the ``m`` samples written into :meth:`slot`; the carry then moves over them."""
@@ -482,12 +470,7 @@ class _WelchSums:
         psd[0] /= 2.0
         if self.nperseg % 2 == 0:
             psd[-1] /= 2.0
-        return Spectrum(
-            freq=np.fft.rfftfreq(self.nperseg, 1.0 / self.sample_rate),
-            psd_snu=psd,
-            rbw=self.sample_rate / self.nperseg,
-            n_averages=self.n_segments,
-        )
+        return Spectrum(psd, _bin_width(self.sample_rate, self.nperseg), self.n_segments)
 
 
 def _check_visible(frequency_hz: float, port: str, response: float, variance: float, n_samples: int) -> None:
@@ -643,16 +626,18 @@ def simulate_spectra(
 def welch_psd(ts: TimeSeries, rbw: float = DEFAULT_RBW) -> Spectrum:
     """Averaged Hann periodogram, one sided, normalised to the shot-noise unit.
 
-    Segments of ``sample_rate / rbw`` samples overlap by half and each has
-    its mean removed before the window.  The bin spacing equals ``rbw``
-    (the effective noise bandwidth of the Hann window is 1.5 bins).
+    Segments of ``round(sample_rate / rbw)`` samples overlap by half and each
+    has its mean removed before the window; the bins lie ``sample_rate / nperseg``
+    apart (the Hann window's effective noise bandwidth is 1.5 bins).
     Unit-variance white noise averages to a flat floor of 1.
     """
     nperseg = _segment_length(ts.sample_rate, rbw, ts.samples.size)
     sums = _WelchSums(1, ts.sample_rate, nperseg)
     block = _block_length(nperseg)
     for start in range(0, ts.samples.size, block):
-        sums.feed(ts.samples[None, start : start + block])
+        samples = ts.samples[start : start + block]
+        sums.slot(samples.size)[0] = samples
+        sums.take(samples.size)
     return sums.spectrum(sums.power[0])
 
 
@@ -690,7 +675,7 @@ def extract_peak_snr(spec: Spectrum, f0: float, exclude: tuple[float, ...] = ())
     and any ``exclude`` tones masked.  On pure noise the estimate sits a
     few percent above 1 because the numerator is a maximum over bins.
     """
-    window, floor = _readout_bins(spec.freq.size, spec.bin_width, f0, exclude)
+    window, floor = _readout_bins(spec.psd_snu.size, spec.bin_width, f0, exclude)
     peak = float(np.max(spec.psd_snu[window]))
     return peak / _median(spec.psd_snu[floor])
 
@@ -702,9 +687,9 @@ def tone_power(spec: Spectrum, f0: float, exclude: tuple[float, ...] = ()) -> fl
     amplitude A returns A^2/2 exactly when centred on a bin and within 1%
     at the worst bin offset (Hann window).
     """
-    window, floor = _readout_bins(spec.freq.size, spec.bin_width, f0, exclude)
+    window, floor = _readout_bins(spec.psd_snu.size, spec.bin_width, f0, exclude)
     excess = np.sum(spec.psd_snu[window] - _median(spec.psd_snu[floor])) * spec.bin_width
-    return float(excess / spec.span)
+    return float(excess / ((spec.psd_snu.size - 1) * spec.bin_width))
 
 
 def band_floor(

@@ -509,7 +509,7 @@ def check_monte_carlo_fidelity() -> tuple[bool, str]:
             spec = spectra[port]
             if spec.n_averages < 200:
                 issues.append(f"{label}/{port}: only {spec.n_averages} averages")
-            measured = band_floor(spec, *report_band(spec.freq.size, spec.bin_width, exclude), exclude=exclude)
+            measured = band_floor(spec, *report_band(spec.psd_snu.size, spec.bin_width, exclude), exclude=exclude)
             analytic = model.variance(port)
             floors[(label, port)] = measured
             if abs(measured / analytic - 1.0) > 0.02:
@@ -588,7 +588,7 @@ def check_post_detection_combination() -> tuple[bool, str]:
     floors = {}
     for theta, spec in zip(thetas, run.combined):
         powers[theta] = tone_power(spec, _THREE_HZ[1], exclude=_THREE_HZ)
-        floors[theta] = band_floor(spec, *report_band(spec.freq.size, spec.bin_width, _THREE_HZ), exclude=_THREE_HZ)
+        floors[theta] = band_floor(spec, *report_band(spec.psd_snu.size, spec.bin_width, _THREE_HZ), exclude=_THREE_HZ)
     suppression = powers[math.pi / 4] / max(powers[3 * math.pi / 4], 1e-30)
     floor_values = np.array(list(floors.values()))
     floor_spread = float(floor_values.max() / floor_values.min() - 1.0)

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import dataclasses
 import functools
@@ -531,6 +532,23 @@ class TestSimulateCommand:
         freq, psd = lines[2].split(",")
         float(freq), float(psd)
 
+    @pytest.mark.parametrize("preset, rbw", [(name, None) for name in config.PRESET_NAMES] + [("fig2", 3e4)])
+    def test_csv_header_gives_the_bin_width(self, tmp_path, capsys, preset, rbw):
+        # rbw_hz is fs / nperseg, nperseg = round(fs / rbw): 333 samples and 30030 Hz for 3e4 Hz at 10 MHz.
+        raw = preset_config(preset)
+        raw["sim"]["duration_s"] = 0.02
+        if rbw is not None:
+            raw["sim"]["rbw_hz"] = rbw
+        cfg = load_config(raw)
+        fs, nperseg = cfg.sim.sample_rate_hz, round(cfg.sim.sample_rate_hz / cfg.sim.rbw_hz)
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "simulate", "--config", write_config(tmp_path, raw), "--out", str(out_dir))
+        assert code == 0, err
+        headers = {p.read_text(encoding="utf-8").partition(",")[0] for p in out_dir.glob("*.csv")}
+        assert headers == {f"# rbw_hz={fs / nperseg:g}"}
+        if rbw == 3e4:
+            assert headers == {"# rbw_hz=30030"}
+
     def test_fig5_combination_outputs(self, tmp_path, capsys):
         raw = preset_config("fig5")
         raw["sim"]["duration_s"] = 0.05
@@ -781,7 +799,10 @@ class TestConfigRejections:
     )
     def test_scheme_rejection_names_its_path(self, tmp_path, capsys, section, changes, path):
         raw = _changed_preset("fig2", section, changes)
-        code, _, err = run_cli(capsys, "snr", "--config", write_config(tmp_path, raw))
+        # The huge depths are also past the weak-modulation bound, which warns.
+        huge = path == "tones[0].depth"
+        with pytest.warns(UserWarning, match="weak-modulation") if huge else contextlib.nullcontext():
+            code, _, err = run_cli(capsys, "snr", "--config", write_config(tmp_path, raw))
         assert code == 1, err
         assert err.startswith(f"config error: config key '{path}': ")
 

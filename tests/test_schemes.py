@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import os
 import warnings
 
 import numpy as np
@@ -167,6 +168,16 @@ class TestBuilders:
     def test_deep_modulation_warns(self):
         with pytest.warns(UserWarning, match="weak-modulation"):
             ModulationTone(1e6, 0.2, 0.0)
+
+    def test_weak_modulation_warning_names_its_caller(self):
+        # Not the dataclass's generated __init__, whose file reads "<string>".
+        with pytest.warns(UserWarning, match="weak-modulation") as caught:
+            ModulationTone(1e6, 0.2, 0.0)
+        assert [w.filename for w in caught] == [__file__]
+        raw = {"scheme": {"kind": "bs", "probe_photon_number": 1e4}, "tones": [{"frequency_hz": 1e6, "depth": 0.2}]}
+        with pytest.warns(UserWarning, match="weak-modulation") as caught:
+            load_config(raw)
+        assert [os.path.basename(w.filename) for w in caught] == ["config.py"]
 
 
 class TestOutputState:

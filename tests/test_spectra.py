@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 
 import suisim
 
+from suisim.cli import _spectrum_rows
 from suisim.config import load_config, preset_config
 from suisim.schemes import (
     HomodyneChannel,
@@ -41,6 +42,7 @@ from suisim.spectra import (
 )
 from suisim.spectra import (
     _GRID,
+    _bin_width,
     _GridPhasor,
     _LockIn,
     _median,
@@ -164,17 +166,13 @@ class TestWelch:
 
     def test_rbw_metadata(self):
         spec = welch_psd(white_series(), rbw=5e3)
-        assert spec.rbw == pytest.approx(5e3)
         assert spec.bin_width == pytest.approx(5e3)
+        assert spec.freq[1] == spec.bin_width
 
     @pytest.mark.parametrize("samples", [np.zeros(1), np.zeros((2, 2))])
     def test_record_needs_two_samples_in_one_dimension(self, samples):
         with pytest.raises(ValueError, match="at least two samples"):
             TimeSeries(1e6, samples, "test")
-
-    def test_spectrum_shapes_must_match(self):
-        with pytest.raises(ValueError, match="matching shapes"):
-            Spectrum(np.arange(4.0), np.ones(3), rbw=1.0, n_averages=1)
 
     @pytest.mark.parametrize("rbw", [5e3, 1e6 / 999])
     def test_matches_scipy_reference(self, rbw):
@@ -194,7 +192,7 @@ class TestWelch:
         spec = welch_psd(ts, rbw)
         assert np.array_equal(spec.freq, freq)
         assert_allclose(spec.psd_snu, density * ts.sample_rate / 2.0, rtol=1e-12, atol=0.0)
-        assert spec.rbw == ts.sample_rate / nperseg
+        assert spec.bin_width == pytest.approx(ts.sample_rate / nperseg, rel=1e-15, abs=0.0)
         assert spec.n_averages == 1 + (ts.samples.size - nperseg) // (nperseg - nperseg // 2)
 
     def test_single_segment_matches_scipy_reference(self):
@@ -208,6 +206,37 @@ class TestWelch:
         assert spec.n_averages == 1
         assert np.array_equal(spec.freq, freq)
         assert_allclose(spec.psd_snu, density * ts.sample_rate / 2.0, rtol=1e-12, atol=0.0)
+
+
+class TestOneGrid:
+    """A spectrum's bin ``k`` lies at ``k * bin_width``: ``np.fft.rfftfreq``
+    bit for bit, for even and odd segments and rbws that do not divide the
+    sample rate, in both the record-level and the streamed Welch sums."""
+
+    CASES = [(fs, fs / nperseg) for fs in (1e7, 2.401e6, 1e6, 44.1e3) for nperseg in (240, 241, 1000, 1001)]
+    # Rbws that do not divide the sample rate: 333, 240 and 44 samples.
+    CASES += [(1e7, 3e4), (2.401e6, 1e4), (44.1e3, 1e3)]
+
+    @staticmethod
+    def assert_rfftfreq_grid(spec, fs, rbw):
+        nperseg = round(fs / rbw)
+        expected = np.fft.rfftfreq(nperseg, 1.0 / fs)
+        assert spec.psd_snu.shape == expected.shape
+        assert np.array_equal(spec.freq.view(np.int64), expected.view(np.int64))
+        # The CSV header's rbw_hz is the bin width, as fs / nperseg prints it.
+        header = _spectrum_rows(spec, 0).partition(",")[0]
+        assert header == f"# rbw_hz={fs / nperseg:g}"
+
+    @pytest.mark.parametrize("fs, rbw", CASES)
+    def test_welch_psd_grid_is_rfftfreq(self, fs, rbw):
+        nperseg = round(fs / rbw)
+        self.assert_rfftfreq_grid(welch_psd(white_series(n=3 * nperseg, fs=fs), rbw), fs, rbw)
+
+    @pytest.mark.parametrize("fs, rbw", CASES)
+    def test_simulate_spectra_grid_is_rfftfreq(self, fs, rbw):
+        vacuum = MeasurementModel(("vacuum",), (0.0,), (1.0,), np.eye(1), {})
+        run = simulate_spectra(vacuum, 3 * round(fs / rbw) / fs, fs, 0, rbw)
+        self.assert_rfftfreq_grid(run.spectra["vacuum"], fs, rbw)
 
 
 def detrend_window_fft_sums(data, nperseg, cross):
@@ -252,7 +281,8 @@ class TestWelchKernel:
         for splits in self.BLOCKINGS:
             sums = _WelchSums(rows, 1e6, nperseg, cross)
             for block in np.split(data, splits, axis=1):
-                sums.feed(block)
+                sums.slot(block.shape[1])[...] = block
+                sums.take(block.shape[1])
             runs.append(sums)
             assert sums.n_segments == 1 + (self.N - nperseg) // (nperseg - nperseg // 2)
             assert np.all(np.abs(sums.power - power) <= rtol * floor[:, None])
@@ -777,7 +807,7 @@ class TestPeakExtraction:
     def test_sampling_rejects_exactly_the_ambiguous_tone_pairs(self, nperseg):
         # fig4's 0.2 MHz spacing is exactly 6.5 bins, the limit, at nperseg = 325.
         fs, tones = 10e6, (0.8e6, 1.0e6)
-        spec = Spectrum(np.fft.rfftfreq(nperseg, 1.0 / fs), np.ones(nperseg // 2 + 1), fs / nperseg, 1)
+        spec = Spectrum(np.ones(nperseg // 2 + 1), _bin_width(fs, nperseg), 1)
         try:
             extract_peak_snr(spec, tones[0], exclude=tones)
             ambiguous = False
@@ -809,7 +839,7 @@ class TestPeakExtraction:
         # that resolution.
         verdicts = set()
         for nperseg in npersegs:
-            spec = Spectrum(np.fft.rfftfreq(nperseg, 1.0 / fs), np.ones(nperseg // 2 + 1), fs / nperseg, 1)
+            spec = Spectrum(np.ones(nperseg // 2 + 1), _bin_width(fs, nperseg), 1)
             rejections = []
             for reader in (extract_peak_snr, tone_power):
                 try:
@@ -965,7 +995,7 @@ def mask_readers(spec, f0, exclude):
     window, floor = mask_readout_bins(spec.freq, spec.bin_width, f0, exclude)
     median = float(np.median(spec.psd_snu[floor]))
     peak = float(np.max(spec.psd_snu[window])) / median
-    power = float(np.sum(spec.psd_snu[window] - median) * spec.bin_width / spec.span)
+    power = float(np.sum(spec.psd_snu[window] - median) * spec.bin_width / spec.freq[-1])
     return peak, power
 
 
