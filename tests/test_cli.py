@@ -5,8 +5,11 @@ import functools
 import json
 import math
 import os
+import pathlib
 import struct
+import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -227,7 +230,7 @@ class TestSnrCommand:
     def test_fig2_preset_report_fields(self, capsys):
         code, out, _ = run_cli(capsys, "snr", "--preset", "fig2")
         assert code == 0
-        report = json.loads(out)
+        report = strict_json(out)
         assert report["scheme_kind"] == "sui"
         assert report["dark_fringe"]["phi_star"] == pytest.approx(math.pi, abs=1e-3)
         assert 0 < report["dark_fringe"]["visibility"] < 1
@@ -512,20 +515,18 @@ class TestSimulateCommand:
     def test_outputs_are_deterministic(self, tmp_path, capsys):
         raw = small_sim_config()
         path = write_config(tmp_path, raw)
-        dir_a, dir_b = str(tmp_path / "a"), str(tmp_path / "b")
-        code_a, _, _ = run_cli(capsys, "simulate", "--config", path, "--out", dir_a)
-        code_b, _, _ = run_cli(capsys, "simulate", "--config", path, "--out", dir_b)
+        dir_a, dir_b = tmp_path / "a", tmp_path / "b"
+        code_a, _, _ = run_cli(capsys, "simulate", "--config", path, "--out", str(dir_a))
+        code_b, _, _ = run_cli(capsys, "simulate", "--config", path, "--out", str(dir_b))
         assert code_a == code_b == 0
         name = "spectrum_bs_signal.csv"
-        bytes_a = open(os.path.join(dir_a, name), "rb").read()
-        bytes_b = open(os.path.join(dir_b, name), "rb").read()
-        assert bytes_a == bytes_b
+        assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
     def test_csv_header_format(self, tmp_path, capsys):
         path = write_config(tmp_path, small_sim_config())
-        out_dir = str(tmp_path / "out")
-        run_cli(capsys, "simulate", "--config", path, "--out", out_dir)
-        lines = open(os.path.join(out_dir, "spectrum_bs_signal.csv"), encoding="utf-8").read().splitlines()
+        out_dir = tmp_path / "out"
+        run_cli(capsys, "simulate", "--config", path, "--out", str(out_dir))
+        lines = (out_dir / "spectrum_bs_signal.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0].startswith("# rbw_hz=")
         assert "n_avg=" in lines[0] and "seed=9" in lines[0]
         assert lines[1] == "freq_hz,psd_snu"
@@ -600,7 +601,60 @@ class TestSimulateCommand:
         assert sui_floor / amp_floor == pytest.approx(0.78, abs=0.05)
 
 
+# Each interpreter runs these in turn; snr prints no timing, so its stdout repeats byte for byte.
+FRESH_RUNS = {
+    "simulate_fig5": ["simulate", "--preset", "fig5", "--out", "sim_fig5"],
+    "simulate_fig2": ["simulate", "--preset", "fig2", "--out", "sim_fig2"],
+    **{f"snr_{name}": ["snr", "--preset", name] for name in ("fig2", "fig3", "fig4", "fig5")},
+}
+
+
+def test_fresh_interpreters_write_the_same_bytes(tmp_path):
+    # Two interpreters, each with its own hash seed, run the same seeded
+    # presets: a CSV or snr report that depended on the process would differ.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (
+        "import contextlib, json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from suisim.cli import main\n"
+        "for name, argv in json.loads(sys.argv[2]).items():\n"
+        "    with open(name + '.json', 'w', encoding='utf-8') as out, contextlib.redirect_stdout(out):\n"
+        "        code = main(argv)\n"
+        "    if code != 0:\n"
+        "        sys.exit(f'{argv} exited {code}')\n"
+    )
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    runs = []
+    for run_dir in dirs:
+        run_dir.mkdir()
+        argv = [sys.executable, "-c", code, src, json.dumps(FRESH_RUNS)]
+        runs.append(subprocess.Popen(argv, cwd=run_dir, stderr=subprocess.PIPE, text=True))
+    for run in runs:
+        _, err = run.communicate()
+        assert run.returncode == 0, err
+    first, second = dirs
+    for name in FRESH_RUNS:
+        text = (first / f"{name}.json").read_text(encoding="utf-8")
+        strict_json(text)
+        if name.startswith("snr"):
+            assert text == (second / f"{name}.json").read_text(encoding="utf-8"), name
+    csvs = sorted(path.relative_to(first) for path in first.glob("sim_*/*.csv"))
+    assert {path.parent.name for path in csvs} == {"sim_fig5", "sim_fig2"}
+    assert csvs == sorted(path.relative_to(second) for path in second.glob("sim_*/*.csv"))
+    for path in csvs:
+        assert (first / path).read_bytes() == (second / path).read_bytes(), path
+
+
 class TestSweepCommand:
+    def test_gain_sweep_prints_one_json_document(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--preset", "fig2", "--out", str(tmp_path / "out"),
+            "--param", "scheme.gain_g2", "--grid", "2:200:5",
+        )
+        assert code == 0, err
+        assert strict_json(out)["points"] == 5
+
     def test_bs_detection_sweep_is_linear(self, tmp_path, capsys):
         path = write_config(tmp_path, copy.deepcopy(BS_CONFIG))
         out_dir = str(tmp_path / "out")
@@ -611,7 +665,7 @@ class TestSweepCommand:
         )
         assert code == 0
         report = json.loads(out)
-        lines = open(report["file"], encoding="utf-8").read().splitlines()
+        lines = pathlib.Path(report["file"]).read_text(encoding="utf-8").splitlines()
         header = lines[0].split(",")
         column = header.index("snr_signal_800000hz")
         rows = [line.split(",") for line in lines[1:]]
@@ -631,7 +685,7 @@ class TestSweepCommand:
         )
         assert code == 0
         report = json.loads(out)
-        lines = open(report["file"], encoding="utf-8").read().splitlines()
+        lines = pathlib.Path(report["file"]).read_text(encoding="utf-8").splitlines()
         header = lines[0].split(",")
         value = float(lines[1].split(",")[header.index("snr_signal_800000hz")])
         assert value == pytest.approx(2.0 * (2.0 + math.sqrt(3.0)) ** 2, rel=0.01)
@@ -646,7 +700,7 @@ class TestSweepCommand:
         assert code == 0
         report = json.loads(out)
         assert report["points"] == 0
-        lines = open(report["file"], encoding="utf-8").read().splitlines()
+        lines = pathlib.Path(report["file"]).read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1
 
     def test_grid_of_one_point_gives_one_row(self, tmp_path, capsys):
@@ -659,7 +713,7 @@ class TestSweepCommand:
         assert code == 0, err
         report = json.loads(out)
         assert report["points"] == 1
-        lines = open(report["file"], encoding="utf-8").read().splitlines()
+        lines = pathlib.Path(report["file"]).read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2
         assert float(lines[1].split(",")[0]) == 0.5
 
@@ -673,21 +727,22 @@ class TestSweepCommand:
         assert code == 0, err
         report = json.loads(out)
         assert report["points"] == 3
-        lines = open(report["file"], encoding="utf-8").read().splitlines()
+        lines = pathlib.Path(report["file"]).read_text(encoding="utf-8").splitlines()
         assert [float(line.split(",")[0]) for line in lines[1:]] == [-1.0, 0.0, 1.0]
 
     def test_unknown_parameter_lists_valid_paths(self, tmp_path, capsys):
         path = write_config(tmp_path, copy.deepcopy(BS_CONFIG))
         out_dir = tmp_path / "out"
         # An empty grid never reaches a grid point, so the path is checked first.
-        for grid in ("1:2:2", "0:1:0", ""):
-            code, _, err = run_cli(
-                capsys,
-                "sweep", "--config", path, "--out", str(out_dir), "--param", "scheme.bogus", "--grid", grid,
-            )
-            assert code == 1, grid
-            assert "losses.eta_signal_det" in err
-            assert not out_dir.exists()
+        for source in (["--config", path], ["--preset", "fig2"]):
+            for grid in ("1:2:2", "0:1:0", ""):
+                code, _, err = run_cli(
+                    capsys,
+                    "sweep", *source, "--out", str(out_dir), "--param", "scheme.bogus", "--grid", grid,
+                )
+                assert code == 1, (source, grid)
+                assert "losses.eta_signal_det" in err
+                assert not out_dir.exists()
 
     def test_rejected_point_leaves_no_directory(self, tmp_path, capsys):
         # The first two points are valid; eta_internal = 1.5 is rejected.
@@ -754,11 +809,13 @@ class TestConfigRejections:
     def test_bad_grid_is_a_config_error(self, tmp_path, capsys, grid):
         # A count above MAX_GRID_POINTS is rejected before any point is built.
         out_dir = tmp_path / "out"
+        start = time.perf_counter()
         code, out, err = run_cli(
             capsys,
             "sweep", "--preset", "fig2", "--out", str(out_dir),
             "--param", "scheme.gain_g2", "--grid", grid,
         )
+        assert time.perf_counter() - start < 10.0
         assert code == 1, err
         assert err.startswith("config error: --grid")
         assert out == ""
@@ -789,12 +846,27 @@ class TestConfigRejections:
                 {"scheme": {"kind": "sui", "probe_photon_number": 0.0, "gain_g1": 2.0, "gain_g2": 9.0}, "tones": _HUGE_DEPTH},
                 "tones[0].depth",
             ),
+            # fig2's two tones inside one readout window.
+            ("sim", {"rbw_hz": 3e5}, "sim.rbw_hz"),
+            # A tone past the last bin of an odd segment, 1001 samples.
+            (
+                None,
+                {
+                    "scheme": {"kind": "bs", "probe_photon_number": 1e4},
+                    "losses": None,
+                    "tones": [{"frequency_hz": 4.9975e6, "depth": 0.01}],
+                    "ports": None,
+                    "sim": {"sample_rate_hz": 1e7, "rbw_hz": 1e7 / 1001},
+                },
+                "sim.rbw_hz",
+            ),
         ],
         ids=[
             "sui-without-gain_g2", "gain_g1-on-amp", "gain-on-bs", "gain-below-one",
             "gain-square-overflows", "negative-probe", "unknown-kind", "no-internal-transmission",
             "sui-gain_g2-1e152", "sui-gain_g2-1e153", "sui-gain_g2-1e154", "amp-gain_g2-1e154",
             "probe-1e307", "eta_internal-1e-310", "bs-depth-1e300-no-probe", "sui-depth-1e300-no-probe",
+            "ambiguous-tones", "tone-past-the-last-bin",
         ],
     )
     def test_scheme_rejection_names_its_path(self, tmp_path, capsys, section, changes, path):
@@ -870,7 +942,7 @@ class TestConfigRejections:
         raw = small_sim_config()
         argv = [command, "--config", write_config(tmp_path, raw | {"output": {"directory": ""}})]
         if where == "--out":
-            argv = [command, "--config", write_config(tmp_path, raw), "--out", ""]
+            argv = [command, "--preset", "fig2", "--out", ""]
         if command == "sweep":
             argv += ["--param", "scheme.probe_photon_number", "--grid", "1e3:1e4:2"]
         run_dir = tmp_path / "run"
@@ -902,7 +974,7 @@ class TestConfigRejections:
         for directory in (str(taken), str(taken / "sub")):
             argv = [command, "--config", write_config(tmp_path, raw | {"output": {"directory": directory}})]
             if where == "--out":
-                argv = [command, "--config", write_config(tmp_path, raw), "--out", directory]
+                argv = [command, "--preset", "fig2", "--out", directory]
             if command == "sweep":
                 argv += ["--param", "scheme.gain_g2", "--grid", "2:3:2"]
             code, out, err = run_cli(capsys, *argv)
@@ -1145,7 +1217,9 @@ class TestConfigRejections:
         if max_samples:
             raw["sim"]["duration_s"] = MAX_SAMPLES / load_config(raw).sim.sample_rate_hz
         out_dir = tmp_path / "out"
+        start = time.perf_counter()
         code, out, err = run_cli(capsys, "simulate", "--config", write_config(tmp_path, raw), "--out", str(out_dir))
+        assert time.perf_counter() - start < 10.0
         assert code == 1, err
         assert "'sim.combine.calibration_tone_hz'" in err and "tap port" in err
         assert out == ""
@@ -1159,7 +1233,9 @@ class TestConfigRejections:
         raw["sim"]["combine"]["thetas"] = thetas
         raw["sim"]["duration_s"] = 0.02
         out_dir = tmp_path / "out"
+        start = time.perf_counter()
         code, _, err = run_cli(capsys, "simulate", "--config", write_config(tmp_path, raw), "--out", str(out_dir))
+        assert time.perf_counter() - start < 10.0
         assert code == 1, err
         assert "'sim.combine.thetas[1]'" in err
         assert not out_dir.exists()
@@ -1206,23 +1282,23 @@ class TestConfigRejections:
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
-        "argv, flag",
+        "argv, text",
         [
             (["simulate", "--preset", "fig2", "--bogus", "1"], "--bogus"),
             (["snr", "--seed", "abc"], "--seed"),
             (["snr", "--preset", "fig9"], "--preset"),
-            (["snr", "--preset", "fig2", "--config", "config.json"], "--config"),
-            (["snr"], "--preset"),
+            (["snr", "--preset", "fig2", "--config", "does-not-exist.json"], "--config: not allowed with argument --preset"),
+            (["snr"], "one of the arguments --config --preset is required"),
             ([], "command"),
         ],
         ids=["unknown-option", "seed-not-int", "unknown-preset", "preset-and-config", "no-source", "no-command"],
     )
-    def test_usage_error_exits_one(self, tmp_path, capsys, monkeypatch, argv, flag):
+    def test_usage_error_exits_one(self, tmp_path, capsys, monkeypatch, argv, text):
         # These once exited 2, the code of a runtime error, through argparse.
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
-        assert flag in err and "error" in err and out == ""
+        assert text in err and "error" in err and out == ""
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("argv", [["--help"], ["snr", "--help"]], ids=["suisim", "snr"])
