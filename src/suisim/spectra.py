@@ -16,14 +16,14 @@ unit-variance white noise sits at 1, i.e. the shot-noise unit.  A
 :class:`Spectrum` is its PSD, bin width and average count, bin ``k`` at
 ``k * bin_width``: the one spacing, :func:`_bin_width`, that
 :func:`check_readout` reads too.  :func:`simulate_spectra` synthesises a run
-of a port model and accumulates its spectra in blocks of a fixed number of
-Welch steps, in buffers kept for the pass, so its memory does not grow with
-the duration.  A one-thread executor per pass draws the noise one block ahead
-while the caller's thread colours, transforms and sums the block before; only
-that thread draws, in block order, so the output is bit for bit that of one
-thread.  A combination feeds each block to the lock-in, unseen by the
-synthesis.  The record-level functions compute the same run one whole record
-at a time: :func:`simulate_currents`, :func:`welch_psd` and
+of a port model and accumulates its spectra in blocks of whole Welch steps,
+at least 16000 samples, in buffers kept for the pass, so its memory does not
+grow with the duration.  A one-thread executor per pass draws the noise one
+block ahead while the caller's thread colours, transforms and sums the block
+before; only that thread draws, in block order, so the output is bit for bit
+that of one thread.  A combination feeds each block to the lock-in, unseen by
+the synthesis.  The record-level functions compute the same run one whole
+record at a time: :func:`simulate_currents`, :func:`welch_psd` and
 :func:`calibrate_k` run the same synthesis, Welch sums (each block written
 through ``slot`` and ``take``) and lock-in as the pass, and
 :func:`combine_currents` forms a combined record.  The independent references
@@ -127,22 +127,24 @@ def report_band(n_bins: int, bin_width: float, tones) -> tuple[float, float]:
     return max(bin_width, min(tones) - margin), min((n_bins - 1) * bin_width, max(tones) + margin)
 
 
-# Welch steps per streamed block: 16k samples at the default settings, for
-# which the pass keeps about 0.56 MB per port: two draw buffers (one being
-# drawn by the executor), the Welch buffer and its segment buffers.  128 steps
-# timed 20% slower; shorter blocks keep less, but would change the lock-in's
-# last bits.
+# A streamed block is whole Welch steps, at least 32 of them and at least
+# 16000 samples: 32 steps at the default settings and longer segments, 96
+# steps of 167 samples at 333-sample segments, so short segments pay no more
+# Python per sample than the default.  The pass then keeps about 0.56 MB per
+# port: two draw buffers (one being drawn by the executor), the Welch buffer
+# and its segment buffers.  128 steps timed 20% slower.  16000 samples is
+# also the block of the work that has no segment length of its own (whole
+# records, lock-in sums).
 _BLOCK_STEPS = 32
-_CHUNK = 8  # Welch segments windowed and transformed at once
+_BLOCK_SAMPLES = 16_000
+# Welch segments are windowed and transformed in chunks of at least 8000
+# samples: 8 segments at the default settings, 25 at 333 samples.
+_CHUNK_SAMPLES = 8_000
 
 
 def _block_length(nperseg: int) -> int:
-    return _BLOCK_STEPS * (nperseg - nperseg // 2)
-
-
-# Block of the work that has no segment length of its own (whole records,
-# lock-in sums): the Welch block at the default settings.
-_RECORD_BLOCK = _block_length(round(DEFAULT_SAMPLE_RATE / DEFAULT_RBW))
+    step = nperseg - nperseg // 2
+    return step * max(_BLOCK_STEPS, math.ceil(_BLOCK_SAMPLES / step))
 
 
 def _bin_width(sample_rate: float, nperseg: int) -> float:
@@ -286,18 +288,19 @@ class _GridPhasor:
         self.sample_rate = sample_rate
         phi = self.omega * (np.arange(_GRID) / sample_rate)
         self.cos_phi, self.sin_phi = np.cos(phi), np.sin(phi)
+        self._scaled = np.empty(_GRID)
 
     def _fill(self, start: int, m: int, out, weights) -> np.ndarray:
         """``a_q cos(phi_r) + b_q sin(phi_r)`` for the ``m`` samples from
         ``n = start``, with ``(a_q, b_q) = weights(theta_q)``, written into
         ``out[:m]`` (or a new array) one grid-row segment at a time: two
-        products and a sum per sample."""
+        products, one into a kept row, and a sum per sample."""
         out = np.empty(m) if out is None else out[:m]
         for row in range(start - start % _GRID, start + m, _GRID):
             lo, hi = max(row, start), min(row + _GRID, start + m)
             a, b = weights(self.omega * (row / self.sample_rate))
             segment = np.multiply(self.cos_phi[lo - row : hi - row], a, out=out[lo - start : hi - start])
-            segment += b * self.sin_phi[lo - row : hi - row]
+            segment += np.multiply(self.sin_phi[lo - row : hi - row], b, out=self._scaled[: hi - lo])
         return out
 
     def sin(self, start: int, m: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -339,12 +342,13 @@ def _synthesize(model: MeasurementModel, n_samples: int, sample_rate: float, see
 
     Each block is one normal draw coloured by the port covariance, plus every
     tone's sinusoid, the calibration tone's too, read off the tone's own
-    :class:`_GridPhasor` and added to one port after another.  A one-thread
-    executor, moved off the caller's CPU, draws block ``k + 1`` into the
-    other of two buffers while this thread colours block ``k``.  Only that
-    thread draws, in block order, so the draws equal one draw of the whole
-    record; a tone's samples depend only on their index; so the blocks join
-    into the same samples bit for bit whatever ``block`` is.  The executor's
+    :class:`_GridPhasor` and added to one port after another, skipping each
+    port where its amplitude is exactly 0.  A one-thread executor, moved off
+    the caller's CPU, draws block ``k + 1`` into the other of two buffers
+    while this thread colours block ``k``.  Only that thread draws, in block
+    order, so the draws equal one draw of the whole record; a tone's samples
+    depend only on their index; so the blocks join into the same samples bit
+    for bit whatever ``block`` is.  The executor's
     thread is joined on every exit, and an exception raised by a draw is
     raised here unchanged.  A tone's samples differ from ``np.sin`` of the
     angle by the angle's rounding: at most 1.7e-9 over 8M samples of a
@@ -383,7 +387,8 @@ def _synthesize(model: MeasurementModel, n_samples: int, sample_rate: float, see
             for phasor, amps in waves:
                 wave = phasor.sin(start, m, out=tone)
                 for row, amp in zip(out, amps):
-                    row += np.multiply(wave, amp, out=scaled[:m])
+                    if amp != 0.0:
+                        row += np.multiply(wave, amp, out=scaled[:m])
             yield out
 
 
@@ -391,12 +396,13 @@ class _WelchSums:
     """Running Welch sums over a multi-row record, each block written into :meth:`slot` and added by :meth:`take`.
 
     Segments are cut, Hann-windowed and transformed as the blocks arrive,
-    :data:`_CHUNK` at a time in kept buffers; the last ``nperseg - step`` or
-    more samples of each block carry over to the next.  Each segment's mean
-    ``m`` comes off after the FFT, as ``m W`` on bins 0 and 1, since the
-    periodic Hann window's transform ``W`` is zero past bin 1.  That rounds
-    unlike a detrend first, by a share of the row's mean power that grows
-    with ``|m|``: 1e-13 up to 10 sigma, 1e-11 at 1e3 sigma.  ``power`` sums
+    ``chunk`` at a time in kept buffers, at least :data:`_CHUNK_SAMPLES`
+    samples of them; the last ``nperseg - step`` or more samples of each
+    block carry over to the next.  Each segment's mean ``m`` comes off after
+    the FFT, as ``m W`` on bins 0 and 1, since the periodic Hann window's
+    transform ``W`` is zero past bin 1.  That rounds unlike a detrend first,
+    by a share of the row's mean power that grows with ``|m|``: 1e-13 up to
+    10 sigma, 1e-11 at 1e3 sigma.  ``power`` sums
     ``re^2 + im^2`` of ``X`` per row in segment order, so any blocking gives
     the same sums bit for bit.  With ``cross = [i, j]`` it also sums
     ``Re(X_i conj X_j)``, a block's segments in order before the block
@@ -414,7 +420,8 @@ class _WelchSums:
         self.cross = cross
         self.cross_power = np.zeros(nperseg // 2 + 1)
         self.n_segments = 0
-        # The carry, then the latest block; and the buffers of _CHUNK segments.
+        self.chunk = math.ceil(_CHUNK_SAMPLES / nperseg)
+        # The carry, then the latest block; and the buffers of a chunk of segments.
         self._data, self._carry, self._tapered = np.empty((rows, 0)), 0, np.empty((rows, 0, nperseg))
 
     def slot(self, m: int) -> np.ndarray:
@@ -429,7 +436,7 @@ class _WelchSums:
         """Add the ``m`` samples written into :meth:`slot`; the carry then moves over them."""
         data, rows, end, bins = self._data, len(self._data), self._carry + m, self.power.shape[1]
         count = max(0, (end - self.nperseg) // self.step + 1)
-        chunk = min(count, _CHUNK)
+        chunk = min(count, self.chunk)
         if self._tapered.shape[1] < chunk:
             self._tapered = np.empty((rows, chunk, self.nperseg))
             self._spectra = np.empty((rows, chunk, bins), dtype=complex)
@@ -438,8 +445,8 @@ class _WelchSums:
             if self.cross is not None:
                 self._cross = np.empty((2, chunk + 1, bins))
         strides = (data.strides[0], self.step * data.itemsize, data.itemsize)
-        for first in range(0, count, _CHUNK):
-            n = min(_CHUNK, count - first)
+        for first in range(0, count, self.chunk):
+            n = min(self.chunk, count - first)
             segments = np.ndarray((rows, n, self.nperseg), buffer=data, offset=first * strides[1], strides=strides)
             tapered = np.multiply(segments, self.window, out=self._tapered[:, :n])
             spectra = np.fft.rfft(tapered, axis=2, out=self._spectra[:, :n])
@@ -531,7 +538,7 @@ def simulate_currents(
     model = measurement_model(scheme)
     records = np.empty((len(model.port_names), n_samples))
     with contextlib.closing(
-        _synthesize(model, n_samples, sample_rate, seed, _RECORD_BLOCK, lambda start, m: records[:, start : start + m])
+        _synthesize(model, n_samples, sample_rate, seed, _BLOCK_SAMPLES, lambda start, m: records[:, start : start + m])
     ) as blocks:
         for _ in blocks:
             pass
@@ -718,8 +725,8 @@ def calibrate_k(i1: TimeSeries, i3: TimeSeries, cal_tone_hz: float) -> float:
     if i1.sample_rate != i3.sample_rate or i1.samples.size != i3.samples.size:
         raise ValueError("records must share sample rate and length to be balanced")
     lock_in = _LockIn(cal_tone_hz, i1.sample_rate)
-    for start in range(0, i1.samples.size, _RECORD_BLOCK):
-        end = start + _RECORD_BLOCK
+    for start in range(0, i1.samples.size, _BLOCK_SAMPLES):
+        end = start + _BLOCK_SAMPLES
         lock_in.feed(start, np.stack((i1.samples[start:end], i3.samples[start:end])))
     amplitudes = lock_in.amplitudes()
     for record, amplitude in zip((i1, i3), amplitudes):

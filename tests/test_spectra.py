@@ -344,19 +344,57 @@ class TestStreamedPass:
             assert np.array_equal(run.spectra[port].freq, expected.freq)
             assert run.spectra[port].n_averages == expected.n_averages
 
-    @pytest.mark.parametrize("gain", [1.0, 0.84])
-    def test_combination_read_off_cross_spectrum(self, gain):
+    def test_short_segments_stream_in_sample_sized_units(self, monkeypatch):
+        # At 333-sample segments the blocks once held 32 Welch steps (5344
+        # samples) and each FFT call 8 segments (2664 samples per port).
+        events, synthesize, rfft = [], suisim.spectra._synthesize, np.fft.rfft
+
+        def counted_synthesize(model, n_samples, sample_rate, seed, block, target):
+            def counted_target(start, m):
+                events.append(("block", m))
+                return target(start, m)
+
+            return synthesize(model, n_samples, sample_rate, seed, block, counted_target)
+
+        def counted_rfft(a, *args, **kwargs):
+            # A chunk of segments is (ports, segments, nperseg); the window's own transform is 1-D.
+            if a.ndim == 3:
+                events.append(("rfft", a.shape[1] * a.shape[2]))
+            return rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(suisim.spectra, "_synthesize", counted_synthesize)
+        monkeypatch.setattr(np.fft, "rfft", counted_rfft)
+        run = simulate_spectra(measurement_model(preset_run_config("fig2").scheme), 0.0123457, seed=5, rbw=10e6 / 333)
+        blocks = [m for kind, m in events if kind == "block"]
+        assert len(blocks) > 2 and min(blocks[:-1]) >= 16000
+        assert sum(blocks) == 123457
+        # The FFT calls of each block: all but its last transform 8000 samples or more of each port.
+        calls, segments = [], 0
+        for kind, size in events:
+            if kind == "block":
+                calls.append([])
+            else:
+                calls[-1].append(size)
+                segments += size // 333
+        assert all(len(sizes) > 0 and min(sizes[:-1], default=8000) >= 8000 for sizes in calls[:-1])
+        assert segments == run.spectra["signal"].n_averages
+
+    # 15 kHz: 667-sample segments, in blocks of 48 steps (16032 samples), so
+    # the pass's lock-in sums group unlike calibrate_k's 16000-sample blocks.
+    @pytest.mark.parametrize("gain, rbw", [(1.0, 10e3), (0.84, 10e3), (1.0, 15e3)], ids=["1.0", "0.84", "1.0-15kHz"])
+    def test_combination_read_off_cross_spectrum(self, gain, rbw):
         cfg = preset_run_config("fig5")
         combine = cfg.sim.combine
         # The signal channel read through an amplitude gain, in the model and in the record.
         model = measurement_model(cfg.scheme)
+        check_readout(0.05, 10e6, rbw, list(model.tone_amplitudes))
         scale = np.array([gain if name == "signal" else 1.0 for name in model.port_names])
         model = dataclasses.replace(
             model,
             noise_cov=model.noise_cov * np.outer(scale, scale),
             tone_amplitudes={f: tuple(a * g for a, g in zip(amps, scale)) for f, amps in model.tone_amplitudes.items()},
         )
-        run = simulate_spectra(model, 0.05, seed=cfg.sim.seed, combine=combine)
+        run = simulate_spectra(model, 0.05, seed=cfg.sim.seed, rbw=rbw, combine=combine)
         records = simulate_currents(cfg.scheme, 0.05, seed=cfg.sim.seed)
         i1 = dataclasses.replace(records["signal"], samples=gain * records["signal"].samples)
         i3 = records["tap"]
@@ -364,7 +402,7 @@ class TestStreamedPass:
         assert run.balance_gain_k == pytest.approx(k, rel=1e-12, abs=0.0)
         assert len(run.combined) == len(combine.thetas) == 4
         for theta, spec in zip(combine.thetas, run.combined):
-            expected = welch_psd(combine_currents(i1, i3, theta, k))
+            expected = welch_psd(combine_currents(i1, i3, theta, k), rbw)
             assert_allclose(spec.psd_snu, expected.psd_snu, rtol=1e-11, atol=0.0)
             assert spec.n_averages == expected.n_averages
 
