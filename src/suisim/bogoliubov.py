@@ -184,29 +184,24 @@ def closed_form_snr(scheme: SchemeInstance) -> ClosedFormSnr:
 
     ``eps`` and ``delta`` are the depths of the scheme's tones at angles 0
     and pi/2 (0 without such a tone) and ``I`` its probe photon number; its
-    losses and detector efficiencies are not read.
+    losses and detector efficiencies are not read.  ``bs`` and ``amp`` are
+    exact: :func:`exact_axis_snr` at unit efficiencies.
 
     bs:  (2 I eps^2, 2 I delta^2)
+    amp: (4 G^2 I eps^2 / (2 G^2 - 1), 4 (G^2 - 1) I delta^2 / (2 G^2 - 1))
     sui: 2 (G1 + g1)^2 I eps^2 and the same with delta, valid for G2 >> G1
-    amp: (4 G^2 I eps^2 / (G^2 + g^2), 4 g^2 I delta^2 / (G^2 + g^2))
     """
     i_ps = scheme.probe_photon_number
     eps, delta = (
         0.0 if tone is None else tone.depth
         for tone in (tone_at_angle(scheme, 0.0), tone_at_angle(scheme, math.pi / 2))
     )
-    if scheme.kind == "bs":
-        return ClosedFormSnr(2.0 * i_ps * eps**2, 2.0 * i_ps * delta**2, False)
     if scheme.kind == "sui":
         factor = 2.0 * (scheme.opa1.gain + scheme.opa1.conjugate_gain) ** 2 * i_ps
         return ClosedFormSnr(factor * eps**2, factor * delta**2, True)
-    gain, conj = scheme.opa2_or_amp.gain, scheme.opa2_or_amp.conjugate_gain
-    total = gain**2 + conj**2
-    return ClosedFormSnr(
-        4.0 * gain**2 * i_ps * eps**2 / total,
-        4.0 * conj**2 * i_ps * delta**2 / total,
-        False,
-    )
+    gain = None if scheme.kind == "bs" else scheme.opa2_or_amp.gain
+    snr_x, snr_y = exact_axis_snr(scheme.kind, i_ps, eps, delta, gain_g2=gain)
+    return ClosedFormSnr(float(snr_x), float(snr_y), False)
 
 
 def exact_port_variances(

@@ -142,53 +142,31 @@ def compile_pipeline(n_modes: int, elements: list[Element]) -> tuple[np.ndarray,
 
     An input of mean ``m`` and covariance ``V`` leaves with mean
     ``S m + D.sum(axis=1)`` and covariance ``S V S^T + N``.  Column k of ``D``
-    is the output shift of the k-th :class:`Displace` on its own.
+    is the output shift of the k-th :class:`Displace` on its own.  The fold
+    starts from the identity channel: ``S = I``, ``N = 0`` and no columns.
     """
-    return _fold(n_modes, (None, None, None), elements)
+    dim = 2 * n_modes
+    return _fold(n_modes, (np.eye(dim), np.zeros((dim, dim)), np.zeros((dim, 0))), elements)
 
 
 def _fold(n_modes: int, channel: tuple, elements: list[Element]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The channel ``(S, N, D)`` followed by ``elements``, folded element by element.
 
-    ``S`` None stands for the identity, ``N`` None for no noise and ``D``
-    None for no columns; the returned channel holds arrays only.
+    An element of transfer ``M`` and added noise ``A`` maps the channel to
+    ``(M S, M N M^T + A, M D)``; a :class:`Displace` appends its shift as a new column of ``D``.
     """
     transfer, noise, shifts = channel
-    dim = 2 * n_modes
-    columns = []
     for element in elements:
         if isinstance(element, Displace):
-            # The new column is the displacement: (dx, dy) on its mode, zero elsewhere.
             _check_mode(n_modes, element.mode)
-            column = [0.0] * dim
+            column = np.zeros((2 * n_modes, 1))
             ix, iy = xy_indices(element.mode)
-            column[ix], column[iy] = element.dx, element.dy
-            columns.append(column)
+            column[ix, 0], column[iy, 0] = element.dx, element.dy
+            shifts = np.concatenate([shifts, column], axis=1)
             continue
-        if columns:
-            shifts, columns = _joined(shifts, columns), []
         m, added = _element_channel(n_modes, element)
-        # Products with the identity or zero noise only copy: m @ I is m with
-        # its signed zeros cleared, and m @ 0 @ m.T + added is added.
-        transfer = m + 0.0 if transfer is None else m @ transfer
-        if noise is not None:
-            noise = m @ noise @ m.T + added
-        elif isinstance(added, np.ndarray):
-            noise = added
-        if shifts is not None:
-            shifts = m @ shifts
-    if columns:
-        shifts = _joined(shifts, columns)
-    transfer = np.eye(dim) if transfer is None else transfer
-    noise = np.zeros((dim, dim)) if noise is None else noise
-    return transfer, noise, np.zeros((dim, 0)) if shifts is None else shifts
-
-
-def _joined(shifts: np.ndarray | None, columns: list[list[float]]) -> np.ndarray:
-    """``shifts`` (None for no columns) with ``columns`` appended, assembled on
-    Python floats in one array call: each numpy call on so few columns costs more than its copy."""
-    rows = [[] for _ in columns[0]] if shifts is None else shifts.tolist()
-    return np.array([row + [column[i] for column in columns] for i, row in enumerate(rows)])
+        transfer, noise, shifts = m @ transfer, m @ noise @ m.T + added, m @ shifts
+    return transfer, noise, shifts
 
 
 def vacuum_output(n_modes: int, transfer: np.ndarray, noise: np.ndarray, shifts: np.ndarray) -> GaussianState:

@@ -432,7 +432,7 @@ def check_loss_sensitivity() -> tuple[bool, str]:
 
     amp = build_scheme("amp", probe_photon_number=_PROBE_PHOTONS, tones=_TONES, gain_g2=_GAINS[1])
     [point] = snr_vs_detection_efficiency(amp, "signal", _X_HZ, [0.5])
-    variance = 2.0 * _GAINS[1] ** 2 - 1.0  # the amplifier's output variance, 2 G2^2 - 1
+    variance, _ = exact_port_variances("amp", gain_g2=_GAINS[1])
     law = 0.5 * variance / (0.5 * variance + 0.5)
     amp_dev = abs(point.ratio - law)
     passed = bs_dev < 1e-9 and point.ratio >= 0.99 and amp_dev < 1e-9

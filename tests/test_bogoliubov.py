@@ -175,6 +175,39 @@ class TestClosedForms:
         assert out.snr_y == pytest.approx(2.0)
 
 
+# Probe photon numbers, depths, tone-angle sets and amplifier gains on which
+# the bs and amp closed forms are read against the exact axis SNRs.
+CLOSED_FORM_PROBES = (0.0, 1.0, 1e4, 3.7e9)
+CLOSED_FORM_DEPTHS = (1e-4, 0.01, 0.05)
+CLOSED_FORM_ANGLES = ((0.0, math.pi / 2), (0.0,), (math.pi / 2,), (math.pi / 4, -math.pi / 2), (0.3, 2.0 * math.pi))
+CLOSED_FORM_GAINS = (1.0, 1.0 + 1e-9, 1.5, 9.0, 123.4, 1e3)
+
+
+@pytest.mark.parametrize("angles", CLOSED_FORM_ANGLES)
+def test_bs_and_amp_closed_forms_are_the_exact_axis_snrs(angles):
+    for i_ps, depth in itertools.product(CLOSED_FORM_PROBES, CLOSED_FORM_DEPTHS):
+        tones = tuple(ModulationTone(1e6 * (k + 1), depth, angle) for k, angle in enumerate(angles))
+        # A tone counts at angle 0 or pi/2 modulo 2 pi; any other angle reads 0.
+        on_axis = [
+            any(math.isclose(math.remainder(a - target, 2.0 * math.pi), 0.0, abs_tol=1e-12) for a in angles)
+            for target in (0.0, math.pi / 2)
+        ]
+        eps, delta = (depth if hit else 0.0 for hit in on_axis)
+        bs = closed_form_snr(build_scheme("bs", probe_photon_number=i_ps, tones=tones))
+        assert (bs.snr_x, bs.snr_y) == (2.0 * i_ps * eps**2, 2.0 * i_ps * delta**2)
+        assert (bs.snr_x, bs.snr_y) == exact_axis_snr("bs", i_ps, eps, delta)
+        assert not bs.asymptotic
+        for gain in CLOSED_FORM_GAINS:
+            amp = closed_form_snr(build_scheme("amp", probe_photon_number=i_ps, tones=tones, gain_g2=gain))
+            exact = exact_axis_snr("amp", i_ps, eps, delta, gain_g2=gain)
+            assert (amp.snr_x, amp.snr_y) == pytest.approx(exact, rel=1e-14, abs=0.0)
+            # The same numbers as 4 G^2 I eps^2 / (2 G^2 - 1) and 4 (G^2 - 1) I delta^2 / (2 G^2 - 1).
+            total = 2.0 * gain**2 - 1.0
+            expected = (4.0 * gain**2 * i_ps * eps**2 / total, 4.0 * (gain**2 - 1.0) * i_ps * delta**2 / total)
+            assert (amp.snr_x, amp.snr_y) == pytest.approx(expected, rel=1e-14, abs=0.0)
+            assert not amp.asymptotic
+
+
 def test_engine_snr_approaches_sui_closed_form():
     tones = (ModulationTone(0.8e6, 0.01, 0.0), ModulationTone(1.2e6, 0.01, math.pi / 2))
     sui = build_scheme(

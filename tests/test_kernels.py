@@ -190,6 +190,25 @@ class TestCompiledPipeline:
             for actual, expected in zip(compile_pipeline(n_modes, elements), reference_compile(n_modes, elements)):
                 assert_bitwise_equal(actual, expected)
 
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    def test_empty_and_displacement_only_pipelines(self, n_modes):
+        # random_pipeline always has other elements; these fold nothing onto the identity channel.
+        dim = 2 * n_modes
+        rng = np.random.default_rng(n_modes)
+        for count in range(5):
+            modes = rng.integers(n_modes, size=count).tolist()
+            # Signed zeros alternate in dy: each must reach its column as given.
+            elements = [Displace(mode, float(rng.normal(0, 5)), -0.0 if k % 2 else 0.0) for k, mode in enumerate(modes)]
+            channel = compile_pipeline(n_modes, elements)
+            for actual, expected in zip(channel, reference_compile(n_modes, elements)):
+                assert_bitwise_equal(actual, expected)
+            # Column k is the k-th displacement on its mode, zero elsewhere.
+            columns = np.zeros((dim, count))
+            for k, element in enumerate(elements):
+                columns[xy_indices(element.mode), k] = element.dx, element.dy
+            for actual, expected in zip(channel, (np.eye(dim), np.zeros((dim, dim)), columns)):
+                assert_bitwise_equal(actual, expected)
+
     def test_homodyne_variance_reads_the_same_block(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
