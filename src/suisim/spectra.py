@@ -16,12 +16,13 @@ unit-variance white noise sits at 1, i.e. the shot-noise unit.  A
 :class:`Spectrum` is its PSD, bin width and average count, bin ``k`` at
 ``k * bin_width``: the one spacing, :func:`_bin_width`, that
 :func:`check_readout` reads too.  :func:`simulate_spectra` synthesises a run
-of a port model and accumulates its spectra in blocks of whole Welch steps,
-at least 16000 samples, in buffers kept for the pass, so its memory does not
-grow with the duration.  A one-thread executor per pass draws the noise one
-block ahead while the caller's thread colours, transforms and sums the block
-before; only that thread draws, in block order, so the output is bit for bit
-that of one thread.  A combination feeds each block to the lock-in, unseen by
+of a port model and accumulates its spectra in blocks of the fewest whole
+Welch steps that hold 16000 samples, the one sample budget of the pass, in
+buffers allocated once per pass, so its memory does not grow with the
+duration.  A one-thread executor per pass draws the noise one block ahead
+while the caller's thread colours, transforms and sums the block before;
+only that thread draws, in block order, so the output is bit for bit that of
+one thread.  A combination feeds each block to the lock-in, unseen by
 the synthesis.  The record-level functions compute the same run one whole
 record at a time: :func:`simulate_currents`, :func:`welch_psd` and
 :func:`calibrate_k` run the same synthesis, Welch sums (each block written
@@ -127,24 +128,17 @@ def report_band(n_bins: int, bin_width: float, tones) -> tuple[float, float]:
     return max(bin_width, min(tones) - margin), min((n_bins - 1) * bin_width, max(tones) + margin)
 
 
-# A streamed block is whole Welch steps, at least 32 of them and at least
-# 16000 samples: 32 steps at the default settings and longer segments, 96
-# steps of 167 samples at 333-sample segments, so short segments pay no more
-# Python per sample than the default.  The pass then keeps about 0.56 MB per
-# port: two draw buffers (one being drawn by the executor), the Welch buffer
-# and its segment buffers.  128 steps timed 20% slower.  16000 samples is
-# also the block of the work that has no segment length of its own (whole
-# records, lock-in sums).
-_BLOCK_STEPS = 32
+# The one sample budget of the pass: a block is the fewest whole Welch steps
+# that hold 16000 samples, 32 steps of 500 at the defaults, 96 of 167 at
+# 333-sample segments, 4 of 5000 at rbw 1 kHz and one step from 32000-sample
+# segments on.  Per port that keeps about 0.56 MB at the defaults (two draw
+# buffers, the Welch buffer and its segment buffers); 64000-sample blocks
+# timed 20% slower.  It is also the block of the work that has no segment
+# length of its own (whole records, lock-in sums).
 _BLOCK_SAMPLES = 16_000
 # Welch segments are windowed and transformed in chunks of at least 8000
 # samples: 8 segments at the default settings, 25 at 333 samples.
 _CHUNK_SAMPLES = 8_000
-
-
-def _block_length(nperseg: int) -> int:
-    step = nperseg - nperseg // 2
-    return step * max(_BLOCK_STEPS, math.ceil(_BLOCK_SAMPLES / step))
 
 
 def _bin_width(sample_rate: float, nperseg: int) -> float:
@@ -395,10 +389,13 @@ def _synthesize(model: MeasurementModel, n_samples: int, sample_rate: float, see
 class _WelchSums:
     """Running Welch sums over a multi-row record, each block written into :meth:`slot` and added by :meth:`take`.
 
-    Segments are cut, Hann-windowed and transformed as the blocks arrive,
-    ``chunk`` at a time in kept buffers, at least :data:`_CHUNK_SAMPLES`
-    samples of them; the last ``nperseg - step`` or more samples of each
-    block carry over to the next.  Each segment's mean ``m`` comes off after
+    A block is at most ``block`` samples, the fewest whole Welch steps that
+    hold :data:`_BLOCK_SAMPLES`; segments are cut, Hann-windowed and
+    transformed as the blocks arrive, ``chunk`` at a time, at least
+    :data:`_CHUNK_SAMPLES` samples of them, and the last ``nperseg - step``
+    or more samples of each block carry over to the next.  Every buffer is
+    allocated once, at full size, so :meth:`slot` and :meth:`take` allocate
+    nothing.  Each segment's mean ``m`` comes off after
     the FFT, as ``m W`` on bins 0 and 1, since the periodic Hann window's
     transform ``W`` is zero past bin 1.  That rounds unlike a detrend first,
     by a share of the row's mean power that grows with ``|m|``: 1e-13 up to
@@ -414,36 +411,35 @@ class _WelchSums:
         self.sample_rate = sample_rate
         self.nperseg = nperseg
         self.step = nperseg - nperseg // 2
+        self.block = self.step * math.ceil(_BLOCK_SAMPLES / self.step)
+        self.chunk = math.ceil(_CHUNK_SAMPLES / nperseg)
         self.window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(nperseg) / nperseg)
         self._window_dft = np.fft.rfft(self.window)[:2]
-        self.power = np.zeros((rows, nperseg // 2 + 1))
+        bins = nperseg // 2 + 1
+        self.power = np.zeros((rows, bins))
         self.cross = cross
-        self.cross_power = np.zeros(nperseg // 2 + 1)
+        self.cross_power = np.zeros(bins)
         self.n_segments = 0
-        self.chunk = math.ceil(_CHUNK_SAMPLES / nperseg)
-        # The carry, then the latest block; and the buffers of a chunk of segments.
-        self._data, self._carry, self._tapered = np.empty((rows, 0)), 0, np.empty((rows, 0, nperseg))
+        # The carry, under nperseg samples, then the latest block; and the buffers of a chunk of segments.
+        self._data, self._carry = np.empty((rows, nperseg - 1 + self.block)), 0
+        self._tapered = np.empty((rows, self.chunk, nperseg))
+        self._spectra = np.empty((rows, self.chunk, bins), dtype=complex)
+        # Row 0 of each holds the sum so far, so adding along axis 1 keeps segment order.
+        self._squares = np.empty((rows, self.chunk + 1, bins))
+        if cross is not None:
+            self._cross = np.empty((2, self.chunk + 1, bins))
 
     def slot(self, m: int) -> np.ndarray:
         """The ``(rows, m)`` view, after the carry, that the next ``m`` samples
-        are written into before :meth:`take` adds them."""
-        end = self._carry + m
-        if self._data.shape[1] < end:
-            self._data = np.hstack((self._data[:, : self._carry], np.empty((len(self._data), self.nperseg + end))))
-        return self._data[:, self._carry : end]
+        are written into before :meth:`take` adds them; ``m`` is at most ``block``."""
+        if m > self.block:
+            raise ValueError(f"a block of {m} samples is longer than the {self.block} the Welch buffer holds")
+        return self._data[:, self._carry : self._carry + m]
 
     def take(self, m: int) -> None:
         """Add the ``m`` samples written into :meth:`slot`; the carry then moves over them."""
-        data, rows, end, bins = self._data, len(self._data), self._carry + m, self.power.shape[1]
+        data, rows, end = self._data, len(self._data), self._carry + m
         count = max(0, (end - self.nperseg) // self.step + 1)
-        chunk = min(count, self.chunk)
-        if self._tapered.shape[1] < chunk:
-            self._tapered = np.empty((rows, chunk, self.nperseg))
-            self._spectra = np.empty((rows, chunk, bins), dtype=complex)
-            # Row 0 of each holds the sum so far, so adding along axis 1 keeps segment order.
-            self._squares = np.empty((rows, chunk + 1, bins))
-            if self.cross is not None:
-                self._cross = np.empty((2, chunk + 1, bins))
         strides = (data.strides[0], self.step * data.itemsize, data.itemsize)
         for first in range(0, count, self.chunk):
             n = min(self.chunk, count - first)
@@ -603,15 +599,14 @@ def simulate_spectra(
             variance = model.variance(port) + sum(model.amplitude(port, t) ** 2 / 2.0 for t in model.tone_amplitudes)
             _check_visible(f, port, abs(model.amplitude(port, f)), variance, n_samples)
         lock_in = _LockIn(f, sample_rate)
-        # The pair's rows as a strided view, not a copy, when the signal port comes first.
+        # Pair rows: a view if the signal port comes first, else a copy (a reversed view rounds unlike calibrate_k).
         rows = slice(pair[0], pair[1] + 1, pair[1] - pair[0]) if pair[0] < pair[1] else pair
     sums = _WelchSums(len(model.port_names), sample_rate, nperseg, cross=pair)
-    block = _block_length(nperseg)
     # Each block is synthesised into the Welch buffer, after the carry.
     with contextlib.closing(
-        _synthesize(model, n_samples, sample_rate, seed, block, lambda _, m: sums.slot(m))
+        _synthesize(model, n_samples, sample_rate, seed, sums.block, lambda _, m: sums.slot(m))
     ) as blocks:
-        for start, samples in zip(range(0, n_samples, block), blocks):
+        for start, samples in zip(range(0, n_samples, sums.block), blocks):
             if lock_in is not None:
                 # Before take moves the carry over the block.
                 lock_in.feed(start, samples[rows])
@@ -640,9 +635,8 @@ def welch_psd(ts: TimeSeries, rbw: float = DEFAULT_RBW) -> Spectrum:
     """
     nperseg = _segment_length(ts.sample_rate, rbw, ts.samples.size)
     sums = _WelchSums(1, ts.sample_rate, nperseg)
-    block = _block_length(nperseg)
-    for start in range(0, ts.samples.size, block):
-        samples = ts.samples[start : start + block]
+    for start in range(0, ts.samples.size, sums.block):
+        samples = ts.samples[start : start + sums.block]
         sums.slot(samples.size)[0] = samples
         sums.take(samples.size)
     return sums.spectrum(sums.power[0])

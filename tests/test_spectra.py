@@ -291,6 +291,17 @@ class TestWelchKernel:
         for sums in runs[1:]:
             assert np.array_equal(sums.power, runs[0].power)
 
+    @pytest.mark.parametrize("nperseg, block", [(2, 16000), (1000, 16000), (10_000, 20_000), (100_000, 50_000)])
+    def test_slot_holds_at_most_one_block(self, nperseg, block):
+        # The fewest whole steps that hold 16000 samples, and no growth past them.
+        sums = _WelchSums(2, 1e6, nperseg)
+        assert sums.block == block
+        sums.slot(block)[...] = 1.0
+        sums.take(block)
+        assert sums.slot(block).shape == (2, block)
+        with pytest.raises(ValueError, match=f"block of {block + 1} samples"):
+            sums.slot(block + 1)
+
 
 def preset_run_config(name):
     """A preset's run config; its scheme sits at the dark fringe, which the lock puts at exactly pi."""
@@ -315,6 +326,20 @@ def single_draw_records(scheme, duration, sample_rate, seed):
                 waveform += amp * _GridPhasor(tone.frequency_hz, sample_rate).sin(0, n)
         records[name] = waveform
     return records
+
+
+def count_blocks(monkeypatch, events):
+    """Patch the pass's synthesis so each ``target(start, m)`` it writes appends ``("block", m)`` to ``events``."""
+    synthesize = suisim.spectra._synthesize
+
+    def counted_synthesize(model, n_samples, sample_rate, seed, block, target):
+        def counted_target(start, m):
+            events.append(("block", m))
+            return target(start, m)
+
+        return synthesize(model, n_samples, sample_rate, seed, block, counted_target)
+
+    monkeypatch.setattr(suisim.spectra, "_synthesize", counted_synthesize)
 
 
 class TestStreamedPass:
@@ -347,14 +372,7 @@ class TestStreamedPass:
     def test_short_segments_stream_in_sample_sized_units(self, monkeypatch):
         # At 333-sample segments the blocks once held 32 Welch steps (5344
         # samples) and each FFT call 8 segments (2664 samples per port).
-        events, synthesize, rfft = [], suisim.spectra._synthesize, np.fft.rfft
-
-        def counted_synthesize(model, n_samples, sample_rate, seed, block, target):
-            def counted_target(start, m):
-                events.append(("block", m))
-                return target(start, m)
-
-            return synthesize(model, n_samples, sample_rate, seed, block, counted_target)
+        events, rfft = [], np.fft.rfft
 
         def counted_rfft(a, *args, **kwargs):
             # A chunk of segments is (ports, segments, nperseg); the window's own transform is 1-D.
@@ -362,7 +380,7 @@ class TestStreamedPass:
                 events.append(("rfft", a.shape[1] * a.shape[2]))
             return rfft(a, *args, **kwargs)
 
-        monkeypatch.setattr(suisim.spectra, "_synthesize", counted_synthesize)
+        count_blocks(monkeypatch, events)
         monkeypatch.setattr(np.fft, "rfft", counted_rfft)
         run = simulate_spectra(measurement_model(preset_run_config("fig2").scheme), 0.0123457, seed=5, rbw=10e6 / 333)
         blocks = [m for kind, m in events if kind == "block"]
@@ -379,9 +397,12 @@ class TestStreamedPass:
         assert all(len(sizes) > 0 and min(sizes[:-1], default=8000) >= 8000 for sizes in calls[:-1])
         assert segments == run.spectra["signal"].n_averages
 
-    # 15 kHz: 667-sample segments, in blocks of 48 steps (16032 samples), so
+    # 15 kHz: 667-sample segments, in blocks of 48 steps (16032 samples), and
+    # 2 kHz: 5000-sample segments, in blocks of 7 steps (17500 samples), so
     # the pass's lock-in sums group unlike calibrate_k's 16000-sample blocks.
-    @pytest.mark.parametrize("gain, rbw", [(1.0, 10e3), (0.84, 10e3), (1.0, 15e3)], ids=["1.0", "0.84", "1.0-15kHz"])
+    @pytest.mark.parametrize(
+        "gain, rbw", [(1.0, 10e3), (0.84, 10e3), (1.0, 15e3), (1.0, 2e3)], ids=["1.0", "0.84", "1.0-15kHz", "1.0-2kHz"]
+    )
     def test_combination_read_off_cross_spectrum(self, gain, rbw):
         cfg = preset_run_config("fig5")
         combine = cfg.sim.combine
@@ -405,6 +426,21 @@ class TestStreamedPass:
             expected = welch_psd(combine_currents(i1, i3, theta, k), rbw)
             assert_allclose(spec.psd_snu, expected.psd_snu, rtol=1e-11, atol=0.0)
             assert spec.n_averages == expected.n_averages
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["signal-first", "tap-first"])
+    def test_balance_gain_equals_calibrate_k_bit_for_bit(self, order):
+        # At the default segments the pass's blocks are 16000 samples, as
+        # calibrate_k's, so both sum the lock-in over the same draws in the
+        # same groups; the pass reads the pair's rows off contiguous memory
+        # whichever port comes first.
+        cfg = preset_run_config("fig5")
+        scheme = dataclasses.replace(cfg.scheme, ports=cfg.scheme.ports[::order])
+        model = measurement_model(scheme)
+        assert (model.port_names.index("signal") < model.port_names.index("tap")) == (order == 1)
+        combine = cfg.sim.combine
+        run = simulate_spectra(model, 0.0123457, seed=cfg.sim.seed, combine=combine)
+        records = simulate_currents(scheme, 0.0123457, seed=cfg.sim.seed)
+        assert run.balance_gain_k == calibrate_k(records["signal"], records["tap"], combine.calibration_tone_hz)
 
     def test_combination_leaves_the_port_spectra_unchanged(self):
         # The lock-in reads each synthesised block; the synthesis does not see it.
@@ -621,23 +657,40 @@ class TestDrawWorker:
 class TestWorkingSet:
     """The streamed pass's memory is a fixed working set: buffers allocated
     once per pass, so its traced peak is the same for a record ten times as
-    long.  The bounds sit 9-10% above the measured peaks (2.30 MB for
-    fig4's three ports, 2.69 MB for fig5's with its combination), which
-    count the worker's second draw buffer; a pass that allocated each
-    block's temporaries afresh read 3.36 and 3.80 MB."""
+    long.  The bounds sit about 10% above the measured peaks, which count
+    the worker's second draw buffer: at the defaults 2.40 MB for fig4's
+    three ports and 2.82 MB for fig5's with its combination (a pass that
+    allocated each block's temporaries afresh read 3.36 and 3.80 MB); at
+    1 kHz, 10000-sample segments in 20000-sample blocks, 2.49 MB for fig2
+    and 4.05 MB for fig5 (blocks of 32 steps, 160000 samples, read 13.6 and
+    19.1 MB)."""
 
-    @pytest.mark.parametrize("preset, bound", [("fig4", 2.5e6), ("fig5", 2.95e6)])
-    def test_peak_is_flat_in_duration_and_bounded(self, preset, bound):
+    @pytest.mark.parametrize(
+        "preset, rbw, block, bound",
+        [
+            ("fig4", 10e3, 16_000, 2.5e6),
+            ("fig5", 10e3, 16_000, 2.95e6),
+            ("fig2", 1e3, 20_000, 2.75e6),
+            ("fig5", 1e3, 20_000, 4.45e6),
+        ],
+        ids=["fig4-2500000.0", "fig5-2950000.0", "fig2-1kHz", "fig5-1kHz"],
+    )
+    def test_peak_is_flat_in_duration_and_bounded(self, monkeypatch, preset, rbw, block, bound):
         cfg = preset_run_config(preset)
         model = measurement_model(cfg.scheme)
         sim = cfg.sim
-        # One short pass first, so one-off caches (the FFT plans) are not counted.
-        simulate_spectra(model, 0.002, sim.sample_rate_hz, sim.seed, sim.rbw_hz, sim.combine)
+        # One counted pass first, so one-off caches (the FFT plans) are not counted.
+        events = []
+        with monkeypatch.context() as patch:
+            count_blocks(patch, events)
+            simulate_spectra(model, 0.02, sim.sample_rate_hz, sim.seed, rbw, sim.combine)
+        blocks = [m for _, m in events]
+        assert sum(blocks) == 200_000 and set(blocks[:-1]) == {block}, blocks
         peaks = {}
         for duration in (0.02, 0.2):
             tracemalloc.start()
             try:
-                simulate_spectra(model, duration, sim.sample_rate_hz, sim.seed, sim.rbw_hz, sim.combine)
+                simulate_spectra(model, duration, sim.sample_rate_hz, sim.seed, rbw, sim.combine)
                 peaks[duration] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
