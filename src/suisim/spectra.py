@@ -22,13 +22,17 @@ buffers allocated once per pass, so its memory does not grow with the
 duration.  A one-thread executor per pass draws the noise one block ahead
 while the caller's thread colours, transforms and sums the block before;
 only that thread draws, in block order, so the output is bit for bit that of
-one thread.  A combination feeds each block to the lock-in, unseen by
-the synthesis.  The record-level functions compute the same run one whole
-record at a time: :func:`simulate_currents`, :func:`welch_psd` and
-:func:`calibrate_k` run the same synthesis, Welch sums (each block written
-through ``slot`` and ``take``) and lock-in as the pass, and
-:func:`combine_currents` forms a combined record.  The independent references
-are in the tests: one normal draw of the whole record, and scipy's Welch.
+one thread.  A combination feeds each block to the lock-in, unseen by the
+synthesis.  The sums follow one rule.  The port and cross Welch sums add
+segment by segment in order, so they are bit for bit the same under any
+blocking.  The lock-in adds per record and per grid row, grouped by block,
+so only the balance gain ``k``, and the combined spectra through it, may
+move in their last bits with the blocking.  The record-level functions
+compute the same run one whole record at a time: :func:`simulate_currents`,
+:func:`welch_psd` and :func:`calibrate_k` run the same synthesis, Welch
+sums and lock-in as the pass, and :func:`combine_currents` forms a
+combined record.  The independent references are in the tests: one normal
+draw of the whole record, and scipy's Welch.
 """
 
 from __future__ import annotations
@@ -266,15 +270,16 @@ _GRID = 4096
 
 
 class _GridPhasor:
-    """``cos`` and ``sin`` of ``omega n / fs`` at sample indices ``n``, off a fixed grid.
+    """The phase ``omega n / fs`` at sample indices ``n``, off a fixed grid.
 
     With ``n = q L + r`` and ``L = _GRID``, the angle is ``theta_q + phi_r``:
-    ``phi_r = omega (r / fs)`` is one row of ``L`` angles whose cos and sin
-    are taken once, and ``theta_q = omega (q L / fs)`` one angle per grid
-    row; the angle-addition formulas join them.  A sample's value depends on
-    ``n`` alone, so any blocking of a record gives the same samples bit for
-    bit.  They differ from ``np.sin(omega * (n / fs))`` by the rounding of
-    the angle, a few ``eps * omega n / fs``.
+    ``phi_r = omega (r / fs)`` is one row of ``L`` angles whose cos and sin,
+    ``cos_phi`` and ``sin_phi``, are taken once, and ``theta_q = omega (q L /
+    fs)`` one angle per grid row.  The angle-addition formulas join them:
+    :meth:`sin` for the tones, :class:`_LockIn` for its reference.  A tone
+    sample depends on ``n`` alone, so any blocking of a record gives the
+    same samples bit for bit.  They differ from ``np.sin(omega * (n / fs))``
+    by the rounding of the angle, a few ``eps * omega n / fs``.
     """
 
     def __init__(self, frequency_hz: float, sample_rate: float):
@@ -284,26 +289,18 @@ class _GridPhasor:
         self.cos_phi, self.sin_phi = np.cos(phi), np.sin(phi)
         self._scaled = np.empty(_GRID)
 
-    def _fill(self, start: int, m: int, out, weights) -> np.ndarray:
-        """``a_q cos(phi_r) + b_q sin(phi_r)`` for the ``m`` samples from
-        ``n = start``, with ``(a_q, b_q) = weights(theta_q)``, written into
-        ``out[:m]`` (or a new array) one grid-row segment at a time: two
-        products, one into a kept row, and a sum per sample."""
+    def sin(self, start: int, m: int, out: np.ndarray | None = None) -> np.ndarray:
+        """``sin(omega n / fs)`` for the ``m`` samples from ``n = start``, in
+        ``out[:m]`` if given, one grid-row segment at a time as
+        ``sin(theta_q) cos(phi_r) + cos(theta_q) sin(phi_r)``: two products,
+        one into a kept row, and a sum per sample."""
         out = np.empty(m) if out is None else out[:m]
         for row in range(start - start % _GRID, start + m, _GRID):
             lo, hi = max(row, start), min(row + _GRID, start + m)
-            a, b = weights(self.omega * (row / self.sample_rate))
-            segment = np.multiply(self.cos_phi[lo - row : hi - row], a, out=out[lo - start : hi - start])
-            segment += np.multiply(self.sin_phi[lo - row : hi - row], b, out=self._scaled[: hi - lo])
+            theta = self.omega * (row / self.sample_rate)
+            segment = np.multiply(self.cos_phi[lo - row : hi - row], math.sin(theta), out=out[lo - start : hi - start])
+            segment += np.multiply(self.sin_phi[lo - row : hi - row], math.cos(theta), out=self._scaled[: hi - lo])
         return out
-
-    def sin(self, start: int, m: int, out: np.ndarray | None = None) -> np.ndarray:
-        """``sin(omega n / fs)`` for the ``m`` samples from ``n = start``, in ``out[:m]`` if given."""
-        return self._fill(start, m, out, lambda theta: (math.sin(theta), math.cos(theta)))
-
-    def cos(self, start: int, m: int, out: np.ndarray | None = None) -> np.ndarray:
-        """``cos(omega n / fs)`` for the ``m`` samples from ``n = start``, in ``out[:m]`` if given."""
-        return self._fill(start, m, out, lambda theta: (math.cos(theta), -math.sin(theta)))
 
 
 def _spare_cpus() -> set[int]:
@@ -395,16 +392,15 @@ class _WelchSums:
     :data:`_CHUNK_SAMPLES` samples of them, and the last ``nperseg - step``
     or more samples of each block carry over to the next.  Every buffer is
     allocated once, at full size, so :meth:`slot` and :meth:`take` allocate
-    nothing.  Each segment's mean ``m`` comes off after
-    the FFT, as ``m W`` on bins 0 and 1, since the periodic Hann window's
-    transform ``W`` is zero past bin 1.  That rounds unlike a detrend first,
-    by a share of the row's mean power that grows with ``|m|``: 1e-13 up to
-    10 sigma, 1e-11 at 1e3 sigma.  ``power`` sums
-    ``re^2 + im^2`` of ``X`` per row in segment order, so any blocking gives
-    the same sums bit for bit.  With ``cross = [i, j]`` it also sums
-    ``Re(X_i conj X_j)``, a block's segments in order before the block
-    joins the total, from which the spectrum of any combination
-    ``a x_i + b x_j`` follows: detrend, window and FFT are linear.
+    nothing.  Each segment's mean ``m`` comes off after the FFT, as ``m W``
+    on bins 0 and 1, since the periodic Hann window's transform ``W`` is
+    zero past bin 1.  That rounds unlike a detrend first, by a share of the
+    row's mean power that grows with ``|m|``: 1e-13 up to 10 sigma, 1e-11
+    at 1e3 sigma.  ``power`` sums ``re^2 + im^2`` of ``X`` per row and, with
+    ``cross = [i, j]``, ``cross_power`` sums ``Re(X_i conj X_j)``, from
+    which the spectrum of any ``a x_i + b x_j`` follows (detrend, window and
+    FFT are linear).  Both are rows of one running sum that adds segments
+    in order, so any blocking gives the same sums bit for bit.
     """
 
     def __init__(self, rows: int, sample_rate: float, nperseg: int, cross: list[int] | None = None):
@@ -416,18 +412,18 @@ class _WelchSums:
         self.window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(nperseg) / nperseg)
         self._window_dft = np.fft.rfft(self.window)[:2]
         bins = nperseg // 2 + 1
-        self.power = np.zeros((rows, bins))
         self.cross = cross
-        self.cross_power = np.zeros(bins)
+        # The port sums, then a pair's cross sum.
+        self._sums = np.zeros((rows + (cross is not None), bins))
+        self.power = self._sums[:rows]
+        self.cross_power = self._sums[rows] if cross is not None else None
         self.n_segments = 0
         # The carry, under nperseg samples, then the latest block; and the buffers of a chunk of segments.
         self._data, self._carry = np.empty((rows, nperseg - 1 + self.block)), 0
         self._tapered = np.empty((rows, self.chunk, nperseg))
         self._spectra = np.empty((rows, self.chunk, bins), dtype=complex)
-        # Row 0 of each holds the sum so far, so adding along axis 1 keeps segment order.
-        self._squares = np.empty((rows, self.chunk + 1, bins))
-        if cross is not None:
-            self._cross = np.empty((2, self.chunk + 1, bins))
+        # Slot 0 of each row holds the sum so far, so adding along axis 1 keeps segment order.
+        self._squares = np.empty((len(self._sums), self.chunk + 1, bins))
 
     def slot(self, m: int) -> np.ndarray:
         """The ``(rows, m)`` view, after the carry, that the next ``m`` samples
@@ -447,20 +443,17 @@ class _WelchSums:
             tapered = np.multiply(segments, self.window, out=self._tapered[:, :n])
             spectra = np.fft.rfft(tapered, axis=2, out=self._spectra[:, :n])
             spectra[:, :, :2] -= np.add.reduce(segments, axis=2)[:, :, None] / self.nperseg * self._window_dft
-            if self.cross is not None:
-                # Re(X_i conj X_j), summed over the block in segment order.
-                a, b = spectra[self.cross[0]], spectra[self.cross[1]]
-                terms = np.multiply(a.real, b.real, out=self._cross[0, 1 : n + 1])
-                terms += np.multiply(a.imag, b.imag, out=self._cross[1, :n])
-                self._cross[0, 0] = np.add.reduce(self._cross[0, : n + 1] if first else terms, axis=0)
-            # |X|^2 as re^2 + im^2, after the running sum.
             squares = self._squares[:, : n + 1]
-            squares[:, 0] = self.power
+            squares[:, 0] = self._sums
+            if self.cross is not None:
+                # Re(X_i conj X_j) into the last row, before the squares; row 0 lends scratch.
+                a, b = spectra[self.cross[0]], spectra[self.cross[1]]
+                terms = np.multiply(a.real, b.real, out=squares[rows, 1:])
+                terms += np.multiply(a.imag, b.imag, out=squares[0, 1:])
+            # |X|^2 as re^2 + im^2.
             parts = np.square(spectra.view(float), out=spectra.view(float))
-            np.add(parts[:, :, 0::2], parts[:, :, 1::2], out=squares[:, 1:])
-            np.add.reduce(squares, axis=1, out=self.power)
-        if count and self.cross is not None:
-            self.cross_power += self._cross[0, 0]
+            np.add(parts[:, :, 0::2], parts[:, :, 1::2], out=squares[:rows, 1:])
+            np.add.reduce(squares, axis=1, out=self._sums)
         self.n_segments += count
         self._carry = end - count * self.step
         data[:, : self._carry] = data[:, count * self.step : end]
@@ -494,24 +487,31 @@ def _check_visible(frequency_hz: float, port: str, response: float, variance: fl
 class _LockIn:
     """Running lock-in sums of a pair of records at one frequency.
 
-    The reference ``exp(-i omega n / fs)`` is read off a :class:`_GridPhasor`,
-    its ``cos`` and ``sin`` rows formed per block into kept buffers.
+    Each record is read on its own, one grid-row piece of a
+    :class:`_GridPhasor` at a time: as ``exp(-i omega n / fs) =
+    exp(-i theta_q) (cos(phi_r) - i sin(phi_r))``, a piece is dotted with the
+    fixed ``cos_phi`` and ``sin_phi`` rows and turned by ``exp(-i theta_q)``.
+    A block's end also cuts a piece, so the sums' last bits depend on the
+    blocking.
     """
 
     def __init__(self, frequency_hz: float, sample_rate: float):
         self.reference = _GridPhasor(frequency_hz, sample_rate)
-        self.z = np.zeros(2, dtype=complex)
+        self.z = [0j, 0j]
         self.n = 0
-        self._cos = self._sin = np.empty(0)
 
-    def feed(self, start: int, pair: np.ndarray) -> None:
-        """Add the block of both records that begins at sample ``start``."""
-        m = pair.shape[1]
-        if self._cos.size < m:
-            self._cos, self._sin = np.empty(m), np.empty(m)
-        cos, sin = self.reference.cos(start, m, out=self._cos), self.reference.sin(start, m, out=self._sin)
-        self.z += pair @ cos - 1j * (pair @ sin)
-        self.n += m
+    def feed(self, start: int, first: np.ndarray, second: np.ndarray) -> None:
+        """Add the blocks of both records that begin at sample ``start``."""
+        reference, end = self.reference, start + first.size
+        for row in range(start - start % _GRID, end, _GRID):
+            lo, hi = max(row, start), min(row + _GRID, end)
+            theta = reference.omega * (row / reference.sample_rate)
+            turn = complex(math.cos(theta), -math.sin(theta))
+            cos, sin = reference.cos_phi[lo - row : hi - row], reference.sin_phi[lo - row : hi - row]
+            for i, record in enumerate((first, second)):
+                piece = record[lo - start : hi - start]
+                self.z[i] += turn * complex(piece @ cos, -(piece @ sin))
+        self.n += end - start
 
     def amplitudes(self) -> list[float]:
         """The tone amplitude of each record, ``|2 z / n|``."""
@@ -599,8 +599,6 @@ def simulate_spectra(
             variance = model.variance(port) + sum(model.amplitude(port, t) ** 2 / 2.0 for t in model.tone_amplitudes)
             _check_visible(f, port, abs(model.amplitude(port, f)), variance, n_samples)
         lock_in = _LockIn(f, sample_rate)
-        # Pair rows: a view if the signal port comes first, else a copy (a reversed view rounds unlike calibrate_k).
-        rows = slice(pair[0], pair[1] + 1, pair[1] - pair[0]) if pair[0] < pair[1] else pair
     sums = _WelchSums(len(model.port_names), sample_rate, nperseg, cross=pair)
     # Each block is synthesised into the Welch buffer, after the carry.
     with contextlib.closing(
@@ -609,7 +607,7 @@ def simulate_spectra(
         for start, samples in zip(range(0, n_samples, sums.block), blocks):
             if lock_in is not None:
                 # Before take moves the carry over the block.
-                lock_in.feed(start, samples[rows])
+                lock_in.feed(start, samples[pair[0]], samples[pair[1]])
             sums.take(samples.shape[1])
     spectra = {name: sums.spectrum(power) for name, power in zip(model.port_names, sums.power)}
     if pair is None:
@@ -721,7 +719,7 @@ def calibrate_k(i1: TimeSeries, i3: TimeSeries, cal_tone_hz: float) -> float:
     lock_in = _LockIn(cal_tone_hz, i1.sample_rate)
     for start in range(0, i1.samples.size, _BLOCK_SAMPLES):
         end = start + _BLOCK_SAMPLES
-        lock_in.feed(start, np.stack((i1.samples[start:end], i3.samples[start:end])))
+        lock_in.feed(start, i1.samples[start:end], i3.samples[start:end])
     amplitudes = lock_in.amplitudes()
     for record, amplitude in zip((i1, i3), amplitudes):
         _check_visible(cal_tone_hz, record.port_name, amplitude, float(np.var(record.samples)), record.samples.size)

@@ -1,5 +1,7 @@
-"""Hypothesis property tests for the covariance engine invariants."""
+"""Hypothesis property tests: the covariance engine's invariants, and the
+relations of the SNR tables between whole run configs."""
 
+import copy
 import math
 
 import numpy as np
@@ -7,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from suisim.cli import _resolve_scheme
+from suisim.config import AUTO_DARK_FRINGE, load_config, preset_config
 from suisim.gaussian import (
     OpaParams,
     apply_beam_splitter,
@@ -144,3 +148,74 @@ def test_beam_splitter_conserves_photons(ops, transmissivity, phase):
     mixed = apply_beam_splitter(state, 0, 1, transmissivity, phase)
     after = mean_photon_number(mixed, 0) + mean_photon_number(mixed, 1)
     assert after == pytest.approx(before, abs=1e-12 * max(1.0, before))
+
+
+# Relations between whole run configs, read through load_config and the
+# CLI's own scheme resolution (the sui dark-fringe lock included), so they
+# judge the scheme description from outside the engine.
+
+_PRESET_LOSSES = preset_config("fig2")["losses"]
+_FREQUENCIES = (0.8e6, 1.0e6, 1.2e6)
+
+
+@st.composite
+def locked_configs(draw):
+    """A raw run config of a random ``bs``, ``amp`` or ``sui`` scheme, the
+    last locked to its dark fringe or at a random phase, with gains
+    log-uniform in the range where the engine is accurate."""
+    kind = draw(st.sampled_from(["bs", "amp", "sui"]))
+    scheme = {"kind": kind, "probe_photon_number": 10.0 ** draw(st.floats(2.0, 6.0))}
+    if kind != "bs":
+        scheme["gain_g2"] = 10.0 ** draw(st.floats(0.2, 2.0))
+    if kind == "sui":
+        scheme["gain_g1"] = 10.0 ** draw(st.floats(0.2, 1.5))
+        scheme["interferometer_phase"] = draw(st.one_of(st.just(AUTO_DARK_FRINGE), angles))
+    if draw(st.booleans()):
+        losses = dict(_PRESET_LOSSES)
+    else:
+        losses = {key: draw(st.floats(0.3, 0.99)) for key in _PRESET_LOSSES}
+    # Depths up to 0.05 / sqrt(10): scaled by up to sqrt(10), within the weak-modulation bound.
+    tones = [
+        {"frequency_hz": f, "depth": 10.0 ** draw(st.floats(-3.0, -2.0)), "angle_rad": draw(angles)}
+        for f in _FREQUENCIES[: draw(st.integers(1, 3))]
+    ]
+    tap = draw(st.booleans())
+    channels = [{"name": name, "lo_phase_rad": draw(angles)} for name in ("signal", "idler", "tap")[: 2 + tap]]
+    return {"scheme": scheme, "losses": losses, "tones": tones, "ports": {"tap_enabled": tap, "channels": channels}}
+
+
+def snr_table(raw):
+    _, model = _resolve_scheme(load_config(raw))
+    return model.snr_table()
+
+
+def assert_tables_close(table, expected, rel):
+    assert table.keys() == expected.keys()
+    for port in expected:
+        assert table[port] == pytest.approx(expected[port], rel=rel, abs=0.0)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(raw=locked_configs(), phi=st.floats(-math.pi, math.pi), scale=st.floats(0.1, 10.0))
+def test_snr_relations_between_configs(raw, phi, scale):
+    table = snr_table(raw)
+
+    # Rotating the probe's phase by phi rotates every tone and the signal and
+    # tap LOs with it; the amplifiers conjugate the probe into the idler, so
+    # its LO turns by -phi, while a beam splitter passes the phase unchanged.
+    rotated = copy.deepcopy(raw)
+    for tone in rotated["tones"]:
+        tone["angle_rad"] += phi
+    for channel in rotated["ports"]["channels"]:
+        conjugate = channel["name"] == "idler" and raw["scheme"]["kind"] != "bs"
+        channel["lo_phase_rad"] += -phi if conjugate else phi
+    assert_tables_close(snr_table(rotated), table, 1e-12)
+
+    # The SNR is linear in the probe's photon number and in each depth squared.
+    brighter = copy.deepcopy(raw)
+    brighter["scheme"]["probe_photon_number"] *= scale
+    assert_tables_close(snr_table(brighter), {port: [scale * snr for snr in row] for port, row in table.items()}, 1e-12)
+    deeper = copy.deepcopy(raw)
+    for tone in deeper["tones"]:
+        tone["depth"] *= math.sqrt(scale)
+    assert_tables_close(snr_table(deeper), {port: [scale * snr for snr in row] for port, row in table.items()}, 1e-12)
