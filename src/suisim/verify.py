@@ -494,6 +494,29 @@ def check_oracle_equivalence() -> tuple[bool, str]:
     )
 
 
+def _detected(model: MeasurementModel, gains: dict[str, float]) -> MeasurementModel:
+    """``model`` read through a detection chain: only the ports of ``gains``,
+    in its order, each through its amplitude gain.
+
+    The port readouts are jointly Gaussian, and the covariance of some of
+    them is the sub-block of their joint covariance, so a record drawn from
+    the result is distributed as those ports of a full record, each scaled
+    by its gain; only the realisation changes with the ports drawn.
+    """
+    index = [model.port_names.index(name) for name in gains]
+    scale = np.array(list(gains.values()))
+    return MeasurementModel(
+        port_names=tuple(gains),
+        lo_phases=tuple(model.lo_phases[i] for i in index),
+        efficiencies=tuple(model.efficiencies[i] for i in index),
+        noise_cov=model.noise_cov[np.ix_(index, index)] * np.outer(scale, scale),
+        tone_amplitudes={
+            frequency: tuple(amplitudes[i] * g for i, g in zip(index, gains.values()))
+            for frequency, amplitudes in model.tone_amplitudes.items()
+        },
+    )
+
+
 @_check("acceptance-09-monte-carlo-fidelity")
 def check_monte_carlo_fidelity() -> tuple[bool, str]:
     issues = []
@@ -530,7 +553,7 @@ def check_monte_carlo_fidelity() -> tuple[bool, str]:
     for i, depth in enumerate(depths):
         tones = (dataclasses.replace(_TONES[0], depth=depth),)
         bs = build_scheme("bs", probe_photon_number=_PROBE_PHOTONS, tones=tones)
-        spec = simulate_spectra(measurement_model(bs), seed=30 + i).spectra["signal"]
+        spec = simulate_spectra(_detected(measurement_model(bs), {"signal": 1.0}), seed=30 + i).spectra["signal"]
         scaled.append(tone_power(spec, _X_HZ) / depth**2)
     scaled = np.array(scaled)
     linearity = float(np.max(np.abs(scaled / _median(scaled) - 1.0)))
@@ -559,19 +582,6 @@ def check_monte_carlo_fidelity() -> tuple[bool, str]:
     return not issues, detail
 
 
-def _with_channel_gain(model: MeasurementModel, port_name: str, gain: float) -> MeasurementModel:
-    """``model`` read through an amplitude gain ``gain`` on one port's channel."""
-    scale = np.where(np.array(model.port_names) == port_name, gain, 1.0)
-    return dataclasses.replace(
-        model,
-        noise_cov=model.noise_cov * np.outer(scale, scale),
-        tone_amplitudes={
-            frequency: tuple(a * g for a, g in zip(amplitudes, scale))
-            for frequency, amplitudes in model.tone_amplitudes.items()
-        },
-    )
-
-
 @_check("acceptance-10-post-detection-combination")
 def check_post_detection_combination() -> tuple[bool, str]:
     # Symmetric tap channels, with channel 1 deliberately running at 0.84x
@@ -579,7 +589,7 @@ def check_post_detection_combination() -> tuple[bool, str]:
     scheme = _reference_sui(tap_enabled=True, tones=_THREE_TONES)
     tap = HomodyneChannel(PORT_TAP, math.pi / 2, scheme.port("signal").efficiency)
     scheme = dataclasses.replace(scheme, ports=scheme.ports[:2] + (tap,))
-    model = _with_channel_gain(measurement_model(scheme), "signal", 0.84)
+    model = _detected(measurement_model(scheme), {"signal": 0.84, "tap": 1.0})
     thetas = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
     run = simulate_spectra(model, seed=50, combine=CombineSettings(thetas, _THREE_HZ[1]))
     k = run.balance_gain_k

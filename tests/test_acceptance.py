@@ -270,6 +270,46 @@ def test_floors_are_read_over_the_band_a_report_gives(monkeypatch, check_id, pre
     assert all(band == reported == (0.5e6, 1.5e6) and exclude == tones for band, reported, exclude in bands)
 
 
+@pytest.mark.parametrize(
+    "check_id, drawn",
+    [
+        (
+            "acceptance-09-monte-carlo-fidelity",
+            [("signal", "idler")] * 2 + [("signal",)] * 5 + [("signal", "idler", "tap")],
+        ),
+        ("acceptance-10-post-detection-combination", [("signal", "tap")]),
+    ],
+)
+def test_monte_carlo_checks_draw_only_the_ports_they_read(monkeypatch, check_id, drawn):
+    calls = []
+
+    def recorded(model, *args, _simulate=verify.simulate_spectra, **kwargs):
+        calls.append(model.port_names)
+        return _simulate(model, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "simulate_spectra", recorded)
+    result = verify.run_check(check_id)
+    assert result.passed, result.detail
+    assert calls == drawn
+
+
+def test_detection_chain_reads_a_subblock_through_the_gains():
+    full = measurement_model(verify._reference_sui(tap_enabled=True, tones=verify._THREE_TONES))
+    assert full.port_names == ("signal", "idler", "tap")
+    gains = {"tap": 1.3, "signal": 0.84}
+    index = [2, 0]
+    detected = verify._detected(full, gains)
+    assert detected.port_names == ("tap", "signal")
+    assert detected.lo_phases == tuple(full.lo_phases[i] for i in index)
+    assert detected.efficiencies == tuple(full.efficiencies[i] for i in index)
+    g = list(gains.values())
+    expected_cov = [[full.noise_cov[i, j] * (g[a] * g[b]) for b, j in enumerate(index)] for a, i in enumerate(index)]
+    assert np.array_equal(detected.noise_cov, expected_cov)
+    assert list(detected.tone_amplitudes) == list(full.tone_amplitudes)
+    for frequency, amplitudes in full.tone_amplitudes.items():
+        assert detected.tone_amplitudes[frequency] == tuple(amplitudes[i] * g[a] for a, i in enumerate(index))
+
+
 def test_monte_carlo_check_names_a_floor_off_its_variance(monkeypatch):
     # Every floor read 5% high: each port's floor is off, the ratio of floors is not.
     def high(*args, _floor=verify.band_floor, **kwargs):
