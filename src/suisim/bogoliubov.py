@@ -59,73 +59,74 @@ class TransferMap:
         return self.u.shape[0]
 
 
-def identity_transfer(n_modes: int) -> TransferMap:
+def identity_transfer(n_modes: int, losses: int = 0) -> TransferMap:
+    """The map of no element, with a zero column for each of ``losses`` vacua yet to be injected."""
     if n_modes < 1:
         raise ValueError("n_modes must be a positive integer")
     return TransferMap(
-        u=np.eye(n_modes, dtype=complex),
-        v=np.zeros((n_modes, n_modes), dtype=complex),
+        u=np.eye(n_modes, n_modes + losses, dtype=complex),
+        v=np.zeros((n_modes, n_modes + losses), dtype=complex),
         amplitude=np.zeros(n_modes, dtype=complex),
     )
 
 
-def _apply_element(tm: TransferMap, element: Element) -> TransferMap:
-    u, v = tm.u.copy(), tm.v.copy()
-    amp = tm.amplitude.copy()
-
-    if isinstance(element, Displace):
-        amp[element.mode] += (element.dx + 1j * element.dy) / 2.0
-    elif isinstance(element, TwoModeSqueeze):
-        a, b = element.mode_a, element.mode_b
-        gain = element.gain
-        conj_gain = math.sqrt(gain**2 - 1.0)
-        phase = np.exp(1j * element.pump_phase)
-        ua, va, aa = u[a].copy(), v[a].copy(), amp[a]
-        ub, vb, ab = u[b].copy(), v[b].copy(), amp[b]
-        u[a] = gain * ua + conj_gain * phase * np.conj(vb)
-        v[a] = gain * va + conj_gain * phase * np.conj(ub)
-        u[b] = gain * ub + conj_gain * phase * np.conj(va)
-        v[b] = gain * vb + conj_gain * phase * np.conj(ua)
-        amp[a] = gain * aa + conj_gain * phase * np.conj(ab)
-        amp[b] = gain * ab + conj_gain * phase * np.conj(aa)
-    elif isinstance(element, Splitter):
-        a, b = element.mode_a, element.mode_b
-        t = math.sqrt(element.transmissivity)
-        r = math.sqrt(1.0 - element.transmissivity)
-        phase = np.exp(1j * element.phase)
-        for block in (u, v):
-            row_a, row_b = block[a].copy(), block[b].copy()
-            block[a] = t * row_a + r * phase * row_b
-            block[b] = -r * np.conj(phase) * row_a + t * row_b
-        aa, ab = amp[a], amp[b]
-        amp[a] = t * aa + r * phase * ab
-        amp[b] = -r * np.conj(phase) * aa + t * ab
-    elif isinstance(element, PhaseShift):
-        m = element.mode
-        phase = np.exp(1j * element.theta)
-        u[m] *= phase
-        v[m] *= phase
-        amp[m] *= phase
-    elif isinstance(element, Loss):
-        m = element.mode
-        root = math.sqrt(element.eta)
-        u[m] *= root
-        v[m] *= root
-        amp[m] *= root
-        fresh_u = np.zeros((tm.n_modes, 1), dtype=complex)
-        fresh_u[m, 0] = math.sqrt(1.0 - element.eta)
-        u = np.hstack([u, fresh_u])
-        v = np.hstack([v, np.zeros((tm.n_modes, 1), dtype=complex)])
-    else:
-        raise ValueError(f"unsupported pipeline element for the transfer map: {element!r}")
-
-    return TransferMap(u=u, v=v, amplitude=amp)
-
-
 def build_transfer_from_elements(n_modes: int, elements: list[Element]) -> TransferMap:
-    tm = identity_transfer(n_modes)
+    """Transfer map of an element list, applied in order.
+
+    ``u`` and ``v`` are allocated once, with one column per :class:`Loss`
+    for the vacuum it injects, and each element rewrites only the rows of
+    the modes it acts on, over the columns in use: the modes' and those of
+    the losses so far.  A column is untouched, so exactly zero, until its
+    loss fills it.
+    """
+    tm = identity_transfer(n_modes, sum(isinstance(e, Loss) for e in elements))
+    u, v, amp = tm.u[:, :n_modes], tm.v[:, :n_modes], tm.amplitude
     for element in elements:
-        tm = _apply_element(tm, element)
+        if isinstance(element, Displace):
+            amp[element.mode] += (element.dx + 1j * element.dy) / 2.0
+        elif isinstance(element, TwoModeSqueeze):
+            a, b = element.mode_a, element.mode_b
+            gain = element.gain
+            conj_gain = math.sqrt(gain**2 - 1.0)
+            phase = np.exp(1j * element.pump_phase)
+            ua, va, aa = u[a], v[a], amp[a]
+            ub, vb, ab = u[b], v[b], amp[b]
+            u[a], v[a], u[b], v[b] = (
+                gain * ua + conj_gain * phase * np.conj(vb),
+                gain * va + conj_gain * phase * np.conj(ub),
+                gain * ub + conj_gain * phase * np.conj(va),
+                gain * vb + conj_gain * phase * np.conj(ua),
+            )
+            amp[a] = gain * aa + conj_gain * phase * np.conj(ab)
+            amp[b] = gain * ab + conj_gain * phase * np.conj(aa)
+        elif isinstance(element, Splitter):
+            a, b = element.mode_a, element.mode_b
+            t = math.sqrt(element.transmissivity)
+            r = math.sqrt(1.0 - element.transmissivity)
+            phase = np.exp(1j * element.phase)
+            for block in (u, v):
+                row_a, row_b = block[a], block[b]
+                block[a], block[b] = t * row_a + r * phase * row_b, -r * np.conj(phase) * row_a + t * row_b
+            aa, ab = amp[a], amp[b]
+            amp[a] = t * aa + r * phase * ab
+            amp[b] = -r * np.conj(phase) * aa + t * ab
+        elif isinstance(element, PhaseShift):
+            m = element.mode
+            phase = np.exp(1j * element.theta)
+            u[m] *= phase
+            v[m] *= phase
+            amp[m] *= phase
+        elif isinstance(element, Loss):
+            m = element.mode
+            root = math.sqrt(element.eta)
+            u[m] *= root
+            v[m] *= root
+            amp[m] *= root
+            width = u.shape[1]
+            tm.u[m, width] = math.sqrt(1.0 - element.eta)
+            u, v = tm.u[:, : width + 1], tm.v[:, : width + 1]
+        else:
+            raise ValueError(f"unsupported pipeline element for the transfer map: {element!r}")
     return tm
 
 

@@ -113,6 +113,22 @@ def run_all(progress: Callable[[CheckResult], None] | None = None) -> list[Check
 # --------------------------------------------------------------------------
 
 
+def _pair(rng: np.random.Generator, n: int) -> tuple[int, int]:
+    """Two distinct modes of ``n``: the pair ``rng.choice(n, size=2, replace=False)``
+    gives, and the generator state it leaves, in three scalar draws.
+
+    They are the two steps of Floyd's algorithm and the one-step shuffle
+    that ``choice`` runs, without its array set-up.
+    """
+    a = int(rng.integers(n - 1, dtype=np.uint32))
+    b = int(rng.integers(n, dtype=np.uint32))
+    if b == a:
+        b = n - 1
+    if rng.integers(2, dtype=np.uint32) == 0:
+        a, b = b, a
+    return a, b
+
+
 def random_pipeline(
     rng: np.random.Generator,
     with_loss: bool = True,
@@ -137,23 +153,12 @@ def random_pipeline(
     for _ in range(n_elements):
         kind = kinds[rng.integers(4)]
         if kind == "squeeze" and n_squeezers < max_squeezers:
-            a, b = rng.choice(n_modes, size=2, replace=False)
-            elements.append(
-                TwoModeSqueeze(
-                    int(a),
-                    int(b),
-                    float(rng.uniform(1.0, max_gain)),
-                    float(rng.uniform(0, 2 * math.pi)),
-                )
-            )
+            a, b = _pair(rng, n_modes)
+            elements.append(TwoModeSqueeze(a, b, float(rng.uniform(1.0, max_gain)), float(rng.uniform(0, 2 * math.pi))))
             n_squeezers += 1
         elif kind == "split":
-            a, b = rng.choice(n_modes, size=2, replace=False)
-            elements.append(
-                Splitter(
-                    int(a), int(b), float(rng.uniform(0, 1)), float(rng.uniform(0, 2 * math.pi))
-                )
-            )
+            a, b = _pair(rng, n_modes)
+            elements.append(Splitter(a, b, float(rng.uniform(0, 1)), float(rng.uniform(0, 2 * math.pi))))
         elif kind == "loss":
             elements.append(Loss(int(rng.integers(n_modes)), float(rng.uniform(0.2, 1.0))))
         else:
@@ -274,12 +279,12 @@ def check_photon_conservation() -> tuple[bool, str]:
     for _ in range(100):
         n_modes, elements = random_pipeline(rng, with_loss=False, with_displacement=True)
         state = vacuum_output(n_modes, *compile_pipeline(n_modes, elements))
-        a, b = rng.choice(n_modes, size=2, replace=False)
-        before = mean_photon_number(state, int(a)) + mean_photon_number(state, int(b))
+        a, b = _pair(rng, n_modes)
+        before = mean_photon_number(state, a) + mean_photon_number(state, b)
         mixed = gaussian.apply_beam_splitter(
-            state, int(a), int(b), float(rng.uniform(0, 1)), float(rng.uniform(0, 2 * math.pi))
+            state, a, b, float(rng.uniform(0, 1)), float(rng.uniform(0, 2 * math.pi))
         )
-        after = mean_photon_number(mixed, int(a)) + mean_photon_number(mixed, int(b))
+        after = mean_photon_number(mixed, a) + mean_photon_number(mixed, b)
         worst = max(worst, abs(before - after) / max(1.0, abs(before)))
     return worst < 1e-12, f"max relative leak {worst:.3e}"
 
@@ -517,19 +522,65 @@ def _detected(model: MeasurementModel, gains: dict[str, float]) -> MeasurementMo
     )
 
 
+def _stacked(records: dict[str, MeasurementModel]) -> MeasurementModel:
+    """Independent records as the ports of one model, so one pass draws them all.
+
+    Record ``label``'s port ``p`` is the port ``"label/p"``.  Each record's
+    ``noise_cov`` is a diagonal block, with exact zeros between records, and
+    each tone's amplitudes are joined in record order, 0 where a record has
+    no such tone.  Jointly Gaussian readouts with zero covariance are
+    independent, so each record drawn from the result is distributed as a
+    pass of its own model and independent of the others; only the
+    realisations change.
+    """
+    models = list(records.values())
+    sizes = [len(model.port_names) for model in models]
+    noise_cov = np.zeros((sum(sizes), sum(sizes)))
+    start = 0
+    for model, size in zip(models, sizes):
+        noise_cov[start : start + size, start : start + size] = model.noise_cov
+        start += size
+    frequencies = dict.fromkeys(f for model in models for f in model.tone_amplitudes)
+    return MeasurementModel(
+        port_names=tuple(f"{label}/{port}" for label, model in records.items() for port in model.port_names),
+        lo_phases=tuple(phase for model in models for phase in model.lo_phases),
+        efficiencies=tuple(eta for model in models for eta in model.efficiencies),
+        noise_cov=noise_cov,
+        tone_amplitudes={
+            f: tuple(a for model, size in zip(models, sizes) for a in model.tone_amplitudes.get(f, (0.0,) * size))
+            for f in frequencies
+        },
+    )
+
+
+#: The tone depths whose powers ``acceptance-09`` checks for the depth^2 law.
+_DEPTHS = (0.002, 0.005, 0.01, 0.02, 0.05)
+
+
+def _depth_records() -> dict[str, MeasurementModel]:
+    """The ``bs`` scheme's signal port with a lone x tone at each of :data:`_DEPTHS`, by depth."""
+    records = {}
+    for depth in _DEPTHS:
+        tones = (dataclasses.replace(_TONES[0], depth=depth),)
+        bs = build_scheme("bs", probe_photon_number=_PROBE_PHOTONS, tones=tones)
+        records[str(depth)] = _detected(measurement_model(bs), {"signal": 1.0})
+    return records
+
+
 @_check("acceptance-09-monte-carlo-fidelity")
 def check_monte_carlo_fidelity() -> tuple[bool, str]:
     issues = []
 
-    # Welch floors against analytic variances, and the SUI/AMP floor ratio.
+    # Welch floors against analytic variances, and the SUI/AMP floor ratio,
+    # both records from one pass.
     sui = _reference_sui()
     models = {"sui": measurement_model(sui), "amp": measurement_model(matched_baseline(sui, "amp"))}
     exclude = tuple(t.frequency_hz for t in sui.tones)
+    spectra = simulate_spectra(_stacked(models), seed=11).spectra
     floors = {}
-    for (label, model), seed in zip(models.items(), (11, 12)):
-        spectra = simulate_spectra(model, seed=seed).spectra
+    for label, model in models.items():
         for port in ("signal", "idler"):
-            spec = spectra[port]
+            spec = spectra[f"{label}/{port}"]
             if spec.n_averages < 200:
                 issues.append(f"{label}/{port}: only {spec.n_averages} averages")
             measured = band_floor(spec, *report_band(spec.psd_snu.size, spec.bin_width, exclude), exclude=exclude)
@@ -547,15 +598,10 @@ def check_monte_carlo_fidelity() -> tuple[bool, str]:
     if abs(ratio - target) > tol:
         issues.append(f"floor ratio {ratio:.4f} outside {_TARGETS['noise-floor ratio']}")
 
-    # Tone power scales as depth^2.
-    depths = (0.002, 0.005, 0.01, 0.02, 0.05)
-    scaled = []
-    for i, depth in enumerate(depths):
-        tones = (dataclasses.replace(_TONES[0], depth=depth),)
-        bs = build_scheme("bs", probe_photon_number=_PROBE_PHOTONS, tones=tones)
-        spec = simulate_spectra(_detected(measurement_model(bs), {"signal": 1.0}), seed=30 + i).spectra["signal"]
-        scaled.append(tone_power(spec, _X_HZ) / depth**2)
-    scaled = np.array(scaled)
+    # Tone power scales as depth^2: every depth's record from one pass.
+    records = _depth_records()
+    spectra = simulate_spectra(_stacked(records), seed=30).spectra
+    scaled = np.array([tone_power(spectra[f"{label}/signal"], _X_HZ) / d**2 for label, d in zip(records, _DEPTHS)])
     linearity = float(np.max(np.abs(scaled / _median(scaled) - 1.0)))
     if linearity > 0.03:
         issues.append(f"depth-squared linearity deviation {linearity:.3%}")

@@ -1,9 +1,12 @@
 """Write the golden outputs that ``tests/test_golden.py`` compares against.
 
-    PYTHONPATH=src python tests/golden/regenerate.py
+    PYTHONPATH=src python tests/golden/regenerate.py [NAME ...]
 
 Regenerate them only for a change that is meant to move a reported number,
-and say so where the change is described.  Each golden file is what the
+and say so where the change is described.  Given file names, the script
+writes only those files, so that a change rewrites the numbers it moves and
+not the rounding-level drift that ``tests/test_golden.py`` tolerates in the
+others; without names it writes every file.  Each golden file is what the
 command line gives for one fixed run: the ``snr`` reports of the fig2 to
 fig5 presets, the CSVs of a 40-point ``gain_g2`` sweep and a 10-point
 ``eta_signal_det`` sweep of fig2, the ``simulate`` reports of fig2 and fig5
@@ -68,21 +71,39 @@ def verify_details(results) -> str:
     return json.dumps({r.check_id: r.detail for r in results}, indent=2) + "\n"
 
 
-def main() -> int:
-    with tempfile.TemporaryDirectory() as workdir:
-        cwd = os.getcwd()
-        os.chdir(workdir)
-        try:
-            texts = outputs()
-        finally:
-            os.chdir(cwd)
-    texts[VERIFY_DETAILS] = verify_details(verify.run_all())
-    for name, text in texts.items():
+def golden_names() -> list[str]:
+    """Every golden file name, in the order :func:`main` writes them."""
+    return [
+        *(f"snr_{preset}.json" for preset in SNR_PRESETS),
+        *SWEEPS.values(),
+        *(f"simulate_{preset}.json" for preset in SIMULATE_PRESETS),
+        VERIFY_DETAILS,
+    ]
+
+
+def main(names: list[str]) -> int:
+    unknown = sorted(set(names) - set(golden_names()))
+    if unknown:
+        print(f"unknown golden files {unknown}; known: {golden_names()}", file=sys.stderr)
+        return 2
+    names = names or golden_names()
+    texts = {}
+    if set(names) - {VERIFY_DETAILS}:
+        with tempfile.TemporaryDirectory() as workdir:
+            cwd = os.getcwd()
+            os.chdir(workdir)
+            try:
+                texts = outputs()
+            finally:
+                os.chdir(cwd)
+    if VERIFY_DETAILS in names:
+        texts[VERIFY_DETAILS] = verify_details(verify.run_all())
+    for name in names:
         with open(os.path.join(HERE, name), "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.write(texts[name])
         print(f"wrote {os.path.join(HERE, name)}", file=sys.stderr)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -126,6 +126,16 @@ def test_random_pipeline_is_the_rng_choice_draw(flags):
         assert rng.bit_generator.state == reference_rng.bit_generator.state, seed
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_pair_is_the_rng_choice_pair(n):
+    """Every pair, and the generator state after it, equals ``rng.choice``'s."""
+    rng, reference_rng = np.random.default_rng(n), np.random.default_rng(n)
+    for _ in range(10_000):
+        expected = tuple(int(m) for m in reference_rng.choice(n, size=2, replace=False))
+        assert verify._pair(rng, n) == expected
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
 READERS = ("homodyne_stats", "oracle_homodyne_variance", "oracle_homodyne_mean")
 
 
@@ -275,7 +285,11 @@ def test_floors_are_read_over_the_band_a_report_gives(monkeypatch, check_id, pre
     [
         (
             "acceptance-09-monte-carlo-fidelity",
-            [("signal", "idler")] * 2 + [("signal",)] * 5 + [("signal", "idler", "tap")],
+            [
+                ("sui/signal", "sui/idler", "amp/signal", "amp/idler"),
+                tuple(f"{depth}/signal" for depth in (0.002, 0.005, 0.01, 0.02, 0.05)),
+                ("signal", "idler", "tap"),
+            ],
         ),
         ("acceptance-10-post-detection-combination", [("signal", "tap")]),
     ],
@@ -308,6 +322,36 @@ def test_detection_chain_reads_a_subblock_through_the_gains():
     assert list(detected.tone_amplitudes) == list(full.tone_amplitudes)
     for frequency, amplitudes in full.tone_amplitudes.items():
         assert detected.tone_amplitudes[frequency] == tuple(amplitudes[i] * g[a] for a, i in enumerate(index))
+
+
+def test_stacked_records_are_block_diagonal():
+    sui = verify._reference_sui(tap_enabled=True, tones=verify._THREE_TONES)
+    records = {
+        "sui": measurement_model(sui),
+        "amp": measurement_model(matched_baseline(verify._reference_sui(), "amp")),
+        "bs": verify._depth_records()["0.01"],
+    }
+    stacked = verify._stacked(records)
+    assert stacked.port_names == tuple(
+        f"{label}/{port}" for label, model in records.items() for port in model.port_names
+    )
+    assert list(stacked.tone_amplitudes) == list(dict.fromkeys(f for m in records.values() for f in m.tone_amplitudes))
+    start = 0
+    for model in records.values():
+        rows = slice(start, start + len(model.port_names))
+        start = rows.stop
+        assert stacked.lo_phases[rows] == model.lo_phases
+        assert stacked.efficiencies[rows] == model.efficiencies
+        assert stacked.noise_cov[rows, rows].tobytes() == model.noise_cov.tobytes()
+        outside = np.ones(stacked.noise_cov.shape[0], dtype=bool)
+        outside[rows] = False
+        assert np.all(stacked.noise_cov[rows][:, outside] == 0.0)
+        assert np.all(stacked.noise_cov[outside][:, rows] == 0.0)
+        for frequency, amplitudes in stacked.tone_amplitudes.items():
+            own = model.tone_amplitudes.get(frequency, (0.0,) * len(model.port_names))
+            assert amplitudes[rows] == own
+    # The three records have, between them, a tone that one of them lacks.
+    assert any(len(set(stacked.tone_amplitudes) - set(m.tone_amplitudes)) for m in records.values())
 
 
 def test_monte_carlo_check_names_a_floor_off_its_variance(monkeypatch):

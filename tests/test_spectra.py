@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 
 import suisim
 
+from suisim import verify
 from suisim.cli import _spectrum_rows
 from suisim.config import load_config, preset_config
 from suisim.schemes import (
@@ -660,11 +661,33 @@ class TestWorkingSet:
     once per pass, so its traced peak is the same for a record ten times as
     long.  The bounds sit about 10% above the measured peaks, which count
     the worker's second draw buffer: at the defaults 2.40 MB for fig4's
-    three ports and 2.82 MB for fig5's with its combination (a pass that
-    allocated each block's temporaries afresh read 3.36 and 3.80 MB); at
+    three ports, 2.82 MB for fig5's with its combination (a pass that
+    allocated each block's temporaries afresh read 3.36 and 3.80 MB) and
+    3.32 MB for the five stacked depth records of ``acceptance-09``; at
     1 kHz, 10000-sample segments in 20000-sample blocks, 2.49 MB for fig2
     and 4.05 MB for fig5 (blocks of 32 steps, 160000 samples, read 13.6 and
     19.1 MB)."""
+
+    @staticmethod
+    def assert_flat_and_bounded(monkeypatch, run, block, bound):
+        """``run(duration)`` runs one pass; its blocks and traced peaks are checked."""
+        # One counted pass first, so one-off caches (the FFT plans) are not counted.
+        events = []
+        with monkeypatch.context() as patch:
+            count_blocks(patch, events)
+            run(0.02)
+        blocks = [m for _, m in events]
+        assert sum(blocks) == 200_000 and set(blocks[:-1]) == {block}, blocks
+        peaks = {}
+        for duration in (0.02, 0.2):
+            tracemalloc.start()
+            try:
+                run(duration)
+                peaks[duration] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[0.2] - peaks[0.02]) <= 64e3, peaks
+        assert max(peaks.values()) < bound, peaks
 
     @pytest.mark.parametrize(
         "preset, rbw, block, bound",
@@ -680,23 +703,20 @@ class TestWorkingSet:
         cfg = preset_run_config(preset)
         model = measurement_model(cfg.scheme)
         sim = cfg.sim
-        # One counted pass first, so one-off caches (the FFT plans) are not counted.
-        events = []
-        with monkeypatch.context() as patch:
-            count_blocks(patch, events)
-            simulate_spectra(model, 0.02, sim.sample_rate_hz, sim.seed, rbw, sim.combine)
-        blocks = [m for _, m in events]
-        assert sum(blocks) == 200_000 and set(blocks[:-1]) == {block}, blocks
-        peaks = {}
-        for duration in (0.02, 0.2):
-            tracemalloc.start()
-            try:
-                simulate_spectra(model, duration, sim.sample_rate_hz, sim.seed, rbw, sim.combine)
-                peaks[duration] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert abs(peaks[0.2] - peaks[0.02]) <= 64e3, peaks
-        assert max(peaks.values()) < bound, peaks
+
+        def run(duration):
+            simulate_spectra(model, duration, sim.sample_rate_hz, sim.seed, rbw, sim.combine)
+
+        self.assert_flat_and_bounded(monkeypatch, run, block, bound)
+
+    def test_stacked_depth_records_peak_is_flat_and_bounded(self, monkeypatch):
+        model = verify._stacked(verify._depth_records())
+        assert len(model.port_names) == 5
+
+        def run(duration):
+            simulate_spectra(model, duration, seed=30)
+
+        self.assert_flat_and_bounded(monkeypatch, run, 16_000, 3.65e6)
 
 
 class TestMedian:
